@@ -251,6 +251,9 @@ def block_sparse_nbytes(mask: np.ndarray, num_blocks: int, direction: str = "col
 # distinguishes the cache entries of coexisting MaskManagers
 _manager_counter = itertools.count()
 
+# pattern sets whose combined per-layer masks a MaskManager keeps resident
+_COMBINED_SETS_CAP = 8
+
 
 class MaskManager:
     """Composes the fixed BP backbone mask with swappable pattern masks.
@@ -283,6 +286,10 @@ class MaskManager:
         # serve one manager's masks to another.
         self.cache = cache
         self._cache_owner = f"mm{next(_manager_counter)}"
+        # (layer, set digest) -> (packed, bp, combined): the read-only
+        # ``bp * packed.unpack()`` installed for that pair, valid while
+        # the cache hands back the same PackedMask for the same backbone
+        self._combined: Dict[Tuple[str, str], tuple] = {}
 
     # ------------------------------------------------------------------
     def attach_cache(self, cache) -> None:
@@ -296,6 +303,7 @@ class MaskManager:
         conversions and other managers' masks in a shared cache stay
         valid.  Returns the number of entries removed.
         """
+        self._combined.clear()
         if self.cache is None:
             return 0
         return self.cache.invalidate(owner=self._cache_owner)
@@ -308,6 +316,11 @@ class MaskManager:
         so the artifact cache's byte budget models the kilobytes a pattern
         switch actually moves.  Unpacking is exact — the installed masks
         are identical with and without the cache.
+
+        With a cache, the combined ``bp * mask`` array is built once per
+        (layer, pattern set) and installed read-only, so a set that comes
+        back is an O(layers) lookup that restores each layer's
+        ``cache_token`` instead of an unpack, a compare and a recompile.
         """
         self.active_set = pattern_set
         self._pattern_ids.clear()
@@ -324,10 +337,18 @@ class MaskManager:
                     return PackedMask(mask), ids
                 packed, ids = self.cache.get_mask(
                     name, set_digest, compute, owner=self._cache_owner)
-                pp_mask = packed.unpack()
+                memo = self._combined.get((name, set_digest))
+                if memo is None or memo[0] is not packed or memo[1] is not bp:
+                    combined = bp * packed.unpack()
+                    combined.flags.writeable = False
+                    memo = (packed, bp, combined)
+                    if len(self._combined) >= _COMBINED_SETS_CAP * len(self.layers):
+                        del self._combined[next(iter(self._combined))]
+                    self._combined[(name, set_digest)] = memo
+                layer.set_mask(memo[2])
             else:
                 pp_mask, ids = pattern_mask_for_matrix(layer.weight.data * bp, pattern_set)
-            layer.set_mask(bp * pp_mask)
+                layer.set_mask(bp * pp_mask)
             self._pattern_ids[name] = ids
 
     def clear_patterns(self) -> None:

@@ -15,10 +15,11 @@ Two forward planes share the same weights:
   a model's eval-mode forward into a flat program of pure ``np.ndarray``
   steps (fused layernorm/softmax, memoized attention masks, reused
   scratch buffers, zero graph construction).  The float64 plan is
-  bit-identical to the eager forward and recompiles itself only when a
-  parameter or installed mask changes (O(1)
+  bit-identical to the eager forward and compiles once per distinct
+  parameter/mask signature (O(1)
   :attr:`~repro.nn.layers.Linear.cache_token` / ``Parameter.version``
-  checks); the serving stack uses it for every batch by default.
+  checks), so switching back to a pattern set already seen is a lookup;
+  the serving stack uses it for every batch by default.
 """
 
 from repro.nn.module import Module, Parameter, ModuleList

@@ -11,9 +11,12 @@ module tree **once** and emits a flat program of ndarray steps that
 - snapshots each layer's *effective* weight (``weight * mask``) so the
   per-forward mask multiply disappears; snapshots are keyed on the O(1)
   :attr:`~repro.nn.layers.Linear.cache_token` / ``Parameter.version``
-  counters, so recompilation happens only when a parameter or installed
-  mask actually changes (an identical re-install keeps the token stable
-  and therefore the plan);
+  counters, and the plan keeps one compiled program per distinct
+  signature (bounded), so each effective weight configuration compiles
+  once: a run-time pattern switch back to a rung already seen restores
+  the layers' tokens and is a dictionary lookup plus a reference swap,
+  not a recompile (an identical re-install keeps the tokens stable and
+  therefore the plan);
 - fuses LayerNorm and softmax into single functions with no intermediate
   graph nodes, replicating the Tensor engine's exact arithmetic
   expression by expression — the ``float64`` plan is **bit-identical**
@@ -72,6 +75,11 @@ DTYPES = ("float64", "float32")
 # adversarial traffic could otherwise grow the cache without limit
 _MASK_CACHE_CAP = 64
 
+# compiled programs kept per plan, keyed on the weight signature: one per
+# pattern-set rung that is resident at once (each entry snapshots a full
+# set of effective weights); programs of superseded weights are dropped
+_PROGRAM_CACHE_CAP = 8
+
 
 class UnsupportedModel(TypeError):
     """``compile_inference`` does not know this architecture's forward."""
@@ -125,10 +133,16 @@ class CompiledForward:
     attn_mask=None) -> np.ndarray`` with the exact semantics of the
     eval-mode Tensor forward (``attn_mask`` is the boolean key-padding
     mask the serving batcher builds).  Before every call the plan
-    compares its O(1) weight signature (every ``Linear.cache_token``
-    plus the version counter of each non-Linear parameter) against the
-    live model and recompiles the snapshots only on a real change;
-    ``compiles`` counts how often that happened (1 = never recompiled).
+    compares its O(1)-per-layer weight signature (every
+    ``Linear.cache_token`` plus the version counter of each non-Linear
+    parameter) against the live model.  On a change it looks the new
+    signature up among the programs it already compiled and compiles
+    only on a miss: one compile per distinct effective-weight signature,
+    so switching between pattern-set rungs already seen is a lookup.
+    ``compiles`` counts real compilations (1 = never recompiled).
+    Programs snapshotting superseded weight versions are dropped (those
+    versions never come back) and at most ``_PROGRAM_CACHE_CAP`` are
+    kept.
 
     ``sparse`` (a :class:`~repro.sparse.executor.SparseExecutor`)
     dispatches masked prunable layers through that executor's sparse
@@ -159,11 +173,16 @@ class CompiledForward:
                  for p in (lin.weight, lin.bias) if p is not None}
         self._loose_params = [p for _, p in model.named_parameters()
                               if id(p) not in owned]
+        self._dropouts = [m for m in model.modules()
+                          if isinstance(m, Dropout) and m.p > 0.0]
+        # signature -> (forward, program): every compiled program this
+        # plan can switch back to without recompiling
+        self._programs: Dict[tuple, Tuple[Callable, List[str]]] = {}
         self._names = {id(m): name for name, m in model.named_modules()}
         self._sparse_names = (set(prunable_linears(model))
                               if sparse is not None else set())
         self._signature: Optional[tuple] = None
-        self._compile()
+        self._refresh(self.signature())
 
     # ------------------------------------------------------------------
     @property
@@ -186,13 +205,11 @@ class CompiledForward:
                       for lin in self._linears),
                 tuple(p.version for p in self._loose_params))
 
-    @staticmethod
-    def _check_eval(model: Module) -> None:
-        for m in model.modules():
-            if isinstance(m, Dropout) and m.p > 0.0 and m.training:
-                raise ValueError(
-                    "compile_inference snapshots eval-mode semantics; call "
-                    "model.eval() first (found an active Dropout)")
+    def _check_eval(self) -> None:
+        if any(m.training for m in self._dropouts):
+            raise ValueError(
+                "compile_inference snapshots eval-mode semantics; call "
+                "model.eval() first (found an active Dropout)")
 
     def _cast(self, arr: np.ndarray) -> np.ndarray:
         if arr.dtype == self.dtype:
@@ -546,30 +563,59 @@ class CompiledForward:
         return forward
 
     # ------------------------------------------------------------------
-    def _compile(self) -> None:
-        model = self.model
-        # re-checked on every recompile, not just construction: a model
+    @staticmethod
+    def _weight_versions(sig: tuple) -> tuple:
+        """The weight/bias/loose-parameter versions inside a signature.
+
+        Parameter versions only ever grow, so a cached entry whose
+        versions differ from the live ones can never be looked up again.
+        """
+        return tuple(entry[1:3] for entry in sig[0]), sig[1]
+
+    def _lookup(self, cache: Dict[tuple, object], sig: tuple,
+                build: Callable[[], object]) -> object:
+        """``cache[sig]``, building (and bounding the cache) on a miss."""
+        entry = cache.get(sig)
+        if entry is None:
+            live = self._weight_versions(sig)
+            for old in [k for k in cache if self._weight_versions(k) != live]:
+                del cache[old]
+            if len(cache) >= _PROGRAM_CACHE_CAP:
+                del cache[next(iter(cache))]
+            entry = cache[sig] = build()
+        return entry
+
+    def _refresh(self, sig: tuple) -> None:
+        """Point the plan at the program for ``sig``, compiling on a miss."""
+        # re-checked on every signature change, hit or miss: a model
         # flipped back to train mode must fail loudly rather than let
         # the plan silently keep eval (dropout-free) semantics
-        self._check_eval(model)
+        self._check_eval()
+        self._forward, self.program = self._lookup(
+            self._programs, sig, self._compile)
+        self._signature = sig
+
+    def _compile(self) -> Tuple[Callable, List[str]]:
+        model = self.model
         if isinstance(model, TransformerLM):
-            self._forward = self._compile_transformer_lm(model)
+            forward = self._compile_transformer_lm(model)
         elif isinstance(model, DistilBertForSequenceTask):
-            self._forward = self._compile_distilbert_task(model)
+            forward = self._compile_distilbert_task(model)
         elif isinstance(model, DistilBertModel):
-            self._forward = self._compile_distilbert(model)
+            forward = self._compile_distilbert(model)
         else:
             raise UnsupportedModel(
                 f"compile_inference supports TransformerLM and DistilBert* "
                 f"models, not {type(model).__name__}")
-        self._signature = self.signature()
         self.compiles += 1
+        return forward, self.program
 
     def __call__(self, tokens, attn_mask: Optional[np.ndarray] = None
                  ) -> np.ndarray:
-        if self.signature() != self._signature:
-            # a parameter or mask changed since the snapshots were taken
-            self._compile()
+        sig = self.signature()
+        if sig != self._signature:
+            # a parameter or mask changed since the last call
+            self._refresh(sig)
         tokens = np.asarray(tokens.data if hasattr(tokens, "data") else tokens)
         if tokens.ndim != 2:
             raise ValueError("compiled forward expects (batch, length) tokens")
@@ -581,8 +627,8 @@ class DecodeState:
     :class:`ScratchPool` (dtype-keyed, so a float32 plan and these float64
     rows coexist).  ``rows`` counts how many leading positions hold valid
     projections; ``epoch`` ties the rows to one compile epoch of the
-    owning :class:`CompiledDecode` — a mask re-install bumps the epoch and
-    the next ``decode_step`` rebuilds the rows from scratch."""
+    owning :class:`CompiledDecode` — a weight or mask change bumps the
+    epoch and the next ``decode_step`` rebuilds the rows from scratch."""
 
     __slots__ = ("k", "v", "rows", "epoch", "_pool")
 
@@ -628,13 +674,14 @@ class CompiledDecode:
 
     Effective weights are shared with (snapshot by the same helpers as)
     the full-sequence plan and keyed on the same ``cache_token``/version
-    counters: a weight change or mask re-install recompiles both planes,
-    bumps ``epoch`` and thereby invalidates every outstanding
-    :class:`DecodeState`.  Falls back to the full plan (still zero
-    autograd) whenever the incremental path cannot be exact: multi-layer
-    decoders, sparse executors, contexts shorter than two tokens, a
-    caller-signalled sliding window (``full=True`` — positions shift, so
-    cached rows are stale by construction), or contexts beyond
+    counters: a weight change or mask switch moves both planes to the
+    programs of the new signature (compiling each only the first time
+    that signature is seen), bumps ``epoch`` and thereby invalidates
+    every outstanding :class:`DecodeState`.  Falls back to the full plan
+    (still zero autograd) whenever the incremental path cannot be exact:
+    multi-layer decoders, sparse executors, contexts shorter than two
+    tokens, a caller-signalled sliding window (``full=True`` — positions
+    shift, so cached rows are stale by construction), or contexts beyond
     ``kv_len_cap``.  That cap exists because the M==1 quirk is not the
     only kernel boundary: for GEMMs whose weight operand is a transposed
     *view* (the plan's — and the eager path's — idiom), OpenBLAS flips to
@@ -664,12 +711,14 @@ class CompiledDecode:
         self.kv_capable = (len(model.decoder) == 1
                            and self.plan.sparse is None)
         self._dec: Optional[dict] = None
+        # signature -> decode program, bounded like the plan's programs
+        self._decs: Dict[tuple, dict] = {}
         # longest context the incremental path may serve bitwise; probed
         # once per model shape (0 until the first decode compile)
         self.kv_len_cap = 0
-        if self.kv_capable:
-            self._compile_decode()
         self._decode_signature = self.plan.signature()
+        self.plan._check_eval()
+        self._load_decode(self._decode_signature)
 
     # ------------------------------------------------------------------
     def new_state(self) -> DecodeState:
@@ -679,21 +728,25 @@ class CompiledDecode:
     def _ensure_fresh(self) -> None:
         sig = self.plan.signature()
         if sig != self._decode_signature:
-            # a parameter or installed mask changed: refresh both planes
-            # and retire every outstanding DecodeState via the epoch
-            if sig != self.plan._signature:
-                self.plan._compile()
-            if self.kv_capable:
-                self._compile_decode()
+            # a parameter or installed mask changed: point both planes at
+            # the programs for the new signature (compiling only on a
+            # miss) and retire every outstanding DecodeState via the
+            # epoch — its K/V rows were projected with other weights
+            self.plan._refresh(sig)
+            self._load_decode(sig)
             self._decode_signature = sig
             self.epoch += 1
 
-    def _compile_decode(self) -> None:
+    def _load_decode(self, sig: tuple) -> None:
+        if self.kv_capable:
+            self._dec = self.plan._lookup(self._decs, sig,
+                                          self._compile_decode)
+
+    def _compile_decode(self) -> dict:
         plan, model = self.plan, self.model
-        plan._check_eval(model)
         dec = model.decoder[0]
         sa, ca = dec.self_attn, dec.cross_attn
-        self._dec = {
+        program = {
             "embed_w": plan._cast(model.embed.weight.data),
             "pos": plan._cast(model.pos),
             "encoders": [plan._compile_encoder_layer(layer)
@@ -721,9 +774,10 @@ class CompiledDecode:
             # kernel regimes depend only on shapes/layout, never on the
             # weight or mask values, so one probe per model shape holds
             # across recompiles
-            self.kv_len_cap = self._probe_kv_len_cap()
+            self.kv_len_cap = self._probe_kv_len_cap(program)
+        return program
 
-    def _probe_kv_len_cap(self) -> int:
+    def _probe_kv_len_cap(self, d: dict) -> int:
         """Longest context length at which the M==2 tail path is bitwise
         equal to the full plan, probed empirically per GEMM shape.
 
@@ -737,7 +791,6 @@ class CompiledDecode:
         for weights, contiguous tails for activations, strided head
         views for attention) decide each length definitively.
         """
-        d = self._dec
         cfg = self.model.cfg
         heads, hd = d["heads"], d["head_dim"]
         dim = heads * hd

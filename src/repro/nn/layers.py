@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Optional
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -28,6 +28,10 @@ def _rng(seed: Optional[int]) -> np.random.Generator:
 # process-unique Linear ids: cache tokens must never collide across
 # coexisting models even when layer names and shapes coincide
 _linear_uid = itertools.count()
+
+# frozen masks each Linear remembers for version restore: a few more
+# than the serving ladder's rungs, each entry one mask-sized array
+_KNOWN_MASKS_CAP = 8
 
 
 class Linear(Module):
@@ -55,36 +59,74 @@ class Linear(Module):
         self.mask: Optional[np.ndarray] = None
         self._uid = next(_linear_uid)
         self._mask_version = 0
+        # highest mask version handed out so far; fresh installs count on
+        # from here, so a restored version can never be handed out twice
+        self._mask_versions_issued = 0
+        # frozen masks this layer held before, ``id -> (mask, version)``;
+        # holding the array keeps its id from being reused by another
+        self._known_masks: Dict[int, Tuple[np.ndarray, int]] = {}
 
     def set_mask(self, mask: Optional[np.ndarray]) -> None:
+        """Install ``mask`` (``None`` clears it).
+
+        Re-installing the resident object is free.  A *frozen* mask (a
+        read-only array owning its data, so nothing can rewrite it) the
+        layer held before gets its earlier mask version back, so
+        :attr:`cache_token` — and every cache keyed on it — repeats when
+        a run-time pattern set returns.  Any other mask is
+        content-compared against the resident one: equal content keeps
+        the token, anything else counts as a new mask.
+        """
+        if mask is self.mask:
+            return
+        frozen = False
         if mask is not None:
             mask = np.asarray(mask, dtype=np.float64)
             if mask.shape != self.weight.shape:
                 raise ValueError(f"mask shape {mask.shape} != weight shape {self.weight.shape}")
+            frozen = not mask.flags.writeable and mask.base is None
+            if frozen:
+                known = self._known_masks.get(id(mask))
+                if known is not None:
+                    self.mask, self._mask_version = known
+                    return
             # content-addressed fast path: re-installing a mask identical
             # to the resident one changes nothing, so keep the cache token
             # stable — downstream format conversions stay hits instead of
             # paying a token-bump miss on every re-install
             if self.mask is not None and np.array_equal(mask, self.mask):
+                if frozen:
+                    self._remember(mask)
                 return
         elif self.mask is None:
             return
         self.mask = mask
-        self._mask_version += 1
+        self._mask_versions_issued += 1
+        self._mask_version = self._mask_versions_issued
+        if frozen:
+            self._remember(mask)
+
+    def _remember(self, mask: np.ndarray) -> None:
+        """Adopt frozen ``mask`` under the current version (bounded)."""
+        self.mask = mask
+        if len(self._known_masks) >= _KNOWN_MASKS_CAP:
+            del self._known_masks[next(iter(self._known_masks))]
+        self._known_masks[id(mask)] = (mask, self._mask_version)
 
     @property
     def cache_token(self) -> str:
         """O(1) identity of the effective (masked) weight content.
 
         Combines the process-unique layer id, the weight's update counter
-        (bumped by optimizers / ``load_state_dict``) and the mask install
-        counter — everything ``weight * mask`` depends on — so caches can
-        key on this token instead of hashing the weight bytes, which
-        dominated small-layer lookups (ROADMAP open item).  Two tokens are
-        equal iff they describe the same layer with no *effective* weight
-        or mask change: ``set_mask`` content-compares against the resident
-        mask and keeps the token stable when an identical mask is
-        re-installed, so mask churn that changes nothing stays a cache hit.
+        (bumped by optimizers / ``load_state_dict``) and the mask version
+        — everything ``weight * mask`` depends on — so caches can key on
+        this token instead of hashing the weight bytes, which dominated
+        small-layer lookups.  Two tokens are equal iff they describe the
+        same layer with the same weight and mask content.  An identical
+        re-install keeps the token, and re-installing a frozen mask the
+        layer held before restores that mask's token: switching
+        A -> B -> A between pattern sets ends on A's token again, so
+        caches keyed on it (the compiled plans, format conversions) hit.
         """
         return f"u{self._uid}.w{self.weight.version}.m{self._mask_version}"
 

@@ -141,10 +141,12 @@ class ServeEngine:
         self.verify = verify
         # ``reinstall_per_batch=True`` models a stateless execution
         # context: the device re-validates/installs its masks before
-        # every batch (the single-request path's behaviour, and what the
-        # artifact cache turns into lookups).  Set False to trust
-        # ``manager.active_set`` and skip installs when the batch keeps
-        # the previous operating point.
+        # every batch (the single-request path's behaviour).  With the
+        # artifact cache an install — identical or a switch to a rung
+        # already served — is O(layers) lookups: one cache hit and one
+        # reference swap per layer, no unpack and no plan recompile.
+        # Set False to trust ``manager.active_set`` and skip installs
+        # when the batch keeps the previous operating point.
         self.reinstall_per_batch = reinstall_per_batch
         self.devices = devices
         self.policy = policy

@@ -487,8 +487,9 @@ class StreamingEngine:
         self.reinstall_per_batch = reinstall_per_batch
         # serve-path forwards default to the compiled zero-autograd plan
         # (bit-identical to the eager path); the plan is built lazily on
-        # the first executed batch and recompiles itself only when a
-        # weight or installed mask actually changes (O(1) token check).
+        # the first executed batch and compiles once per distinct weight
+        # and mask signature (O(1) token check), so a switch back to a
+        # ladder rung already served is a program lookup.
         # The grouped DecodeOptions is authoritative when supplied; the
         # flat fast_forward kwarg survives for callers predating it.
         self.decode_options = (decode if decode is not None
@@ -1611,8 +1612,8 @@ class StreamingEngine:
                                         or manager.active_set is not pset):
                 # an identical re-install keeps every cache_token stable,
                 # so the decode plane's KV state survives; a real switch
-                # bumps the tokens and invalidates it — the correctness
-                # the recompile-on-mask-install tests pin
+                # changes the tokens and bumps the decode epoch, retiring
+                # it — the correctness the mask-switch decode tests pin
                 manager.apply(pset)
             self.adapter.active_sparsity = effective
             emitted = session.step()

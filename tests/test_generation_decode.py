@@ -20,6 +20,7 @@ from repro.nn.generation import (
 )
 from repro.nn.inference import ScratchPool, compile_decode
 from repro.nn.transformer import TransformerConfig, TransformerLM
+from repro.serve.cache import ArtifactCache
 from repro.tensor.tensor import Tensor, no_grad
 
 # the paper shape (2 encoder / 1 decoder layers): KV-capable
@@ -344,6 +345,51 @@ class TestDecodeEdgeCases:
 
         eager_steps = scheduled(eager_step)
         assert compiled_steps == eager_steps
+        assert np.array_equal(got.tokens, tokens)
+        assert got.logprobs == logprobs
+
+    def test_rung_round_trip_mid_decode(self):
+        """A -> B -> A mid-decode through a cached manager: each switch
+        bumps the epoch (K/V rows are retired), the return to A is a
+        program lookup rather than a compile, and tokens plus logprobs
+        stay bit-identical to the eager loop under the same schedule."""
+        model = make_model("lm")
+        manager = MaskManager(model, cache=ArtifactCache())
+        psets = [random_pattern_set(8, s, 3, np.random.default_rng(i))
+                 for i, s in enumerate((0.3, 0.5))]
+        schedule = {3: psets[1], 6: psets[0]}
+        prompt = np.random.default_rng(2).integers(0, 60, size=5)
+        cfg = GenerationConfig(max_new_tokens=9)
+
+        manager.apply(psets[0])
+        session = DecodeSession(model)
+        decoder = session.decoder
+        assert decoder is not None and decoder.kv_capable
+        sid = session.submit_prompt(prompt)
+        epoch0 = decoder.epoch
+        for i in range(cfg.max_new_tokens):
+            if i in schedule:
+                manager.apply(schedule[i])
+            session.step()
+        got = session.result(sid)
+        session.close()
+        assert decoder.epoch == epoch0 + 2
+        assert decoder.decode_compiles == 2
+        assert decoder.plan.compiles == 2
+
+        manager.apply(psets[0])
+        tokens = prompt.astype(np.int64).copy()
+        rng = np.random.default_rng(cfg.seed)
+        logprobs = []
+        for i in range(cfg.max_new_tokens):
+            if i in schedule:
+                manager.apply(schedule[i])
+            context = tokens[-model.cfg.max_len:]
+            with no_grad():
+                logits = model(Tensor(context[None, :])).data[0, -1]
+            nxt, lp = sample_token(logits, cfg, rng)
+            tokens = np.append(tokens, nxt)
+            logprobs.append(lp)
         assert np.array_equal(got.tokens, tokens)
         assert got.logprobs == logprobs
 

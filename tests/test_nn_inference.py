@@ -5,8 +5,13 @@ import pytest
 
 from repro.core.patterns import MaskManager, random_pattern_set
 from repro.nn.distilbert import DistilBertConfig, DistilBertForSequenceTask
-from repro.nn.inference import CompiledForward, UnsupportedModel, compile_inference
-from repro.nn.layers import Linear, prunable_linears
+from repro.nn.inference import (
+    _PROGRAM_CACHE_CAP,
+    CompiledForward,
+    UnsupportedModel,
+    compile_inference,
+)
+from repro.nn.layers import _KNOWN_MASKS_CAP, Linear, prunable_linears
 from repro.nn.optim import SGD
 from repro.nn.transformer import TransformerConfig, TransformerLM
 from repro.serve import (
@@ -212,6 +217,170 @@ class TestRecompile:
 
 
 # ---------------------------------------------------------------------------
+# rung switches: combined masks and compiled programs are looked up
+# ---------------------------------------------------------------------------
+
+def rung_sets(count=2):
+    return [random_pattern_set(8, s, 3, np.random.default_rng(i))
+            for i, s in enumerate((0.3, 0.5, 0.7, 0.9)[:count])]
+
+
+def cached_manager(model):
+    return MaskManager(model, cache=ArtifactCache())
+
+
+class TestRungSwitchLookup:
+    def test_return_to_rung_is_lookup(self):
+        model = make_model("lm")
+        manager = cached_manager(model)
+        a, b = rung_sets()
+        toks, mask = tokens_for(model, 4, True)
+        manager.apply(a)
+        plan = compile_inference(model)
+        outs = []
+        for pset in (a, b, a, b, a):
+            manager.apply(pset)
+            got = plan(toks, attn_mask=mask)
+            assert np.array_equal(eager(model, toks, mask), got)
+            outs.append(got)
+        assert plan.compiles == 2  # one per rung, switches are lookups
+        assert np.array_equal(outs[0], outs[2])
+        assert not np.array_equal(outs[0], outs[1])
+
+    def test_return_to_rung_restores_cache_tokens(self):
+        model = make_model("lm")
+        manager = cached_manager(model)
+        a, b = rung_sets()
+        layers = list(manager.layers.values())
+        manager.apply(a)
+        tokens_a = [lin.cache_token for lin in layers]
+        masks_a = [lin.mask for lin in layers]
+        assert all(not m.flags.writeable for m in masks_a)
+        manager.apply(b)
+        tokens_b = [lin.cache_token for lin in layers]
+        assert all(x != y for x, y in zip(tokens_a, tokens_b))
+        manager.apply(a)
+        assert [lin.cache_token for lin in layers] == tokens_a
+        assert all(lin.mask is m for lin, m in zip(layers, masks_a))
+        # a caller-built writable mask is never matched against remembered
+        # ones: equal content to A still counts as a new mask
+        manager.apply(b)
+        layers[0].set_mask(np.array(masks_a[0]))
+        assert layers[0].cache_token not in (tokens_a[0], tokens_b[0])
+        # ...while re-installing equal content over it keeps its token
+        token = layers[0].cache_token
+        layers[0].set_mask(np.array(masks_a[0]))
+        assert layers[0].cache_token == token
+
+    def test_read_only_view_of_writable_data_is_not_remembered(self):
+        layer = Linear(16, 16, seed=0)
+        base = np.ones((16, 16))
+        view = base.view()
+        view.flags.writeable = False
+        layer.set_mask(view)
+        token = layer.cache_token
+        layer.set_mask(None)
+        base[0] = 0.0  # the view's content changes under the same id
+        layer.set_mask(view)
+        assert layer.cache_token != token
+
+    def test_remembered_masks_are_bounded(self):
+        layer = Linear(16, 16, seed=0)
+        masks = []
+        for i in range(_KNOWN_MASKS_CAP + 3):
+            mask = np.ones((16, 16))
+            mask[i] = 0.0
+            mask.flags.writeable = False
+            masks.append(mask)
+            layer.set_mask(mask)
+        assert len(layer._known_masks) == _KNOWN_MASKS_CAP
+        tokens = set()
+        for mask in masks:  # evicted masks come back as new versions
+            layer.set_mask(mask)
+            tokens.add(layer.cache_token)
+        assert len(tokens) == len(masks)
+
+    def test_invalidate_cache_drops_combined_memo(self):
+        model = make_model("lm")
+        manager = cached_manager(model)
+        a, _ = rung_sets()
+        manager.apply(a)
+        first = [lin.mask for lin in manager.layers.values()]
+        assert manager._combined
+        manager.invalidate_cache()
+        assert not manager._combined
+        manager.apply(a)
+        again = [lin.mask for lin in manager.layers.values()]
+        assert all(x is not y and np.array_equal(x, y)
+                   for x, y in zip(first, again))
+
+    def test_apply_keeps_cache_counters(self):
+        """The memo sits behind the artifact cache: one lookup per layer
+        per apply, so hits, misses and bytes match an unmemoized run."""
+        model = make_model("lm")
+        manager = cached_manager(model)
+        a, b = rung_sets()
+        for pset in (a, b, a, a, b):
+            manager.apply(pset)
+        stats = manager.cache.stats
+        layers = len(manager.layers)
+        assert stats.misses == 2 * layers
+        assert stats.hits == 3 * layers
+
+    def test_weight_update_after_cached_rungs_recompiles(self):
+        model = make_model("lm")
+        manager = cached_manager(model)
+        a, b = rung_sets()
+        toks, _ = tokens_for(model, 2, False)
+        manager.apply(a)
+        plan = compile_inference(model)
+        manager.apply(b)
+        plan(toks)
+        manager.apply(a)
+        stale = plan(toks)
+        assert plan.compiles == 2
+        layer = model.lm_head
+        layer.weight.data[...] = layer.weight.data * 1.5
+        layer.weight.bump_version()
+        fresh = plan(toks)
+        assert plan.compiles == 3
+        assert np.array_equal(eager(model, toks, None), fresh)
+        assert not np.array_equal(stale, fresh)
+        # programs snapshotting superseded weights can never be reused
+        assert len(plan._programs) == 1
+
+    def test_program_cache_is_bounded(self):
+        model = make_model("lm")
+        manager = cached_manager(model)
+        plan = compile_inference(model)
+        toks, _ = tokens_for(model, 2, False)
+        for i in range(_PROGRAM_CACHE_CAP + 2):
+            manager.apply(random_pattern_set(
+                8, 0.5, 3, np.random.default_rng(100 + i)))
+            assert np.array_equal(eager(model, toks, None), plan(toks))
+        assert len(plan._programs) == _PROGRAM_CACHE_CAP
+
+    def test_eval_guard_runs_on_lookup(self):
+        model = TransformerLM(TransformerConfig(
+            vocab_size=60, dim=32, num_heads=2, ffn_dim=64, max_len=16,
+            dropout=0.1, seed=0)).eval()
+        manager = cached_manager(model)
+        a, b = rung_sets()
+        toks, _ = tokens_for(model, 2, False)
+        manager.apply(a)
+        plan = compile_inference(model)
+        plan(toks)
+        manager.apply(b)
+        plan(toks)
+        compiles = plan.compiles
+        model.train()
+        manager.apply(a)  # a cached rung: no compile, still checked
+        with pytest.raises(ValueError, match="eval"):
+            plan(toks)
+        assert plan.compiles == compiles
+
+
+# ---------------------------------------------------------------------------
 # scratch pool + mask memoization
 # ---------------------------------------------------------------------------
 
@@ -350,6 +519,54 @@ def serve_report(fast_forward, seed=0, requests=24):
     trace = build_scenario("bursty", workload,
                           ScenarioConfig(num_requests=requests, seed=seed))
     return engine.serve(trace)
+
+
+def serve_logging_compiles(reinstall_per_batch, requests=48):
+    """Serve the rung-alternating bursty trace on two least-loaded
+    shards; log ``(set digest, plan compiles so far)`` at every install."""
+    _, workload, engine = build_serving_stack(StackConfig(
+        devices=2, policy="least-loaded", verify=True))
+    engine.reinstall_per_batch = reinstall_per_batch
+    core = engine.streaming()
+    manager = core.adapter.manager
+    apply, log = manager.apply, []
+
+    def logged(pset):
+        log.append((pset.digest(), core._plan.compiles if core._plan else 0))
+        apply(pset)
+
+    manager.apply = logged
+    trace = build_scenario("bursty", workload,
+                           ScenarioConfig(num_requests=requests, seed=0))
+    core.play(trace)
+    return core, core.report(), log, trace
+
+
+class TestServePathCompiles:
+    @pytest.mark.parametrize("reinstall", [True, False])
+    def test_one_compile_per_rung(self, reinstall):
+        core, report, log, trace = serve_logging_compiles(reinstall)
+        compiles = core._plan.compiles
+        first_seen = {}
+        for i, (digest, _) in enumerate(log):
+            first_seen.setdefault(digest, i)
+        assert len(first_seen) >= 2 and report.num_switches > 0
+        assert compiles <= len(core.ladder) + 1
+        assert compiles == len(first_seen)
+        # once every rung has been seen, no batch compiles again
+        last_new = max(first_seen.values())
+        assert last_new + 1 < len(log)
+        assert log[last_new + 1][1] == compiles
+        assert report.max_verify_error < 1e-9
+        # and the looked-up programs serve the same bits as eager forwards
+        _, _, eager_engine = build_serving_stack(StackConfig(
+            devices=2, policy="least-loaded", fast_forward=False))
+        eager_engine.reinstall_per_batch = reinstall
+        eager_report = eager_engine.serve(trace)
+        ref = {r.request.req_id: r.output for r in eager_report.results}
+        got = {r.request.req_id: r.output for r in report.results}
+        assert got.keys() == ref.keys()
+        assert all(np.array_equal(got[k], ref[k]) for k in ref)
 
 
 class TestServingIntegration:
