@@ -13,8 +13,9 @@ Two forward planes share the same weights:
   applies the chain rule;
 - **inference** — :func:`repro.nn.inference.compile_inference` compiles
   a model's eval-mode forward into a flat program of pure ``np.ndarray``
-  steps (fused layernorm/softmax, memoized attention masks, reused
-  scratch buffers, zero graph construction).  The float64 plan is
+  steps (fused layernorm/softmax, zero graph construction), bound per
+  input shape to preallocated buffers and replayed as prebuilt ufunc
+  calls on every later call of that shape.  The float64 plan is
   bit-identical to the eager forward and compiles once per distinct
   parameter/mask signature (O(1)
   :attr:`~repro.nn.layers.Linear.cache_token` / ``Parameter.version``

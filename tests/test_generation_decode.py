@@ -96,23 +96,47 @@ class TestDecodeExactness:
         assert got.logprobs == ref_logprobs
 
     def test_per_step_logits_equal_full_plan(self):
-        """CompiledDecode's incremental step == the full-sequence plan."""
+        """CompiledDecode's incremental step == the full-sequence plan, at
+        every bound (G, L) shape of the KV path."""
+        model = make_model("lm")
+        for batch, start in ((1, 2), (3, 4), (8, 2)):
+            decoder = compile_decode(model)
+            assert decoder.kv_capable
+            rng = np.random.default_rng(batch)
+            tokens = rng.integers(0, 60, size=(batch, start))
+            states = [decoder.new_state() for _ in range(batch)]
+            try:
+                for length in range(start, LM_CFG.max_len + 1):
+                    step = decoder.decode_step(tokens, states)
+                    full = decoder.plan(tokens)[:, -1]
+                    assert np.array_equal(step, full)
+                    nxt = step.argmax(axis=1).astype(np.int64)
+                    tokens = np.concatenate([tokens, nxt[:, None]], axis=1)
+                # one KV binding per length on the incremental path plus
+                # one cold-cache rebuild binding
+                kv_lengths = decoder.kv_len_cap - start + 1
+                assert decoder.binds == kv_lengths + 1
+            finally:
+                for st in states:
+                    st.release()
+
+    def test_step_output_never_aliases_bound_buffers(self):
         model = make_model("lm")
         decoder = compile_decode(model)
-        assert decoder.kv_capable
-        rng = np.random.default_rng(0)
-        tokens = rng.integers(0, 60, size=(3, 4))
-        states = [decoder.new_state() for _ in range(3)]
+        tokens = np.random.default_rng(0).integers(0, 60, size=(1, 6))
+        states = [decoder.new_state()]
         try:
-            for length in range(4, LM_CFG.max_len + 1):
-                step = decoder.decode_step(tokens, states)
-                full = decoder.plan(tokens)[:, -1]
-                assert np.array_equal(step, full)
-                nxt = step.argmax(axis=1).astype(np.int64)
-                tokens = np.concatenate([tokens, nxt[:, None]], axis=1)
+            first = decoder.decode_step(tokens, states)
+            ref = first.copy()
+            bound = [buf for plane in (decoder, decoder.plan)
+                     for arena in plane._arenas.values()
+                     for buf in arena.owned]
+            assert not any(np.shares_memory(first, buf) for buf in bound)
+            first[...] = 0.0
+            states[0].invalidate()
+            assert np.array_equal(decoder.decode_step(tokens, states), ref)
         finally:
-            for st in states:
-                st.release()
+            states[0].release()
 
     def test_deep_model_not_kv_capable_but_exact(self):
         decoder = compile_decode(make_model("deep"))
@@ -414,6 +438,34 @@ class TestDecodeEdgeCases:
             assert st.rows >= rows  # cache survived
         finally:
             st.release()
+
+    def test_released_states_and_new_binds_never_share_buffers(self):
+        """K/V rows handed back by released states may be reused by a
+        later bind, but a live state's rows and a bound buffer are never
+        the same memory."""
+        model = make_model("lm")
+        decoder = compile_decode(model)
+        rng = np.random.default_rng(6)
+        live = []
+        try:
+            for length in range(3, 9):
+                states = [decoder.new_state() for _ in range(3)]
+                toks = rng.integers(0, 60, size=(3, length))
+                decoder.decode_step(toks, states)
+                decoder.plan(toks[:, :length - 1])  # a forward bind too
+                states[0].release()
+                states[2].release()
+                live.append(states[1])
+                bound = [buf for plane in (decoder, decoder.plan)
+                         for arena in plane._arenas.values()
+                         for buf in arena.owned]
+                rows = [a for st in live for a in (st.k, st.v)]
+                assert not any(np.shares_memory(r, buf)
+                               for r in rows for buf in bound)
+                assert len({id(r) for r in rows}) == len(rows)
+        finally:
+            for st in live:
+                st.release()
 
     def test_scratch_pool_dtype_keying(self):
         """Same-shape buffers of different dtypes never alias (the KV

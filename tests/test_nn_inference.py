@@ -6,6 +6,7 @@ import pytest
 from repro.core.patterns import MaskManager, random_pattern_set
 from repro.nn.distilbert import DistilBertConfig, DistilBertForSequenceTask
 from repro.nn.inference import (
+    _BIND_CACHE_CAP,
     _PROGRAM_CACHE_CAP,
     CompiledForward,
     UnsupportedModel,
@@ -96,6 +97,24 @@ class TestEquivalenceMatrix:
         got = plan(toks, attn_mask=mask)
         assert got.dtype == np.float64
         assert np.array_equal(ref, got)  # exact ==, not allclose
+
+    @pytest.mark.parametrize("kind", ["lm", "distilbert", "regression"])
+    @pytest.mark.parametrize("padded", [False, True])
+    def test_every_bound_shape_bit_identical(self, kind, padded):
+        """Each (batch, length[, mask]) shape binds its own step list;
+        every one of them must replay the eager forward exactly."""
+        model = make_model(kind)
+        install_masks(model, "pattern")
+        plan = compile_inference(model)
+        rng = np.random.default_rng(1)
+        for batch in (1, 3, 8):
+            for length in range(2, model.cfg.max_len + 1):
+                toks = rng.integers(1, model.cfg.vocab_size,
+                                    size=(batch, length))
+                mask = padding_mask(batch, length) if padded else None
+                assert np.array_equal(plan(toks, attn_mask=mask),
+                                      eager(model, toks, mask))
+        assert plan.binds == 3 * (model.cfg.max_len - 1)
 
     @pytest.mark.parametrize("kind", ["lm", "distilbert"])
     def test_float32_within_documented_tolerance(self, kind):
@@ -378,6 +397,93 @@ class TestRungSwitchLookup:
         with pytest.raises(ValueError, match="eval"):
             plan(toks)
         assert plan.compiles == compiles
+
+
+# ---------------------------------------------------------------------------
+# shape binding: lookups, staleness, aliasing, the bound-shape cap
+# ---------------------------------------------------------------------------
+
+def padding_mask(batch, length):
+    """Key-padding mask: row i blocks its last i positions (row 0 none)."""
+    mask = np.zeros((batch, 1, 1, length), dtype=bool)
+    for i in range(batch):
+        mask[i, 0, 0, max(1, length - i):] = True
+    return mask
+
+
+def bound_buffers(*planes):
+    return [buf for plane in planes for arena in plane._arenas.values()
+            for buf in arena.owned]
+
+
+class TestShapeBinding:
+    def test_bind_once_per_shape(self):
+        model = make_model("lm")
+        plan = compile_inference(model)
+        toks, mask = tokens_for(model, 4, True)
+        for _ in range(3):
+            plan(toks, attn_mask=mask)
+            plan(toks)
+        assert plan.binds == 2  # padded and unpadded are distinct shapes
+        plan(toks[:2], attn_mask=mask[:2])
+        assert plan.binds == 3
+
+    def test_revisit_after_rung_round_trip_and_weight_update(self):
+        model = make_model("lm")
+        manager = cached_manager(model)
+        a, b = rung_sets()
+        shapes = [tokens_for(model, 4, True), tokens_for(model, 3, False, 1)]
+        manager.apply(a)
+        plan = compile_inference(model)
+        for pset in (a, b, a):
+            manager.apply(pset)
+            for toks, mask in shapes:
+                assert np.array_equal(plan(toks, attn_mask=mask),
+                                      eager(model, toks, mask))
+        # each program binds its own steps over the shared arenas
+        assert plan.binds == 4 and len(plan._arenas) == 2
+        toks, mask = shapes[0]
+        stale = plan(toks, attn_mask=mask)
+        layer = model.encoder[0].ffn.fc1
+        layer.weight.data[...] = layer.weight.data * 1.5
+        layer.weight.bump_version()
+        fresh = plan(toks, attn_mask=mask)
+        assert np.array_equal(fresh, eager(model, toks, mask))
+        assert not np.array_equal(stale, fresh)
+
+    @pytest.mark.parametrize("kind", ["lm", "distilbert", "regression"])
+    def test_outputs_never_alias_bound_buffers(self, kind):
+        model = make_model(kind)
+        plan = compile_inference(model)
+        toks, mask = tokens_for(model, 4, True)
+        first = plan(toks, attn_mask=mask)
+        ref = first.copy()
+        second = plan(toks, attn_mask=mask)
+        assert not np.shares_memory(first, second)
+        for out in (first, second):
+            assert not any(np.shares_memory(out, buf)
+                           for buf in bound_buffers(plan))
+        first[...] = 0.0
+        second[...] = 0.0
+        assert np.array_equal(plan(toks, attn_mask=mask), ref)
+
+    def test_bound_shapes_capped(self):
+        model = make_model("lm")
+        plan = compile_inference(model)
+        rng = np.random.default_rng(2)
+        shapes = [(batch, length) for batch in range(1, 6)
+                  for length in range(2, model.cfg.max_len + 1)]
+        assert len(shapes) > _BIND_CACHE_CAP
+        for shape in shapes + shapes[:3]:  # the first ones were dropped
+            toks = rng.integers(1, 60, size=shape)
+            assert np.array_equal(plan(toks), eager(model, toks, None))
+            assert len(plan._arenas) <= _BIND_CACHE_CAP
+            assert len(plan._program.bound) <= _BIND_CACHE_CAP
+        assert plan.binds == len(shapes) + 3
+        # dropped arenas went back to the pool: no bound buffer is also
+        # on a free list
+        free = [buf for stack in plan.pool._free.values() for buf in stack]
+        assert not any(a is f for a in bound_buffers(plan) for f in free)
 
 
 # ---------------------------------------------------------------------------
