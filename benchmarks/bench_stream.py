@@ -1,6 +1,6 @@
 """Streaming bench: admission window vs throughput and latency.
 
-Sweeps the streaming engine's batching window (``max_wait_s``) on bursty
+Sweeps the streaming engine's batching window (``window_s``) on bursty
 traffic whose intra-burst arrivals are *spread* (so the window has a real
 decision to make: admit now or wait for company) and measures, per
 window:
@@ -76,10 +76,10 @@ def _scenario_kwargs(num_requests: int, seed: int) -> dict:
                 spread_s=SPREAD_S)
 
 
-def serve_streaming(num_requests: int, max_wait_s: float, seed: int = 0):
+def serve_streaming(num_requests: int, window_s: float, seed: int = 0):
     """Feed the bursty stream arrival-by-arrival through the online loop."""
     _, workload, engine = build_serving_stack(StackConfig(
-        seed=seed, streaming=True, max_wait_s=max_wait_s))
+        seed=seed, streaming=True, window_s=window_s))
     completed = engine.play(stream_scenario(
         "bursty", workload, **_scenario_kwargs(num_requests, seed)))
     report = engine.report()

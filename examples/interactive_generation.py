@@ -24,7 +24,7 @@ from repro.data import SyntheticWikiText, WikiTextConfig
 from repro.hardware import OdroidXU3, paper_scale_transformer
 from repro.hardware.latency import SparsityKind
 from repro.nn import TransformerConfig, TransformerLM
-from repro.nn.generation import generate
+from repro.nn.generation import DecodeSession, GenerationConfig
 
 
 def main() -> None:
@@ -65,7 +65,11 @@ def main() -> None:
     # generate with the sparse configuration active
     manager.apply(pset)
     prompt = corpus.test_tokens[:6]
-    out = generate(model, prompt, max_new_tokens=12, top_k=5, seed=0)
+    session = DecodeSession(model, GenerationConfig(max_new_tokens=12,
+                                                    top_k=5, seed=0))
+    stream = session.submit_prompt(prompt)
+    session.run()
+    out = session.result(stream)
     decode = corpus.vocab.decode
     print(f"\nprompt       : {' '.join(decode(prompt))}")
     print(f"continuation : {' '.join(decode(out.generated))}")

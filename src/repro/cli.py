@@ -196,31 +196,13 @@ def cmd_ablation(args) -> int:
 
 
 def _validate_serve_args(args):
-    """Pre-flight checks for the serve knobs; ``SystemExit`` on bad input.
+    """Parse the tenancy flags into ``tenant_weights``; ``SystemExit`` on
+    a malformed ``--tenant-weight`` spec.
 
-    Mirrors ``InferenceRequest.__post_init__``: every numeric knob must
-    be finite (an explicit NaN check — NaN compares false against every
-    bound) and positive, so a typo dies with a one-line message instead
-    of surfacing as a deep engine ValueError.  Returns the parsed
-    ``tenant_weights`` mapping (or ``None`` when single-tenant).
+    Only the string parsing lives here — the weights' values are checked
+    with every other knob by ``ServeConfig``.  Returns ``None`` when
+    single-tenant.
     """
-    import math
-
-    if args.max_queue is not None and args.max_queue < 1:
-        raise SystemExit(
-            f"--max-queue must be at least 1, got {args.max_queue}")
-    if math.isnan(args.probe_backoff_ms) or not math.isfinite(
-            args.probe_backoff_ms) or args.probe_backoff_ms <= 0:
-        raise SystemExit(
-            f"--probe-backoff-ms must be finite and positive, "
-            f"got {args.probe_backoff_ms}")
-    if args.cancel_after is not None and (
-            math.isnan(args.cancel_after)
-            or not math.isfinite(args.cancel_after)
-            or args.cancel_after <= 0):
-        raise SystemExit(
-            f"--cancel-after must be finite and positive (milliseconds), "
-            f"got {args.cancel_after}")
     if args.tenants < 1:
         raise SystemExit(f"--tenants must be at least 1, got {args.tenants}")
     weights = {}
@@ -230,16 +212,11 @@ def _validate_serve_args(args):
             raise SystemExit(
                 f"bad --tenant-weight spec {spec!r} (expected name=weight)")
         try:
-            weight = float(txt)
+            weights[name] = float(txt)
         except ValueError:
             raise SystemExit(
                 f"bad --tenant-weight spec {spec!r}: {txt!r} is not a "
                 "number") from None
-        if math.isnan(weight) or not math.isfinite(weight) or weight <= 0:
-            raise SystemExit(
-                f"--tenant-weight for {name!r} must be finite and positive, "
-                f"got {txt}")
-        weights[name] = weight
     if args.tenants > 1 or weights:
         # every stamped tenant participates (weight 1 unless overridden),
         # so --tenants 2 alone already means equal fair shares
@@ -249,11 +226,37 @@ def _validate_serve_args(args):
     return None
 
 
+# the flag each config field is set from, to name it when a value is rejected
+_SERVE_FLAGS = {
+    "max_batch": "--batch-size", "window_s": "--window-ms",
+    "devices": "--devices", "fairness_window": "--fairness-window",
+    "adaptive_low_threshold": "--adaptive-low-threshold",
+    "decode.max_new_tokens": "--decode-max-new-tokens",
+    "decode.top_k": "--decode-top-k",
+    "decode.temperature": "--decode-temperature",
+    "faults": "--faults", "max_queue": "--max-queue",
+    "probe_backoff_s": "--probe-backoff-ms",
+    "cancel_after_s": "--cancel-after", "tenant_weights": "--tenant-weight",
+    "cache_budget_bytes": "--cache-budget-kb", "num_requests": "--requests",
+}
+_GENERATE_FLAGS = {"max_new_tokens": "--max-new-tokens", "top_k": "--top-k",
+                   "temperature": "--temperature"}
+
+
+def _bad_flag(exc, flags) -> SystemExit:
+    """A one-line exit naming the flag a rejected config value came from."""
+    flag = flags.get(getattr(exc, "field", None))
+    return SystemExit(f"{flag}: {exc}" if flag else str(exc))
+
+
 def cmd_serve(args) -> int:
+    import dataclasses
+
     from repro.serve import (
         DecodeOptions,
         FaultPlan,
         ScenarioConfig,
+        ServeEngine,
         StackConfig,
         assign_tenants,
         build_scenario,
@@ -263,37 +266,41 @@ def cmd_serve(args) -> int:
     )
 
     tenant_weights = _validate_serve_args(args)
-    decode_opts = DecodeOptions(
-        max_new_tokens=args.decode_max_new_tokens, top_k=args.decode_top_k,
-        temperature=args.decode_temperature, seed=args.decode_seed,
-        eos_id=args.decode_eos_id, fast_forward=not args.no_fast_forward)
-    # the stack is always built non-streaming here: the fault plan may
-    # need the trace horizon (--faults flaky), which is only known after
-    # the scenario materializes, so sessions are handed out below via
-    # engine.streaming() once engine.faults is set
-    _, workload, engine = build_serving_stack(StackConfig(
-        dim=args.dim, vocab_size=args.vocab_size, seq_len=args.seq_len,
-        max_len=args.max_len, pattern_size=args.pattern_size, seed=args.seed,
-        max_batch=args.batch_size, window_s=args.window_ms / 1e3,
-        use_cache=not args.no_cache,
-        cache_budget_bytes=int(args.cache_budget_kb * 1024),
-        verify=args.verify, devices=args.devices, policy=args.policy,
-        time_sliced=not args.no_time_slice, drain_policy=args.drain_policy,
-        fairness_window=args.fairness_window,
-        adaptive_low_threshold=args.adaptive_low_threshold,
-        decode=decode_opts,
-        shed_policy=args.shed_policy, max_queue=args.max_queue,
-        probe_backoff_s=args.probe_backoff_ms / 1e3,
-        preempt_policy=args.preempt_policy,
-        cancel_after_s=(args.cancel_after / 1e3
-                        if args.cancel_after is not None else None),
-        tenant_weights=tenant_weights,
-        admission_estimate=args.admission_estimate))
-    max_wait_s = (args.max_wait_ms / 1e3
-                  if args.max_wait_ms is not None else None)
-    scenario_cfg = ScenarioConfig(
-        num_requests=args.requests, vocab_size=args.vocab_size,
-        seq_len=args.seq_len, max_len=args.max_len, seed=args.seed)
+    try:
+        scenario_cfg = ScenarioConfig(
+            num_requests=args.requests, vocab_size=args.vocab_size,
+            seq_len=args.seq_len, max_len=args.max_len, seed=args.seed)
+        faults = (FaultPlan.parse(args.faults)
+                  if args.faults and args.faults != "flaky" else None)
+        cfg = StackConfig(
+            dim=args.dim, vocab_size=args.vocab_size, seq_len=args.seq_len,
+            max_len=args.max_len, pattern_size=args.pattern_size,
+            seed=args.seed, max_batch=args.batch_size,
+            window_s=args.window_ms / 1e3, use_cache=not args.no_cache,
+            cache_budget_bytes=args.cache_budget_kb * 1024,
+            verify=args.verify, devices=args.devices, policy=args.policy,
+            time_sliced=not args.no_time_slice,
+            drain_policy=args.drain_policy,
+            fairness_window=args.fairness_window,
+            adaptive_low_threshold=args.adaptive_low_threshold,
+            decode=DecodeOptions(
+                max_new_tokens=args.decode_max_new_tokens,
+                top_k=args.decode_top_k,
+                temperature=args.decode_temperature, seed=args.decode_seed,
+                eos_id=args.decode_eos_id,
+                fast_forward=not args.no_fast_forward),
+            faults=faults, shed_policy=args.shed_policy,
+            max_queue=args.max_queue,
+            probe_backoff_s=args.probe_backoff_ms / 1e3,
+            preempt_policy=args.preempt_policy,
+            cancel_after_s=(args.cancel_after / 1e3
+                            if args.cancel_after is not None else None),
+            tenant_weights=tenant_weights)
+    except ValueError as exc:
+        raise _bad_flag(exc, _SERVE_FLAGS) from None
+    # the stack is built offline; sessions are handed out below via
+    # engine.streaming()
+    _, workload, engine = build_serving_stack(cfg)
     trace = None
     if (args.faults or args.decode_streams > 0 or not args.streaming
             or args.tenants > 1):
@@ -301,20 +308,21 @@ def cmd_serve(args) -> int:
     if args.tenants > 1:
         # deterministic round-robin overlay: request i -> tenant t{i % N}
         assign_tenants(trace, args.tenants)
-    if args.faults:
-        if args.faults == "flaky":
-            horizon = max((r.arrival_s for r in trace), default=0.0) or 1.0
-            engine.faults = flaky_fault_overlay(args.devices, horizon,
-                                                seed=args.fault_seed)
-        else:
-            engine.faults = FaultPlan.parse(args.faults)
+    if args.faults == "flaky":
+        # the seeded overlay spans the trace, so it joins the config only
+        # once the trace is materialized
+        horizon = max((r.arrival_s for r in trace), default=0.0) or 1.0
+        cfg = dataclasses.replace(cfg, faults=flaky_fault_overlay(
+            args.devices, horizon, seed=args.fault_seed))
+        engine = ServeEngine(engine.model, engine.adapter, cfg,
+                             cache=engine.cache)
     if args.decode_streams > 0:
         # mixed traffic: the first N arrivals become continuously-batched
         # decode streams (prompt continued token-by-token on the shard's
         # decode lane); the rest stay one-shot batch requests
         ordered = sorted(trace, key=lambda r: (r.arrival_s, r.req_id))
         decode_ids = {r.req_id for r in ordered[:args.decode_streams]}
-        core = engine.streaming(max_wait_s=max_wait_s)
+        core = engine.streaming()
         for req in ordered:
             if req.req_id in decode_ids:
                 core.submit_decode(req)
@@ -327,7 +335,7 @@ def cmd_serve(args) -> int:
         # one request at a time (StreamingEngine.play owns the feeding
         # discipline), forming micro-batches at admission time; lazy
         # unless the flaky overlay already forced materialization
-        core = engine.streaming(max_wait_s=max_wait_s)
+        core = engine.streaming()
         completed = core.play(trace if trace is not None
                               else stream_scenario(args.scenario, workload,
                                                    scenario_cfg))
@@ -384,13 +392,16 @@ def cmd_generate(args) -> int:
     from repro.nn.generation import GenerationConfig
     from repro.serve import StackConfig, build_serving_stack
 
+    try:
+        cfg = GenerationConfig(
+            max_new_tokens=args.max_new_tokens, top_k=args.top_k,
+            temperature=args.temperature, seed=args.sample_seed,
+            eos_id=args.eos_id).validate()
+    except ValueError as exc:
+        raise _bad_flag(exc, _GENERATE_FLAGS) from None
     model, _, _ = build_serving_stack(StackConfig(
         dim=args.dim, vocab_size=args.vocab_size, max_len=args.max_len,
         pattern_size=args.pattern_size, seed=args.seed))
-    cfg = GenerationConfig(
-        max_new_tokens=args.max_new_tokens, top_k=args.top_k,
-        temperature=args.temperature, seed=args.sample_seed,
-        eos_id=args.eos_id).validate()
     rng = np.random.default_rng(args.seed)
     if args.prompt:
         prompts = [[int(tok) for tok in args.prompt.split(",")]]
@@ -558,20 +569,10 @@ def build_parser() -> argparse.ArgumentParser:
                          metavar="NAME=W",
                          help="override one tenant's fair-share weight "
                               "(repeatable; unlisted tenants weigh 1)")
-    p_serve.add_argument("--admission-estimate", default="remaining",
-                         choices=["remaining", "full"],
-                         help="batching-window charge in the shed-policy "
-                              "completion estimate: remaining charges only "
-                              "the open group's residual window; full keeps "
-                              "the historical whole-window pessimism")
     p_serve.add_argument("--streaming", action="store_true",
                          help="feed the scenario arrival-by-arrival through "
                               "the online submit/tick/drain event loop "
                               "instead of serving the materialized trace")
-    p_serve.add_argument("--max-wait-ms", type=float, default=None,
-                         help="streaming admission window (defaults to "
-                              "--window-ms): max time a partial micro-batch "
-                              "waits for compatible arrivals")
     p_serve.add_argument("--fairness-window", type=int, default=4,
                          help="level-affinity: max consecutive batches from "
                               "one level while another level waits")
@@ -579,7 +580,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="charge every batch member the full batch "
                               "service time (pre-sharding completion model)")
     p_serve.add_argument("--window-ms", type=float, default=50.0,
-                         help="micro-batching window")
+                         help="micro-batching window: max time a partial "
+                              "micro-batch waits for compatible arrivals")
     p_serve.add_argument("--dim", type=int, default=32)
     p_serve.add_argument("--vocab-size", type=int, default=60)
     p_serve.add_argument("--seq-len", type=int, default=12)

@@ -40,7 +40,6 @@ from repro.nn.generation import (
     DecodeSession,
     GenerationConfig,
     GenerationResult,
-    generate,
     generate_with_deadline,
     sample_token,
 )
@@ -93,7 +92,6 @@ __all__ = [
     "DecodeSession",
     "GenerationConfig",
     "GenerationResult",
-    "generate",
     "generate_with_deadline",
     "sample_token",
     "FitConfig",

@@ -14,14 +14,13 @@ contexts through the compiled KV-cached decode plane
 (:class:`~repro.nn.inference.CompiledDecode`).  Streams may be submitted
 at any point — they join the rolling batch at the next token boundary —
 and each stream's float64 output is bit-identical (``==``) to running it
-alone through the eager Tensor forward.  The historical ``generate(...)``
-free function remains as a thin deprecation shim over a session.
+alone through the eager Tensor forward.
 """
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -29,9 +28,10 @@ import numpy as np
 from repro.nn.inference import CompiledDecode, UnsupportedModel, compile_decode
 from repro.nn.transformer import TransformerLM
 from repro.tensor.tensor import Tensor, no_grad
+from repro.utils.config import require
 
 __all__ = ["DecodeSession", "GenerationConfig", "GenerationResult",
-           "generate", "generate_with_deadline", "sample_token"]
+           "generate_with_deadline", "sample_token"]
 
 
 @dataclass
@@ -61,12 +61,15 @@ class GenerationConfig:
     eos_id: Optional[int] = None
 
     def validate(self) -> "GenerationConfig":
-        if self.max_new_tokens < 1:
-            raise ValueError("max_new_tokens must be >= 1")
-        if self.temperature <= 0:
-            raise ValueError("temperature must be positive")
-        if self.top_k is not None and self.top_k < 1:
-            raise ValueError("top_k must be >= 1 when given")
+        require(self.max_new_tokens >= 1, "max_new_tokens",
+                "max_new_tokens must be >= 1")
+        # NaN passes a bare `<= 0` check and then poisons the softmax
+        require(math.isfinite(self.temperature) and self.temperature > 0,
+                "temperature",
+                f"temperature must be positive and finite, "
+                f"got {self.temperature}")
+        require(self.top_k is None or self.top_k >= 1, "top_k",
+                "top_k must be >= 1 when given")
         return self
 
 
@@ -125,7 +128,7 @@ class DecodeSession:
     ``compiled=False`` keeps the eager per-stream Tensor forward under
     ``no_grad`` — same bits, no plan.  The session puts the model in
     eval mode and leaves it there; callers that need train mode back
-    (the deprecated ``generate()`` shim does) restore it themselves.
+    restore it themselves.
     """
 
     def __init__(self, model: TransformerLM,
@@ -236,54 +239,16 @@ class DecodeSession:
                 s.state = None
 
 
-# ---------------------------------------------------------------------------
-# deprecated free-function surface
-# ---------------------------------------------------------------------------
-
-_GENERATE_DEPRECATION_WARNED = False
-
-
-def _generate(model: TransformerLM, prompt: np.ndarray, max_new_tokens: int,
-              top_k: Optional[int] = None, temperature: float = 1.0,
-              seed: Optional[int] = None) -> GenerationResult:
-    """Non-warning core of the deprecated ``generate`` free function."""
-    cfg = GenerationConfig(max_new_tokens=max_new_tokens, top_k=top_k,
-                           temperature=temperature, seed=seed).validate()
-    prompt = np.asarray(prompt, dtype=np.int64).reshape(-1)
-    if prompt.size == 0:
-        raise ValueError("prompt cannot be empty")
+def _decode_one(model: TransformerLM, prompt: np.ndarray,
+                cfg: GenerationConfig) -> GenerationResult:
+    """Continue one prompt to completion through a private session."""
     session = DecodeSession(model, cfg)
     try:
         sid = session.submit_prompt(prompt)
         session.run()
-        result = session.result(sid)
+        return session.result(sid)
     finally:
         session.close()
-        # the historical contract: generate() flipped the model back to
-        # train mode on the way out
-        model.train()
-    return result
-
-
-def generate(model: TransformerLM, prompt: np.ndarray, max_new_tokens: int,
-             top_k: Optional[int] = None, temperature: float = 1.0,
-             seed: Optional[int] = None) -> GenerationResult:
-    """Deprecated: continue ``prompt`` for ``max_new_tokens`` steps.
-
-    Thin shim over :class:`DecodeSession` — identical outputs (tokens,
-    logprobs, validation errors and the eval→train mode round-trip), one
-    :class:`DeprecationWarning` per process.  New code should build a
-    :class:`GenerationConfig` and drive a session directly.
-    """
-    global _GENERATE_DEPRECATION_WARNED
-    if not _GENERATE_DEPRECATION_WARNED:
-        _GENERATE_DEPRECATION_WARNED = True
-        warnings.warn(
-            "generate() is deprecated; use GenerationConfig + DecodeSession "
-            "(submit_prompt/step/finished) instead",
-            DeprecationWarning, stacklevel=2)
-    return _generate(model, prompt, max_new_tokens, top_k=top_k,
-                     temperature=temperature, seed=seed)
 
 
 def generate_with_deadline(model: TransformerLM, prompt: np.ndarray,
@@ -301,6 +266,7 @@ def generate_with_deadline(model: TransformerLM, prompt: np.ndarray,
 
     lm = latency_model or LatencyModel()
     per_token = lm.latency_s(workload, level, sparsity, SparsityKind.PATTERN)
-    result = _generate(model, prompt, max_new_tokens)
+    result = _decode_one(model, prompt,
+                         GenerationConfig(max_new_tokens=max_new_tokens))
     met = [per_token <= deadline_s] * len(result.generated)
     return result, met

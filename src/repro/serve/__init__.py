@@ -12,11 +12,15 @@ paper's deployment stories as lazy arrival iterators.
 
 Layout
 ------
+- :mod:`~repro.serve.config`    — :class:`ServeConfig`, the one frozen,
+  validated home of every engine knob (batching window, devices and
+  routing, drain policy, decode options, faults, admission control);
+  both engines hold the instance they are given and ``StackConfig``
+  extends it with the demo-model recipe;
 - :mod:`~repro.serve.batcher`   — requests, padding-exact vectorized
-  forwards, and the two halves of micro-batching: the incremental
+  forwards, and micro-batching: the incremental
   :class:`AdmissionQueue` (admit one request at a time; flush on
-  ``max_batch`` or at the group's window deadline) and the offline
-  :class:`MicroBatcher` wrapper that replays a known trace through it.
+  ``max_batch`` or at the group's window deadline).
   ``run_padded`` executes each batch through the **zero-autograd
   forward plane** by default: the engines hand it a
   :class:`~repro.nn.inference.CompiledForward` plan (pure ndarray ops,
@@ -32,13 +36,13 @@ Layout
   simulated timeline;
 - :mod:`~repro.serve.engine`    — the offline :class:`ServeEngine`
   wrapper: ``serve(trace)`` submits the whole trace into a streaming
-  session and drains it, preserving the historical trace-at-once API on
+  session over the same config and drains it, a trace-at-once API on
   top of the online core (with the default ``fifo`` drain the simulated
   metrics are exactly the pre-streaming engine's; affinity-style drains
   decide online, from the batches admitted by each decision instant);
 - :mod:`~repro.serve.decode`    — the continuous-batching decode plane:
-  :class:`DecodeOptions` (the grouped decode/fast-forward sub-config
-  ``StackConfig`` embeds) and the per-device :class:`DecodeLane` — a
+  :class:`DecodeOptions` (the grouped decode/fast-forward sub-config,
+  ``ServeConfig.decode``) and the per-device :class:`DecodeLane` — a
   rolling batch that streams join (arrival) and leave (eos / token
   budget) at *token boundaries*, grouped by operating-point
   compatibility key and advanced through a shared KV-cached
@@ -65,9 +69,8 @@ Layout
 - :mod:`~repro.serve.faults`    — deterministic fault injection and the
   failure-handling vocabulary: :class:`FaultPlan` schedules of
   :class:`ShardFault` crash/stall/slow events (``FaultPlan.parse`` reads
-  the CLI's ``kind:shard@at[+duration][xfactor]`` spec), the
-  :class:`FaultInjector` that validates one against a device fleet, the
-  shard health states (``HEALTHY``/``DEGRADED``/``DOWN``) and the
+  the CLI's ``kind:shard@at[+duration][xfactor]`` spec; ``ServeConfig``
+  checks it against the device fleet), the shard health states (``HEALTHY``/``DEGRADED``/``DOWN``) and the
   admission shed policies (``none``/``reject``/``degrade``) with their
   per-request :class:`ShedRecord` accounting.  A crashed shard's queued
   and in-flight work fails over to healthy shards (charged like a
@@ -86,7 +89,7 @@ Layout
 
 CLI and benchmarking
 --------------------
-``rt3 serve --scenario bursty --streaming --max-wait-ms 10 --verify``
+``rt3 serve --scenario bursty --streaming --window-ms 10 --verify``
 feeds a scenario arrival-by-arrival through the online loop;
 ``rt3 serve --scenario bursty --devices 4 --policy switch-aware
 --drain-policy level-affinity`` serves the same trace offline
@@ -104,8 +107,8 @@ re-probing).
 --tenant-weight t0=3 --max-queue 32 --cancel-after 50`` adds the
 scheduler defenses: deadline-driven preemption of queued (or in-flight)
 batches, a client cancellation timeout, and weighted fair per-tenant
-admission shares (``--admission-estimate full`` restores the historical
-whole-window shed estimate).
+admission shares.  A bad flag value fails before anything is built, with
+a one-line message naming the flag.
 ``benchmarks/bench_serve.py`` measures the batched-vs-single speedup
 and the multi-device scaling (``BENCH_serve.json``);
 ``benchmarks/bench_stream.py`` sweeps the admission window on bursty
@@ -132,12 +135,12 @@ from repro.serve.batcher import (
     AdmissionQueue,
     FlushedGroup,
     InferenceRequest,
-    MicroBatcher,
     RequestResult,
     pad_batch,
     run_padded,
 )
 from repro.serve.cache import ArtifactCache, CacheStats, LRUCache, artifact_nbytes
+from repro.serve.config import ServeConfig
 from repro.serve.decode import DecodeJob, DecodeLane, DecodeOptions
 from repro.serve.engine import ServeEngine
 from repro.serve.faults import (
@@ -148,7 +151,6 @@ from repro.serve.faults import (
     PREEMPT_POLICIES,
     SHED_POLICIES,
     CancelRecord,
-    FaultInjector,
     FaultPlan,
     ShardFault,
     ShedRecord,
@@ -190,14 +192,12 @@ __all__ = [
     "DeviceShard",
     "Dispatcher",
     "FAULT_KINDS",
-    "FaultInjector",
     "FaultPlan",
     "FlushedGroup",
     "HEALTHY",
     "artifact_nbytes",
     "InferenceRequest",
     "LRUCache",
-    "MicroBatcher",
     "POLICIES",
     "PREEMPT_POLICIES",
     "QueuedBatch",
@@ -205,6 +205,7 @@ __all__ = [
     "SCENARIOS",
     "SHED_POLICIES",
     "ScenarioConfig",
+    "ServeConfig",
     "ServeEngine",
     "ServeReport",
     "ShardFault",

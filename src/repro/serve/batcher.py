@@ -8,7 +8,7 @@ with a key-padding mask, so every valid output position agrees with the
 per-request forward to machine precision (asserted in the tests and the
 serving bench).
 
-Four pieces:
+Three pieces:
 
 - :class:`InferenceRequest` / :class:`RequestResult` — the unit of work
   and its outcome record;
@@ -17,13 +17,10 @@ Four pieces:
 - :class:`AdmissionQueue` — the *incremental* batcher: requests are
   admitted one at a time under a compatibility key, a group flushes the
   instant it reaches ``max_batch``, and every open group carries a
-  window deadline (``opened_s + max_wait_s``) the event loop closes it
+  window deadline (``opened_s + window_s``) the event loop closes it
   at.  This is the admission-time half of the streaming serving core
-  (:mod:`repro.serve.streaming`);
-- :class:`MicroBatcher` — the trace-grouping wrapper: replays a fully
-  known arrival stream through an :class:`AdmissionQueue` (arrivals and
-  window closes merged in time order), so offline batching is *by
-  construction* the same grouping the online loop would produce.
+  (:mod:`repro.serve.streaming`), which is also how a known trace is
+  grouped offline (:meth:`~repro.serve.engine.ServeEngine.serve`).
 """
 
 from __future__ import annotations
@@ -133,9 +130,6 @@ class RequestResult:
         """End-to-end completion within the request's service objective."""
         return self.latency_s <= self.request.slo
 
-    # kept as an alias: "deadline" in serving reports means the SLO
-    met_deadline = met_slo
-
 
 # ---------------------------------------------------------------------------
 # padding + vectorized execution
@@ -209,14 +203,14 @@ class FlushedGroup:
     ``full`` distinguishes the two close reasons, because they imply
     different dispatch times: a full group leaves when its last member
     arrives; a window-closed (or end-of-stream) partial group is ready
-    only at ``opened_s + max_wait_s`` — the online batcher cannot know
+    only at ``opened_s + window_s`` — the online batcher cannot know
     no more compatible requests are coming.
     """
 
     key: Hashable
     requests: List[InferenceRequest]
     opened_s: float  # arrival of the first member
-    deadline_s: float  # opened_s + max_wait_s (the window close)
+    deadline_s: float  # opened_s + window_s (the window close)
     full: bool  # closed because it reached max_batch
 
     @property
@@ -247,7 +241,7 @@ class AdmissionQueue:
 
     - the instant its ``max_batch``-th member is admitted (``add``
       returns the flushed group), or
-    - when its *window deadline* (``opened_s + max_wait_s``) passes —
+    - when its *window deadline* (``opened_s + window_s``) passes —
       the caller owns the clock, so it either drives :meth:`close_due`
       from an event loop or lets :meth:`flush_remaining` close
       everything at end of stream.
@@ -259,14 +253,11 @@ class AdmissionQueue:
     queue is deterministic and preserves FIFO order within a key.
     """
 
-    def __init__(self, max_batch: int = 8, max_wait_s: float = 0.05,
+    def __init__(self, max_batch: int = 8, window_s: float = 0.05,
                  key_fn: Optional[Callable[[InferenceRequest], Hashable]] = None) -> None:
-        if max_batch < 1:
-            raise ValueError("max_batch must be at least 1")
-        if max_wait_s < 0:
-            raise ValueError("window cannot be negative")
+        # max_batch/window_s arrive validated by ServeConfig
         self.max_batch = max_batch
-        self.max_wait_s = max_wait_s
+        self.window_s = window_s
         self.key_fn = key_fn or _default_key
         # insertion-ordered: dict order == group creation order == ascending
         # opened_s (admission is time-ordered), which keeps every flush
@@ -299,7 +290,7 @@ class AdmissionQueue:
         Introspection for the engine's admission estimate: the group's
         ``deadline_s`` is the *remaining* batching window such a request
         would actually wait out (instead of a pessimistic full
-        ``max_wait_s``), and its size says whether the next admission
+        ``window_s``), and its size says whether the next admission
         would flush the group full (no wait at all).
         """
         return self._open.get(key)
@@ -347,7 +338,7 @@ class AdmissionQueue:
         group = self._open.get(key)
         if group is None:
             self._generation += 1
-            group = _OpenGroup(key, now, now + self.max_wait_s, self._generation)
+            group = _OpenGroup(key, now, now + self.window_s, self._generation)
             self._open[key] = group
             window = (group.deadline_s, key, group.generation)
         group.requests.append(request)
@@ -385,51 +376,3 @@ class AdmissionQueue:
     def flush_remaining(self) -> List[FlushedGroup]:
         """End of stream: close all open groups, oldest first."""
         return [self._close(key, full=False) for key in list(self._open)]
-
-
-class MicroBatcher:
-    """Group a fully known arrival-ordered request stream into batches.
-
-    The trace-grouping wrapper over :class:`AdmissionQueue`: requests
-    (sorted by arrival, ties by ``req_id``) are replayed through the
-    incremental queue with window closes merged in at their deadlines,
-    so the offline grouping is — by construction, not by parallel
-    implementation — exactly what the streaming admission loop produces
-    for the same trace.  A group is flushed when it reaches
-    ``max_batch``, when its batching window ``window_s`` closes, or at
-    end of stream; a lone request waits at most one batching window.
-    """
-
-    def __init__(self, max_batch: int = 8, window_s: float = 0.05,
-                 key_fn: Optional[Callable[[InferenceRequest], Hashable]] = None) -> None:
-        if max_batch < 1:
-            raise ValueError("max_batch must be at least 1")
-        if window_s < 0:
-            raise ValueError("window cannot be negative")
-        self.max_batch = max_batch
-        self.window_s = window_s
-        self.key_fn = key_fn or _default_key
-
-    def queue_factory(self) -> AdmissionQueue:
-        """A fresh admission queue with this batcher's grouping rules."""
-        return AdmissionQueue(self.max_batch, self.window_s, self.key_fn)
-
-    def batches(self, requests: Sequence[InferenceRequest]
-                ) -> List[List[InferenceRequest]]:
-        """Deterministically batch ``requests`` (sorted by arrival)."""
-        return [g.requests for g in self.flushed_groups(requests)]
-
-    def flushed_groups(self, requests: Sequence[InferenceRequest]
-                       ) -> List[FlushedGroup]:
-        """Replay the trace through an admission queue; groups in flush order."""
-        ordered = sorted(requests, key=lambda r: (r.arrival_s, r.req_id))
-        queue = self.queue_factory()
-        flushed: List[FlushedGroup] = []
-        for req in ordered:
-            # windows that closed strictly before this arrival flush first
-            flushed.extend(queue.close_due(req.arrival_s, strict=True))
-            full, _ = queue.add(req, req.arrival_s)
-            if full is not None:
-                flushed.append(full)
-        flushed.extend(queue.flush_remaining())
-        return flushed

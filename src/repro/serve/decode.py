@@ -12,17 +12,16 @@ advanced by a shared :class:`~repro.nn.generation.DecodeSession` so
 equal-length contexts run as one stacked (bit-exact) decode step and
 nothing is ever padded to the longest member.
 
-:class:`DecodeOptions` is the grouped sub-config consolidating the
-decode/fast-forward knobs that previously travelled the
-DeviceShard→Streaming→Serve→CLI chain as flat kwargs; ``StackConfig``
-embeds one and the engines thread it through unchanged.
+:class:`DecodeOptions` groups the decode-lane knobs; it is the ``decode``
+field of :class:`~repro.serve.config.ServeConfig`, validated there with
+the rest of the engine's knobs.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Hashable, List, Optional, Tuple
 
 from repro.nn.generation import DecodeSession, GenerationConfig
@@ -31,12 +30,11 @@ from repro.serve.batcher import InferenceRequest
 __all__ = ["DecodeJob", "DecodeLane", "DecodeOptions"]
 
 
-@dataclass
+@dataclass(frozen=True)
 class DecodeOptions:
     """Decode-plane knobs as one value object.
 
-    ``fast_forward`` is the consolidated home of the old flat engine
-    kwarg: it gates both the compiled full-sequence plan and the
+    ``fast_forward`` gates both the compiled full-sequence plan and the
     KV-cached decode plane (``False`` = eager Tensor forwards, same
     bits).  The sampling fields are the defaults applied to decode
     requests submitted without their own

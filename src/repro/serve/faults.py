@@ -6,19 +6,19 @@ degrade*; this module supplies the degraded conditions.  A
 — crash at ``t`` (with finite or permanent duration), transient stall
 windows, slowdown factors — that the streaming engine folds into its
 one global event heap, so a faulty run is exactly as deterministic and
-tick-granularity independent as a healthy one.  Three pieces:
+tick-granularity independent as a healthy one.  Two pieces:
 
 - :class:`ShardFault` / :class:`FaultPlan` — the schedule.  Plans are
   value objects: build them programmatically, via
   :meth:`FaultPlan.parse` (the CLI's ``--faults`` spec string), via
   :meth:`FaultPlan.outage` (the single-outage acceptance shape), or via
   the seeded :func:`~repro.serve.scenarios.flaky_fault_overlay`
-  generator.
-- :class:`FaultInjector` — validates a plan against a device count and
-  hands the engine the time-ordered events plus the re-probe backoff
-  (downed shards are re-probed at exponentially growing intervals;
-  recovery is *detected* at the first probe past the outage, so the
-  detection lag is bounded by the last backoff interval).
+  generator.  A plan travels as ``ServeConfig.faults``, which checks
+  every targeted shard exists; the engine folds its time-ordered events
+  into the heap and re-probes downed shards at exponentially growing
+  intervals from ``ServeConfig.probe_backoff_s`` (recovery is *detected*
+  at the first probe past the outage, so the detection lag is bounded by
+  the last backoff interval).
 - :class:`ShedRecord` / :data:`SHED_POLICIES` — the admission-control
   half: what the engine records when it refuses a request instead of
   silently losing it.  Conservation (``completed + shed == submitted``)
@@ -36,13 +36,13 @@ from dataclasses import dataclass, field
 from typing import List, Optional
 
 from repro.serve.batcher import InferenceRequest
+from repro.utils.config import ConfigError, require
 
 __all__ = [
     "CancelRecord",
     "DEGRADED",
     "DOWN",
     "FAULT_KINDS",
-    "FaultInjector",
     "FaultPlan",
     "HEALTHY",
     "PREEMPT_POLICIES",
@@ -136,14 +136,6 @@ class FaultPlan:
                       key=lambda f: (f.at_s, f.shard_id,
                                      FAULT_KINDS.index(f.kind)))
 
-    def validate(self, devices: int) -> "FaultPlan":
-        for f in self.events:
-            if f.shard_id >= devices:
-                raise ValueError(
-                    f"fault targets shard {f.shard_id} but the engine has "
-                    f"{devices} device(s)")
-        return self
-
     @classmethod
     def outage(cls, shard_id: int, at_s: float,
                duration_s: float = float("inf")) -> "FaultPlan":
@@ -175,34 +167,11 @@ class FaultPlan:
                 events.append(ShardFault(kind.strip(), int(shard_txt),
                                          at_s, duration_s, factor))
             except (ValueError, IndexError) as exc:
-                raise ValueError(
-                    f"bad fault spec {part!r} (expected "
+                raise ConfigError(
+                    "faults", f"bad fault spec {part!r} (expected "
                     f"kind:shard@at[+duration][xfactor]): {exc}") from exc
-        if not events:
-            raise ValueError("fault spec parsed to zero events")
+        require(bool(events), "faults", "fault spec parsed to zero events")
         return cls(events)
-
-
-class FaultInjector:
-    """Binds a :class:`FaultPlan` to an engine's device count.
-
-    The engine asks for :meth:`ordered` events once at session start and
-    folds them into its global heap; ``probe_backoff_s`` is the first
-    re-probe interval for a downed shard (each subsequent probe doubles
-    it, so a long outage costs O(log) probe events, and a permanently
-    downed shard is abandoned after its plan says it never returns).
-    """
-
-    def __init__(self, plan: FaultPlan, devices: int,
-                 probe_backoff_s: float = 0.005) -> None:
-        if probe_backoff_s <= 0 or not math.isfinite(probe_backoff_s):
-            raise ValueError("probe_backoff_s must be finite and positive")
-        self.plan = plan.validate(devices)
-        self.devices = devices
-        self.probe_backoff_s = probe_backoff_s
-
-    def ordered(self) -> List[ShardFault]:
-        return self.plan.ordered()
 
 
 @dataclass

@@ -48,6 +48,7 @@ from repro.hardware.latency import LatencyModel, SparsityKind
 from repro.hardware.workload import WorkloadProfile
 from repro.serve.batcher import InferenceRequest
 from repro.serve.faults import FaultPlan, ShardFault
+from repro.utils.config import require
 
 
 @dataclass
@@ -59,6 +60,10 @@ class ScenarioConfig:
     seq_len: int = 12
     max_len: int = 16
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        require(self.num_requests >= 0, "num_requests",
+                f"num_requests must be non-negative, got {self.num_requests}")
 
 
 def _dense_latency(workload: WorkloadProfile, level, latency: LatencyModel) -> float:

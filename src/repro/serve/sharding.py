@@ -202,19 +202,7 @@ class DeviceShard:
                  fairness_window: int = 4, adaptive_window: int = 8,
                  adaptive_threshold: float = 0.5,
                  adaptive_low_threshold: Optional[float] = None) -> None:
-        if drain_policy not in DRAIN_POLICIES:
-            raise ValueError(f"unknown drain policy {drain_policy!r}; "
-                             f"options: {list(DRAIN_POLICIES)}")
-        if fairness_window < 1:
-            raise ValueError("fairness_window must be at least 1")
-        if adaptive_window < 1:
-            raise ValueError("adaptive_window must be at least 1")
-        if not 0.0 < adaptive_threshold <= 1.0:
-            raise ValueError("adaptive_threshold must be in (0, 1]")
-        if adaptive_low_threshold is not None and not (
-                0.0 <= adaptive_low_threshold < adaptive_threshold):
-            raise ValueError(
-                "adaptive_low_threshold must be in [0, adaptive_threshold)")
+        # the drain knobs arrive validated by ServeConfig
         self.shard_id = shard_id
         self.drain_policy = drain_policy
         self.fairness_window = fairness_window
@@ -540,11 +528,6 @@ class Dispatcher:
     # from its reconfigurator model; only consulted by ``switch-aware``
     switch_cost_s: Mapping[float, float] = field(default_factory=dict)
     routed: int = field(default=0, init=False)
-
-    def __post_init__(self) -> None:
-        if self.policy not in POLICIES:
-            raise ValueError(
-                f"unknown dispatch policy {self.policy!r}; options: {list(POLICIES)}")
 
     def _placement_cost(self, batch: QueuedBatch, shard: DeviceShard) -> float:
         """Estimated cost of assigning ``batch`` to ``shard``."""

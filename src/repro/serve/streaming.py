@@ -11,7 +11,7 @@ time with three event kinds:
   (same V/F level + feasible pattern sparsity) accumulate in an open
   micro-batch group;
 - **batch-window close** — an open group's batching window
-  (``max_wait_s`` past its first member) expires and the partial batch
+  (``window_s`` past its first member) expires and the partial batch
   is admitted; a group that reaches ``max_batch`` is admitted
   immediately at the filling arrival instead;
 - **shard ready** — a simulated device is idle and has a dispatchable
@@ -57,8 +57,7 @@ every completed output bit-identical to that fault-free serve (the
 faults bench's core invariant, alongside conservation:
 ``completed + shed + cancelled == submitted``).
 
-Three scheduler-side defenses ride the same heap (PR: preemptive
-deadline scheduling):
+Three scheduler-side defenses ride the same heap:
 
 - **preemption** (``preempt_policy``) — when a freshly admitted batch
   would miss its SLO budget behind longer work on its shard, the
@@ -81,6 +80,10 @@ deadline scheduling):
   (every tenant's share is at least one slot).  Quota decisions happen
   before the admission queue, like shedding, so grouping — and
   therefore bit-exactness — is untouched.
+
+Every knob named above is a field of the engine's
+:class:`~repro.serve.config.ServeConfig`, validated once when that
+config is built.
 """
 
 from __future__ import annotations
@@ -107,19 +110,10 @@ from repro.serve.batcher import (
     run_padded,
 )
 from repro.serve.cache import ArtifactCache, CacheStats
+from repro.serve.config import ServeConfig
 from repro.serve.decode import DecodeJob, DecodeOptions
-from repro.serve.faults import (
-    PREEMPT_POLICIES,
-    SHED_POLICIES,
-    CancelRecord,
-    FaultInjector,
-    FaultPlan,
-    ShardFault,
-    ShedRecord,
-)
+from repro.serve.faults import CancelRecord, ShardFault, ShedRecord
 from repro.serve.sharding import (
-    DRAIN_POLICIES,
-    POLICIES,
     DeviceShard,
     Dispatcher,
     QueuedBatch,
@@ -222,7 +216,8 @@ class ServeReport:
     def deadline_hit_rate(self) -> float:
         if not self.results:
             return 0.0
-        return sum(1 for r in self.results if r.met_deadline) / len(self.results)
+        # "deadline" in serving reports means the end-to-end SLO
+        return sum(1 for r in self.results if r.met_slo) / len(self.results)
 
     @property
     def num_switches(self) -> int:
@@ -402,16 +397,15 @@ class StreamingEngine:
     the engine holds the admission queue, the dispatcher, and the device
     shards (with their installed-pattern state) for its whole lifetime.
     ``adapter`` supplies the sparsity ladder, latency model and (via its
-    ``manager``) the mask installation path; ``cache`` memoizes mask
-    derivation and sparse-format conversion across batches.
+    ``manager``) the mask installation path; ``config`` holds every knob
+    (:class:`~repro.serve.config.ServeConfig`, kept as given, never
+    copied); ``cache`` memoizes mask derivation and sparse-format
+    conversion across batches.
 
     ``initial_device_state`` maps shard id → installed sparsity for
     devices provisioned before this session (a device that served an
     earlier trace keeps its masks); unlisted shards start from the
-    adapter's own installed state.  ``verify`` re-runs every batch
-    member individually and records the worst absolute deviation —
-    padding exactness at roughly double the compute, excluded from the
-    measured wall time.
+    adapter's own installed state.
 
     ``retain_results=False`` drops each request's result record (and its
     output array) once it is handed out by :meth:`tick`/:meth:`drain`,
@@ -421,86 +415,28 @@ class StreamingEngine:
     completions.
     """
 
-    def __init__(self, model, adapter: RuntimeAdapter, *, max_batch: int = 8,
-                 max_wait_s: float = 0.05, cache: Optional[ArtifactCache] = None,
-                 pad_id: int = 0, dvfs: Optional[DVFSTable] = None,
-                 verify: bool = False, reinstall_per_batch: bool = True,
-                 devices: int = 1, policy: str = "round-robin",
-                 time_sliced: bool = True, prewarm: bool = False,
-                 drain_policy: str = "fifo", fairness_window: int = 4,
-                 adaptive_window: int = 8, adaptive_threshold: float = 0.5,
-                 adaptive_low_threshold: Optional[float] = None,
+    def __init__(self, model, adapter: RuntimeAdapter,
+                 config: ServeConfig = ServeConfig(), *,
+                 cache: Optional[ArtifactCache] = None,
                  initial_device_state: Optional[Dict[int, Optional[float]]] = None,
-                 retain_results: bool = True,
-                 fast_forward: bool = True,
-                 decode: Optional[DecodeOptions] = None,
-                 faults: Optional[FaultPlan] = None,
-                 shed_policy: str = "none",
-                 max_queue: Optional[int] = None,
-                 probe_backoff_s: float = 0.005,
-                 preempt_policy: str = "off",
-                 cancel_after_s: Optional[float] = None,
-                 tenant_weights: Optional[Dict[str, float]] = None,
-                 admission_estimate: str = "remaining") -> None:
-        if devices < 1:
-            raise ValueError("devices must be at least 1")
-        if policy not in POLICIES:
-            raise ValueError(
-                f"unknown dispatch policy {policy!r}; options: {list(POLICIES)}")
-        if drain_policy not in DRAIN_POLICIES:
-            raise ValueError(f"unknown drain policy {drain_policy!r}; "
-                             f"options: {list(DRAIN_POLICIES)}")
-        if not np.isfinite(max_wait_s) or max_wait_s < 0:
-            raise ValueError("max_wait_s must be finite and non-negative")
-        if shed_policy not in SHED_POLICIES:
-            raise ValueError(f"unknown shed policy {shed_policy!r}; "
-                             f"options: {list(SHED_POLICIES)}")
-        if max_queue is not None and max_queue < 1:
-            raise ValueError("max_queue must be at least 1 (or None)")
-        if preempt_policy not in PREEMPT_POLICIES:
-            raise ValueError(f"unknown preempt policy {preempt_policy!r}; "
-                             f"options: {list(PREEMPT_POLICIES)}")
-        if cancel_after_s is not None and (
-                not np.isfinite(cancel_after_s) or cancel_after_s <= 0):
-            raise ValueError(
-                "cancel_after_s must be finite and positive (or None)")
-        if tenant_weights is not None:
-            for tenant, weight in tenant_weights.items():
-                if not tenant:
-                    raise ValueError("tenant names must be non-empty")
-                if np.isnan(weight) or not np.isfinite(weight) or weight <= 0:
-                    raise ValueError(
-                        f"tenant weight for {tenant!r} must be finite and "
-                        "positive")
-        if admission_estimate not in ("remaining", "full"):
-            raise ValueError(
-                f"unknown admission estimate {admission_estimate!r}; "
-                "options: ['remaining', 'full']")
+                 retain_results: bool = True) -> None:
+        self.config = config
         self.model = model
         self.adapter = adapter
         self.cache = cache
         if cache is not None and adapter.manager is not None:
             adapter.manager.attach_cache(cache)
-        self.pad_id = pad_id
-        self.dvfs = dvfs or DVFSTable()
-        self.verify = verify
-        self.reinstall_per_batch = reinstall_per_batch
+        self.dvfs = DVFSTable()
         # serve-path forwards default to the compiled zero-autograd plan
         # (bit-identical to the eager path); the plan is built lazily on
         # the first executed batch and compiles once per distinct weight
         # and mask signature (O(1) token check), so a switch back to a
-        # ladder rung already served is a program lookup.
-        # The grouped DecodeOptions is authoritative when supplied; the
-        # flat fast_forward kwarg survives for callers predating it.
-        self.decode_options = (decode if decode is not None
-                               else DecodeOptions(fast_forward=fast_forward))
-        self.fast_forward = self.decode_options.fast_forward
+        # ladder rung already served is a program lookup.  Cleared when
+        # the model turns out not to compile.
+        self.fast_forward = config.decode.fast_forward
         self._plan = None
         self._decoder = None
         self._decoder_tried = False
-        self.time_sliced = time_sliced
-        self.prewarm = prewarm
-        self.policy = policy
         self.ladder: Dict[float, object] = dict(adapter.candidates)
         self.fallback_sparsity: float = adapter.candidates[-1][0]
         self._switch_cost_s: Dict[float, float] = {
@@ -508,15 +444,17 @@ class StreamingEngine:
                 adapter.workload, len(pset),
                 adapter.hardware_pattern_size).seconds
             for sparsity, pset in self.ladder.items()}
-        self.admission = AdmissionQueue(max_batch, max_wait_s,
+        self.admission = AdmissionQueue(config.max_batch, config.window_s,
                                         key_fn=self._compat_key)
-        self.dispatcher = Dispatcher(policy, switch_cost_s=self._switch_cost_s)
-        self.shards = [DeviceShard(i, drain_policy=drain_policy,
-                                   fairness_window=fairness_window,
-                                   adaptive_window=adaptive_window,
-                                   adaptive_threshold=adaptive_threshold,
-                                   adaptive_low_threshold=adaptive_low_threshold)
-                       for i in range(devices)]
+        self.dispatcher = Dispatcher(config.policy,
+                                     switch_cost_s=self._switch_cost_s)
+        self.shards = [DeviceShard(
+            i, drain_policy=config.drain_policy,
+            fairness_window=config.fairness_window,
+            adaptive_window=config.adaptive_window,
+            adaptive_threshold=config.adaptive_threshold,
+            adaptive_low_threshold=config.adaptive_low_threshold)
+            for i in range(config.devices)]
         state = dict(initial_device_state or {})
         for shard in self.shards:
             # a device resumes with whatever it had installed last session;
@@ -541,20 +479,10 @@ class StreamingEngine:
         self._wall = 0.0
         self._cache_start = (cache.stats.snapshot()
                              if cache is not None else None)
-        # -- fault tolerance + admission control -----------------------
-        self.shed_policy = shed_policy
-        self.max_queue = max_queue
-        self.injector = (FaultInjector(faults, devices, probe_backoff_s)
-                         if faults is not None else None)
-        # -- preemption / cancellation / tenant isolation --------------
-        self.preempt_policy = preempt_policy
-        self.cancel_after_s = cancel_after_s
-        self.tenant_weights = (dict(tenant_weights)
-                               if tenant_weights is not None else None)
-        # "remaining" charges only the open group's residual batching
-        # window in the shed estimate; "full" keeps the historical
-        # full-max_wait_s pessimism for digest replay
-        self.admission_estimate = admission_estimate
+        # -- admission control / cancellation ---------------------------
+        self._admission_control_on = (config.shed_policy != "none"
+                                      or config.max_queue is not None
+                                      or config.tenant_weights is not None)
         self._cancelled: List[CancelRecord] = []
         # requests cancelled before their arrival event was processed,
         # and the ids whose arrivals have been processed (so a cancel
@@ -572,28 +500,20 @@ class StreamingEngine:
         # can straddle a later crash instant (events process in time
         # order, so everything earlier finished before this one began)
         self._inflight: Dict[int, tuple] = {}
-        if self.injector is not None:
-            for f in self.injector.ordered():
-                heapq.heappush(self._heap, (f.at_s, _FAULT,
-                                            next(self._tiebreak),
-                                            ("fault", f)))
+        for f in config.faults.ordered() if config.faults is not None else ():
+            heapq.heappush(self._heap, (f.at_s, _FAULT, next(self._tiebreak),
+                                        ("fault", f)))
 
     # ------------------------------------------------------------------
     @property
-    def max_batch(self) -> int:
-        return self.admission.max_batch
-
-    @property
-    def max_wait_s(self) -> float:
-        return self.admission.max_wait_s
+    def decode_options(self) -> DecodeOptions:
+        """Defaults for decode requests submitted without their own config."""
+        return self.config.decode
 
     @property
     def verify_wall_s(self) -> float:
         """Wall seconds spent on verification (excluded from wall_seconds)."""
         return self._verify_wall
-
-    def _level(self, name: str) -> VFLevel:
-        return self.dvfs[name]
 
     def _forward(self):
         """The compiled zero-autograd forward plan (None = eager path)."""
@@ -645,7 +565,7 @@ class StreamingEngine:
 
     def _compat_key(self, request: InferenceRequest) -> Hashable:
         """Requests batch together iff they resolve to one operating point."""
-        level = self._level(request.level_name)
+        level = self.dvfs[request.level_name]
         sparsity = self.adapter.feasible_sparsity(level, request.deadline_s)
         return (request.level_name, sparsity)
 
@@ -799,7 +719,8 @@ class StreamingEngine:
 
     def report(self) -> ServeReport:
         """Digest of everything executed so far (deterministic order)."""
-        report = ServeReport(policy=self.policy, time_sliced=self.time_sliced)
+        report = ServeReport(policy=self.config.policy,
+                             time_sliced=self.config.time_sliced)
         report.results = sorted(
             (r for r in self._results if not r.canceled),
             key=lambda r: (r.batch_id, r.request.req_id))
@@ -820,7 +741,7 @@ class StreamingEngine:
                 misses=end.misses - self._cache_start.misses,
                 evictions=end.evictions - self._cache_start.evictions,
                 invalidations=end.invalidations - self._cache_start.invalidations)
-        if self.verify:
+        if self.config.verify:
             report.max_verify_error = self._worst_err
         return report
 
@@ -942,8 +863,7 @@ class StreamingEngine:
         if not went_down:
             return  # overlapping crash: the outage was extended, that's all
         if np.isfinite(duration_s):
-            backoff = (self.injector.probe_backoff_s
-                       if self.injector is not None else 0.005)
+            backoff = self.config.probe_backoff_s
             self._push_fault(now + backoff, ("probe", shard.shard_id, backoff))
         for qb in batches:
             qb.requeues += 1  # every failover is charged like a switch
@@ -1132,14 +1052,17 @@ class StreamingEngine:
     # ------------------------------------------------------------------
     # admission control (deadline-aware shedding / graceful degradation)
     # ------------------------------------------------------------------
-    def _single_est_s(self, level: VFLevel, sparsity: Optional[float]) -> float:
+    def _batch_est_s(self, level: VFLevel, sparsity: Optional[float],
+                     size: int = 1) -> float:
+        """Analytic service time of ``size`` requests at ``sparsity``
+        (``None``, an infeasible deadline, runs the sparsest rung)."""
         return self.adapter.latency.batch_latency_s(
-            self.adapter.workload, level, 1,
+            self.adapter.workload, level, size,
             sparsity if sparsity is not None else self.fallback_sparsity,
             SparsityKind.PATTERN, self.adapter.hardware_pattern_size)
 
     def _admission_estimate_s(self, now: float, service_s: float,
-                              key: Optional[Hashable] = None) -> float:
+                              key: Hashable) -> float:
         """Deterministic completion estimate for a request arriving now.
 
         Pessimistic by design: the batching-window wait, plus the
@@ -1149,24 +1072,20 @@ class StreamingEngine:
         the executed event history, so the estimate — and therefore the
         shed decision — is tick-granularity independent.
 
-        The default ``"remaining"`` estimate charges only the residual
-        window of the open group a ``key``-compatible request would
-        actually join (nothing at all when the admission would flush it
-        full); the historical ``"full"`` mode always charged a whole
-        ``max_wait_s``, which over-shed mid-window arrivals badly enough
-        that the docs used to recommend shrinking ``--window-ms`` to
-        compensate.
+        The window charge is only the residual window of the open group
+        the ``key``-compatible request would actually join (nothing at
+        all when the admission would flush it full); a request that would
+        open a new group waits out a whole ``window_s``.
         """
         avail = self._available_shards()
         if not avail:
             return float("inf")
         free = min(max(s.clock_s, now) + s.pending_s for s in avail)
-        wait = now + self.max_wait_s
-        if self.admission_estimate == "remaining" and key is not None:
-            group = self.admission.open_group(key)
-            if group is not None:
-                wait = (now if len(group.requests) + 1 >= self.max_batch
-                        else group.deadline_s)
+        wait = now + self.config.window_s
+        group = self.admission.open_group(key)
+        if group is not None:
+            wait = (now if len(group.requests) + 1 >= self.config.max_batch
+                    else group.deadline_s)
         return max(wait, free) + service_s
 
     def _tenant_share(self, tenant: str) -> float:
@@ -1177,7 +1096,7 @@ class StreamingEngine:
         least one request in the system, so every live tenant makes
         progress even under a hot-tenant flood.
         """
-        weights = self.tenant_weights or {}
+        weights = self.config.tenant_weights or {}
         total = sum(weights.values())
         if tenant in weights:
             w = weights[tenant]
@@ -1185,9 +1104,10 @@ class StreamingEngine:
             # unlisted tenants join as weight-1 participants
             w = 1.0
             total += 1.0
-        if self.max_queue is None or total <= 0:
+        max_queue = self.config.max_queue
+        if max_queue is None or total <= 0:
             return float("inf")
-        return max(1.0, self.max_queue * w / total)
+        return max(1.0, max_queue * w / total)
 
     def _tenant_backlog(self, tenant: str) -> int:
         """This tenant's live requests waiting anywhere in the system.
@@ -1220,27 +1140,28 @@ class StreamingEngine:
         the survivors form exactly the batches a fault-free serve of the
         surviving set would form (the bit-exactness invariant).
         """
-        if self.max_queue is not None and self.backlog() >= self.max_queue:
+        cfg = self.config
+        if cfg.max_queue is not None and self.backlog() >= cfg.max_queue:
             self._shed_request(request, now, "queue_full")
             return False
-        if (self.tenant_weights is not None and self.max_queue is not None
+        if (cfg.tenant_weights is not None and cfg.max_queue is not None
                 and (self._tenant_backlog(request.tenant)
                      >= self._tenant_share(request.tenant))):
             # weighted fair admission: the tenant flooded past its share
             # of the bounded queue; everyone else's share stays intact
             self._shed_request(request, now, "tenant_quota")
             return False
-        if self.shed_policy == "none":
+        if cfg.shed_policy == "none":
             return True
-        level = self._level(request.level_name)
+        level = self.dvfs[request.level_name]
         budget = request.arrival_s + request.slo
         resolved = self.adapter.feasible_sparsity(level, request.deadline_s)
         est = self._admission_estimate_s(
-            now, self._single_est_s(level, resolved),
+            now, self._batch_est_s(level, resolved),
             key=(request.level_name, resolved))
         if resolved is not None and est <= budget:
             return True
-        if self.shed_policy == "degrade":
+        if cfg.shed_policy == "degrade":
             # the paper's accuracy-for-deadline trade as an overload
             # response: walk the sparser (faster) rungs, least degraded
             # first, and serve at the first one whose estimate fits the
@@ -1257,7 +1178,7 @@ class StreamingEngine:
                 if lat > slo:
                     continue  # keep the slo >= deadline invariant
                 rung_est = self._admission_estimate_s(
-                    now, self._single_est_s(level, sparsity),
+                    now, self._batch_est_s(level, sparsity),
                     key=(request.level_name, sparsity))
                 if rung_est <= budget:
                     request.degraded_from_s = request.deadline_s
@@ -1277,17 +1198,17 @@ class StreamingEngine:
             self._cancel_pending.discard(req.req_id)
             self._record_cancel(req, now, "pre_admission")
             return
-        if self.cancel_after_s is not None:
+        cancel_after_s = self.config.cancel_after_s
+        if cancel_after_s is not None:
             # engine-wide client timeout: every arrival arms a cancel at
             # arrival + cancel_after_s (a no-op if it completes first)
             heapq.heappush(self._heap,
-                           (now + self.cancel_after_s, _CANCEL,
+                           (now + cancel_after_s, _CANCEL,
                             next(self._tiebreak), req.req_id))
         if isinstance(request, DecodeJob):
             self._place_decode(request, now)
             return
-        if ((self.shed_policy != "none" or self.max_queue is not None
-                or self.tenant_weights is not None)
+        if (self._admission_control_on
                 and not self._admission_control(request, now)):
             return
         full, window = self.admission.add(request, now)
@@ -1302,13 +1223,9 @@ class StreamingEngine:
     def _place_decode(self, job: DecodeJob, now: float) -> None:
         """Route an arrived decode stream to a device's lane."""
         req = job.request
-        level = self._level(req.level_name)
         job.compat_key = self._compat_key(req)
-        sparsity = job.compat_key[1]
-        per_token = self.adapter.latency.batch_latency_s(
-            self.adapter.workload, level, 1,
-            sparsity if sparsity is not None else self.fallback_sparsity,
-            SparsityKind.PATTERN, self.adapter.hardware_pattern_size)
+        per_token = self._batch_est_s(self.dvfs[req.level_name],
+                                      job.compat_key[1])
         job.est_service_s = per_token * job.config.max_new_tokens
         self._dispatch_decode(job)
 
@@ -1317,25 +1234,22 @@ class StreamingEngine:
         seq = self._seq
         self._seq += 1
         requests = group.requests
-        level = self._level(requests[0].level_name)
+        level = self.dvfs[requests[0].level_name]
         sparsity = self.adapter.feasible_sparsity(
             level, min(r.deadline_s for r in requests))
-        est = self.adapter.latency.batch_latency_s(
-            self.adapter.workload, level, len(requests),
-            sparsity if sparsity is not None else self.fallback_sparsity,
-            SparsityKind.PATTERN, self.adapter.hardware_pattern_size)
+        est = self._batch_est_s(level, sparsity, len(requests))
         qb = QueuedBatch(seq, list(requests), level.name, group.ready_s, est,
                          sparsity=sparsity)
         shard = self._dispatch_batch(qb)
         if shard is None:
             return  # total outage: parked for recovery or shed, not lost
-        if (self.prewarm and shard.shard_id not in self._prewarmed
+        if (self.config.prewarm and shard.shard_id not in self._prewarmed
                 and shard.active_sparsity is None and sparsity is not None):
             # deploy-time provisioning: the device's first pattern set is
             # installed before traffic, so it is not charged to the timeline
             shard.active_sparsity = sparsity
         self._prewarmed.add(shard.shard_id)
-        if self.preempt_policy != "off":
+        if self.config.preempt_policy != "off":
             self._maybe_preempt(shard, qb, self.now_s)
 
     # ------------------------------------------------------------------
@@ -1403,7 +1317,7 @@ class StreamingEngine:
                 moved.add(victim.seq)
                 self._dispatch_batch(victim)
                 continue
-            if self.preempt_policy == "running":
+            if self.config.preempt_policy == "running":
                 entry = self._inflight.get(shard.shard_id)
                 if (entry is not None and entry[0] == "batch"
                         and entry[-1] > now
@@ -1486,40 +1400,41 @@ class StreamingEngine:
                 effective = shard.active_sparsity
             else:
                 effective = self.fallback_sparsity
-                pset = self.ladder[effective]
-                stats = self.adapter.reconfigurator.pattern_switch(
-                    self.adapter.workload, len(pset),
-                    self.adapter.hardware_pattern_size)
-                switch_s += stats.seconds
+                switch_s += self._switch_cost_s[effective]
                 installed = True
         shard.active_sparsity = effective
         return event, effective, switch_s, installed
 
+    def _install(self, sparsity: float) -> None:
+        """Install ``sparsity``'s pattern set before every batch or step.
+
+        The device is a stateless execution context: it re-installs its
+        masks each time, which the artifact cache turns into one lookup
+        and one reference swap per layer (no unpack, no recompile).  The
+        shared adapter's view follows the masks resident on the model, so
+        code mixing the loop with direct ``adapter.adapt`` calls never
+        re-charges a switch for an already-installed set.
+        """
+        if self.adapter.manager is not None:
+            self.adapter.manager.apply(self.ladder[sparsity])
+        self.adapter.active_sparsity = sparsity
+
     def _execute(self, shard: DeviceShard, qb: QueuedBatch) -> None:
         group = qb.requests
-        level = self._level(qb.level_name)
+        level = self.dvfs[qb.level_name]
         event, effective, switch_s, installed = \
             self._resolve_operating_point(shard, level, qb)
-        pset = self.ladder[effective]
-        manager = self.adapter.manager
-        if manager is not None and (self.reinstall_per_batch
-                                    or manager.active_set is not pset):
-            manager.apply(pset)
-        # keep the shared adapter's view in sync with the masks resident on
-        # the model, so code mixing the loop with direct adapter.adapt
-        # calls never re-charges a switch for an already-installed set
-        self.adapter.active_sparsity = effective
+        self._install(effective)
         fwd = self._forward()
-        outputs = run_padded(self.model, group, self.pad_id, forward=fwd)
+        outputs = run_padded(self.model, group, forward=fwd)
         done = set(qb.done_ids)
-        if self.verify:
+        if self.config.verify:
             # excluded from the timed hot path: doubles the compute
             verify_start = time.perf_counter()
             for req, out in zip(group, outputs):
                 if req.req_id in done:
                     continue
-                solo = run_padded(self.model, [req], self.pad_id,
-                                  forward=fwd)[0]
+                solo = run_padded(self.model, [req], forward=fwd)[0]
                 self._worst_err = max(self._worst_err,
                                       float(np.abs(out - solo).max()))
             self._verify_wall += time.perf_counter() - verify_start
@@ -1543,6 +1458,7 @@ class StreamingEngine:
         completion = begin + service
         shard.record(qb, service, completion, installed,
                      members=(len(group) - len(done)) if done else None)
+        time_sliced = self.config.time_sliced
         emitted: List[RequestResult] = []
         for i, (req, out) in enumerate(zip(group, outputs)):
             if req.req_id in done:
@@ -1550,7 +1466,7 @@ class StreamingEngine:
                 # the original (bit-identical) result already stands
                 continue
             member_service = (switch_s + offsets[i]
-                              if self.time_sliced else service)
+                              if time_sliced else service)
             result = RequestResult(
                 request=req, output=out, batch_id=qb.seq,
                 batch_size=len(group),
@@ -1601,25 +1517,18 @@ class StreamingEngine:
                 continue
             seq = self._seq
             self._seq += 1
-            level = self._level(key[0])
+            level = self.dvfs[key[0]]
             reqs = [s.job.request for s in active]
             qb = QueuedBatch(seq, reqs, key[0], begin, 0.0, sparsity=key[1])
             event, effective, switch_s, installed = \
                 self._resolve_operating_point(shard, level, qb)
-            pset = self.ladder[effective]
-            manager = self.adapter.manager
-            if manager is not None and (self.reinstall_per_batch
-                                        or manager.active_set is not pset):
-                # an identical re-install keeps every cache_token stable,
-                # so the decode plane's KV state survives; a real switch
-                # changes the tokens and bumps the decode epoch, retiring
-                # it — the correctness the mask-switch decode tests pin
-                manager.apply(pset)
-            self.adapter.active_sparsity = effective
+            # an identical re-install keeps every cache_token stable, so
+            # the decode plane's KV state survives; a real switch changes
+            # the tokens and bumps the decode epoch, retiring it — the
+            # correctness the mask-switch decode tests pin
+            self._install(effective)
             emitted = session.step()
-            per_token = self.adapter.latency.batch_latency_s(
-                self.adapter.workload, level, len(active), effective,
-                SparsityKind.PATTERN, self.adapter.hardware_pattern_size)
+            per_token = self._batch_est_s(level, effective, len(active))
             if shard.slowdown != 1.0:
                 per_token *= shard.slowdown
             service = switch_s + per_token

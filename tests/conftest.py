@@ -15,6 +15,7 @@ from repro.data.glue import GlueTaskConfig, SyntheticGlueTask
 from repro.data.wikitext import SyntheticWikiText, WikiTextConfig
 from repro.nn.distilbert import DistilBertConfig, DistilBertForSequenceTask
 from repro.nn.transformer import TransformerConfig, TransformerLM
+from repro.serve.batcher import AdmissionQueue
 
 
 TINY_TRANSFORMER = TransformerConfig(
@@ -26,6 +27,24 @@ TINY_DISTILBERT = DistilBertConfig(
     vocab_size=80, dim=32, num_heads=2, ffn_dim=64,
     num_layers=2, max_len=24, dropout=0.0, num_labels=2, seed=3,
 )
+
+
+def admission_batches(requests, max_batch=8, window_s=0.05, key_fn=None):
+    """Group a known trace the way the streaming loop does.
+
+    Replays the requests (sorted by arrival, ties by id) through an
+    :class:`AdmissionQueue`, closing windows that expired strictly before
+    each arrival first — the loop's arrival-before-window-close order.
+    """
+    queue = AdmissionQueue(max_batch, window_s, key_fn)
+    groups = []
+    for req in sorted(requests, key=lambda r: (r.arrival_s, r.req_id)):
+        groups.extend(queue.close_due(req.arrival_s, strict=True))
+        full, _ = queue.add(req, req.arrival_s)
+        if full is not None:
+            groups.append(full)
+    groups.extend(queue.flush_remaining())
+    return [g.requests for g in groups]
 
 
 @pytest.fixture()

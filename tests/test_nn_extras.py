@@ -4,8 +4,12 @@ import numpy as np
 import pytest
 
 from repro.core.block_pruning import BlockPruningConfig, apply_block_pruning
-from repro.nn import FitConfig, MaskedAdam, TrainingHistory, fit, generate
-from repro.nn.generation import generate_with_deadline
+from repro.nn import FitConfig, MaskedAdam, TrainingHistory, fit
+from repro.nn.generation import (
+    DecodeSession,
+    GenerationConfig,
+    generate_with_deadline,
+)
 from repro.nn.lr_scheduler import StepLR
 from repro.nn.module import Parameter
 from repro.nn.optim import Adam
@@ -66,6 +70,15 @@ class TestMaskedAdam:
             assert np.all(layer.weight.data[dead] == 0.0), name
 
 
+def continue_prompt(model, prompt, max_new_tokens, **sampling):
+    """One stream through a fresh session (greedy unless ``top_k``)."""
+    session = DecodeSession(model, GenerationConfig(
+        max_new_tokens=max_new_tokens, **sampling))
+    sid = session.submit_prompt(prompt)
+    session.run()
+    return session.result(sid)
+
+
 class TestGeneration:
     @pytest.fixture()
     def model(self):
@@ -73,35 +86,36 @@ class TestGeneration:
 
     def test_greedy_deterministic(self, model):
         prompt = np.array([1, 2, 3])
-        a = generate(model, prompt, 5)
-        b = generate(model, prompt, 5)
+        a = continue_prompt(model, prompt, 5)
+        b = continue_prompt(model, prompt, 5)
         assert np.array_equal(a.generated, b.generated)
         assert len(a.generated) == 5
         assert len(a.logprobs) == 5
 
     def test_tokens_in_vocab(self, model):
-        out = generate(model, np.array([0]), 8)
+        out = continue_prompt(model, np.array([0]), 8)
         assert out.generated.min() >= 0
         assert out.generated.max() < model.cfg.vocab_size
 
     def test_topk_sampling_varies_with_seed(self, model):
         prompt = np.array([1, 2])
-        outs = {tuple(generate(model, prompt, 6, top_k=10, seed=s).generated)
+        outs = {tuple(continue_prompt(model, prompt, 6, top_k=10,
+                                      seed=s).generated)
                 for s in range(5)}
         assert len(outs) > 1
 
     def test_context_truncated_to_max_len(self, model):
         prompt = np.arange(model.cfg.max_len + 10) % model.cfg.vocab_size
-        out = generate(model, prompt, 2)
+        out = continue_prompt(model, prompt, 2)
         assert len(out.tokens) == len(prompt) + 2
 
     def test_validation(self, model):
         with pytest.raises(ValueError):
-            generate(model, np.array([1]), 0)
+            continue_prompt(model, np.array([1]), 0)
         with pytest.raises(ValueError):
-            generate(model, np.array([]), 3)
+            continue_prompt(model, np.array([]), 3)
         with pytest.raises(ValueError):
-            generate(model, np.array([1]), 3, temperature=0.0)
+            continue_prompt(model, np.array([1]), 3, temperature=0.0)
 
     def test_generate_with_deadline_flags(self, model):
         from repro.hardware.dvfs import DVFSTable

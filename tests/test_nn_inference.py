@@ -16,6 +16,7 @@ from repro.nn.layers import _KNOWN_MASKS_CAP, Linear, prunable_linears
 from repro.nn.optim import SGD
 from repro.nn.transformer import TransformerConfig, TransformerLM
 from repro.serve import (
+    DecodeOptions,
     ArtifactCache,
     InferenceRequest,
     ScenarioConfig,
@@ -621,18 +622,18 @@ class TestValidation:
 
 def serve_report(fast_forward, seed=0, requests=24):
     _, workload, engine = build_serving_stack(StackConfig(
-        seed=seed, fast_forward=fast_forward, verify=True))
+        seed=seed, decode=DecodeOptions(fast_forward=fast_forward),
+        verify=True))
     trace = build_scenario("bursty", workload,
                           ScenarioConfig(num_requests=requests, seed=seed))
     return engine.serve(trace)
 
 
-def serve_logging_compiles(reinstall_per_batch, requests=48):
+def serve_logging_compiles(requests=48):
     """Serve the rung-alternating bursty trace on two least-loaded
     shards; log ``(set digest, plan compiles so far)`` at every install."""
     _, workload, engine = build_serving_stack(StackConfig(
         devices=2, policy="least-loaded", verify=True))
-    engine.reinstall_per_batch = reinstall_per_batch
     core = engine.streaming()
     manager = core.adapter.manager
     apply, log = manager.apply, []
@@ -649,9 +650,8 @@ def serve_logging_compiles(reinstall_per_batch, requests=48):
 
 
 class TestServePathCompiles:
-    @pytest.mark.parametrize("reinstall", [True, False])
-    def test_one_compile_per_rung(self, reinstall):
-        core, report, log, trace = serve_logging_compiles(reinstall)
+    def test_one_compile_per_rung(self):
+        core, report, log, trace = serve_logging_compiles()
         compiles = core._plan.compiles
         first_seen = {}
         for i, (digest, _) in enumerate(log):
@@ -666,8 +666,8 @@ class TestServePathCompiles:
         assert report.max_verify_error < 1e-9
         # and the looked-up programs serve the same bits as eager forwards
         _, _, eager_engine = build_serving_stack(StackConfig(
-            devices=2, policy="least-loaded", fast_forward=False))
-        eager_engine.reinstall_per_batch = reinstall
+            devices=2, policy="least-loaded",
+            decode=DecodeOptions(fast_forward=False)))
         eager_report = eager_engine.serve(trace)
         ref = {r.request.req_id: r.output for r in eager_report.results}
         got = {r.request.req_id: r.output for r in report.results}
@@ -716,7 +716,7 @@ class TestServingIntegration:
 
     def test_eager_serve_never_records_grad_graph(self):
         _, workload, engine = build_serving_stack(StackConfig(
-            seed=1, fast_forward=False))
+            seed=1, decode=DecodeOptions(fast_forward=False)))
         trace = build_scenario("steady", workload,
                                ScenarioConfig(num_requests=16, seed=1))
         created = []
@@ -746,7 +746,7 @@ class TestServingIntegration:
         assert core._forward() is plan  # built once, reused
 
     def test_serve_engine_exposes_fast_forward_flag(self):
-        _, _, engine = build_serving_stack(StackConfig(seed=0,
-                                                       fast_forward=False))
-        assert engine.fast_forward is False
+        _, _, engine = build_serving_stack(StackConfig(
+            seed=0, decode=DecodeOptions(fast_forward=False)))
+        assert engine.config.decode.fast_forward is False
         assert engine.streaming().fast_forward is False

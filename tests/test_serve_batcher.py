@@ -13,13 +13,15 @@ from repro.nn.transformer import TransformerConfig, TransformerLM
 from repro.serve import (
     ArtifactCache,
     InferenceRequest,
-    MicroBatcher,
     ScenarioConfig,
+    ServeConfig,
     ServeEngine,
     build_scenario,
     pad_batch,
     run_padded,
 )
+
+from tests.conftest import admission_batches
 
 LM_CFG = TransformerConfig(vocab_size=60, dim=32, num_heads=2, ffn_dim=64,
                            num_encoder_layers=2, num_decoder_layers=1,
@@ -135,14 +137,16 @@ class TestPaddingExactness:
 
 
 class TestMicroBatcher:
+    """Micro-batch grouping of a known trace through the admission queue."""
+
     def test_chunks_at_max_batch(self, rng):
         reqs = make_requests(rng, [4] * 10)
-        groups = MicroBatcher(max_batch=4).batches(reqs)
+        groups = admission_batches(reqs, max_batch=4)
         assert [len(g) for g in groups] == [4, 4, 2]
 
     def test_fifo_order_preserved(self, rng):
         reqs = make_requests(rng, [4] * 6)
-        groups = MicroBatcher(max_batch=3).batches(reqs)
+        groups = admission_batches(reqs, max_batch=3)
         flat = [r.req_id for g in groups for r in g]
         assert flat == list(range(6))
 
@@ -150,7 +154,7 @@ class TestMicroBatcher:
         reqs = make_requests(rng, [4] * 4, level_name="l6")
         reqs += [InferenceRequest(10 + i, rng.integers(1, 60, size=4), level_name="l3")
                  for i in range(4)]
-        groups = MicroBatcher(max_batch=8).batches(reqs)
+        groups = admission_batches(reqs, max_batch=8)
         assert len(groups) == 2
         for group in groups:
             assert len({r.level_name for r in group}) == 1
@@ -158,14 +162,14 @@ class TestMicroBatcher:
     def test_window_flushes_stale_groups(self, rng):
         early = InferenceRequest(0, rng.integers(1, 60, size=4), arrival_s=0.0)
         late = InferenceRequest(1, rng.integers(1, 60, size=4), arrival_s=10.0)
-        groups = MicroBatcher(max_batch=8, window_s=0.05).batches([early, late])
+        groups = admission_batches([early, late], max_batch=8, window_s=0.05)
         assert [len(g) for g in groups] == [1, 1]
 
     def test_invalid_configs_rejected(self):
-        with pytest.raises(ValueError):
-            MicroBatcher(max_batch=0)
-        with pytest.raises(ValueError):
-            MicroBatcher(window_s=-1.0)
+        with pytest.raises(ValueError, match="max_batch"):
+            ServeConfig(max_batch=0)
+        with pytest.raises(ValueError, match="window_s"):
+            ServeConfig(window_s=-1.0)
 
 
 class TestScenarios:
@@ -208,8 +212,9 @@ def build_engine(model, *, max_batch, use_cache, seed=0, verify=False):
     adapter = RuntimeAdapter(ladder, wl, manager=MaskManager(model),
                              hardware_pattern_size=8)
     cache = ArtifactCache() if use_cache else None
-    return ServeEngine(model, adapter, max_batch=max_batch, cache=cache,
-                       verify=verify), wl
+    return ServeEngine(model, adapter,
+                       ServeConfig(max_batch=max_batch, verify=verify),
+                       cache=cache), wl
 
 
 class TestServeEngine:
@@ -275,7 +280,7 @@ class TestServeEngine:
         # an online batcher cannot know the stream ended: the lone request
         # waits out the full window before dispatch
         assert report.results[0].queue_wait_s == pytest.approx(
-            engine.batcher.window_s)
+            engine.config.window_s)
 
     def test_infeasible_deadline_no_phantom_switches(self):
         model = TransformerLM(LM_CFG).eval()

@@ -491,7 +491,7 @@ class TestIdenticalMaskReinstall:
         assert cache.stats.hits == len(first.layers)  # all hot
 
     def test_engine_reinstall_path_hits(self, rng):
-        # end to end: reinstall_per_batch re-applies masks every batch;
+        # end to end: the serving loop re-applies masks every batch;
         # with the content fast path the executor-style token never moves
         model = TransformerLM(TINY)
         manager = MaskManager(model)

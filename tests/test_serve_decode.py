@@ -159,7 +159,8 @@ class TestServeDecode:
 
     def test_eager_fallback_path(self):
         """fast_forward=False decodes eagerly, same results surface."""
-        _, _, engine = build_serving_stack(StackConfig(fast_forward=False))
+        _, _, engine = build_serving_stack(
+            StackConfig(decode=DecodeOptions(fast_forward=False)))
         report = engine.serve_decode(
             [InferenceRequest(req_id=0, tokens=[1, 2, 3], level_name="l2",
                               arrival_s=0.0)],
@@ -173,18 +174,11 @@ class TestDecodeOptionsConfig:
         opts = DecodeOptions(max_new_tokens=3, top_k=2, fast_forward=False)
         cfg = StackConfig(decode=opts)
         assert cfg.decode is opts
-        assert cfg.fast_forward is False  # flat read stays in sync
         _, _, engine = build_serving_stack(cfg)
-        assert engine.decode_options is opts
-        assert engine.fast_forward is False
-        assert engine.streaming().decode_options is opts
-
-    def test_flat_alias_overrides_grouped_default(self):
-        cfg = StackConfig(fast_forward=False)
-        assert cfg.decode.fast_forward is False
-        cfg2 = StackConfig()
-        assert cfg2.fast_forward is True
-        assert cfg2.decode.fast_forward is True
+        assert engine.config.decode is opts
+        core = engine.streaming()
+        assert core.decode_options is opts
+        assert core.fast_forward is False
 
     def test_generation_config_derivation(self):
         opts = DecodeOptions(max_new_tokens=4, top_k=3, temperature=0.5,

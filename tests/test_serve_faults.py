@@ -25,10 +25,10 @@ from repro.cli import main as cli_main
 from repro.nn.generation import GenerationConfig
 from repro.serve import (
     DecodeOptions,
-    FaultInjector,
     FaultPlan,
     InferenceRequest,
     ScenarioConfig,
+    ServeConfig,
     ShardFault,
     StackConfig,
     build_scenario,
@@ -182,13 +182,14 @@ class TestFaultPlan:
             (0.1, 0), (0.2, 0), (0.2, 1)]
 
     def test_validate_rejects_out_of_fleet_targets(self):
+        # a plan is checked against the fleet by the config carrying it
         with pytest.raises(ValueError, match="shard 7"):
-            FaultPlan.outage(7, 0.1).validate(devices=4)
+            ServeConfig(devices=4, faults=FaultPlan.outage(7, 0.1))
 
     def test_injector_validates_backoff(self):
         plan = FaultPlan.outage(0, 0.1)
         with pytest.raises(ValueError, match="probe_backoff_s"):
-            FaultInjector(plan, devices=1, probe_backoff_s=0.0)
+            ServeConfig(faults=plan, probe_backoff_s=0.0)
 
 
 class TestFlakyOverlay:
@@ -208,7 +209,7 @@ class TestFlakyOverlay:
         assert crashes  # rate 1.0 guarantees at least one
         assert all(math.isfinite(f.duration_s) for f in crashes)
         assert all(0 <= f.shard_id < 2 for f in plan)
-        plan.validate(devices=2)
+        ServeConfig(devices=2, faults=plan)
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):

@@ -20,7 +20,6 @@ pulled back from), the remaining-window admission estimate, the
 and the CLI knob validation.
 """
 
-import math
 from dataclasses import replace
 
 import numpy as np
@@ -403,30 +402,15 @@ class TestChaosMatrix:
 class TestAdmissionEstimate:
     WINDOW = 0.05
 
-    def _serve(self, estimate):
+    def test_remaining_window_admits_midwindow_arrival(self):
         # A opens the window at t=0; B arrives at 90% of it with an SLO
         # that fits the *residual* wait but not a full second window
         trace = [request(0, 0.0, 1.0),
                  request(1, 0.9 * self.WINDOW, 0.02)]
         _, _, engine = build_serving_stack(StackConfig(
-            devices=1, seed=0, window_s=self.WINDOW,
-            shed_policy="reject", admission_estimate=estimate))
-        return engine.serve(trace)
-
-    def test_remaining_window_admits_midwindow_arrival(self):
-        report = self._serve("remaining")
+            devices=1, seed=0, window_s=self.WINDOW, shed_policy="reject"))
+        report = engine.serve(trace)
         assert report.completed == 2 and not report.shed
-
-    def test_full_window_estimate_still_reachable(self):
-        report = self._serve("full")
-        assert report.completed == 1
-        assert [rec.request.req_id for rec in report.shed] == [1]
-
-    def test_bad_mode_rejected(self):
-        # the stack config is a plain carrier; the session ctor validates
-        _, _, engine = make_stack(admission_estimate="psychic")
-        with pytest.raises(ValueError, match="unknown admission estimate"):
-            engine.streaming()
 
 
 # ---------------------------------------------------------------------------
@@ -435,7 +419,7 @@ class TestAdmissionEstimate:
 
 class TestAdmissionQueueOps:
     def test_remove_returns_and_drops(self):
-        q = AdmissionQueue(max_batch=8, max_wait_s=1.0)
+        q = AdmissionQueue(max_batch=8, window_s=1.0)
         a, b = request(0, 0.0, 1.0), request(1, 0.0, 1.0)
         q.add(a, 0.0)
         q.add(b, 0.0)
@@ -444,19 +428,19 @@ class TestAdmissionQueueOps:
         assert [r.req_id for r in q.waiting()] == [1]
 
     def test_remove_missing_is_none(self):
-        q = AdmissionQueue(max_batch=8, max_wait_s=1.0)
+        q = AdmissionQueue(max_batch=8, window_s=1.0)
         q.add(request(0, 0.0, 1.0), 0.0)
         assert q.remove(999) is None
         assert len(q) == 1
 
     def test_remove_last_member_drops_group(self):
-        q = AdmissionQueue(max_batch=8, max_wait_s=1.0)
+        q = AdmissionQueue(max_batch=8, window_s=1.0)
         q.add(request(0, 0.0, 1.0), 0.0)
         assert q.remove(0) is not None
         assert q.open_groups == 0 and not q.waiting()
 
     def test_waiting_preserves_admission_order(self):
-        q = AdmissionQueue(max_batch=8, max_wait_s=1.0)
+        q = AdmissionQueue(max_batch=8, window_s=1.0)
         reqs = [request(i, 0.0, 1.0) for i in range(3)]
         for r in reqs:
             q.add(r, 0.0)
@@ -494,6 +478,21 @@ class TestCLIValidation:
     def test_tenant_weight_nan(self):
         with pytest.raises(SystemExit, match="tenant-weight"):
             cli_main(SERVE + ["--tenant-weight", "hot=nan"])
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--batch-size", "0"),
+        ("--devices", "0"),
+        ("--fairness-window", "0"),
+        ("--window-ms", "nan"),
+        ("--window-ms", "-1"),
+        ("--adaptive-low-threshold", "5"),
+        ("--cache-budget-kb", "-5"),
+        ("--requests", "-3"),
+    ])
+    def test_bad_value_names_its_flag(self, flag, value):
+        # rejected once, by the config, before anything is built
+        with pytest.raises(SystemExit, match=f"^{flag}: "):
+            cli_main(SERVE + [flag, value])
 
     def test_preempt_serve_smoke(self, capsys):
         assert cli_main(SERVE + ["--preempt-policy", "running",

@@ -16,6 +16,7 @@ from repro.serve import (
     InferenceRequest,
     QueuedBatch,
     ScenarioConfig,
+    ServeConfig,
     ServeEngine,
     StackConfig,
     build_scenario,
@@ -40,8 +41,8 @@ def build_engine(model, **kwargs):
               for s in (0.3, 0.5, 0.7, 0.9)}
     adapter = RuntimeAdapter(ladder, wl, manager=MaskManager(model),
                              hardware_pattern_size=8)
-    return ServeEngine(model, adapter, cache=ArtifactCache(),
-                       **kwargs), wl
+    return ServeEngine(model, adapter, ServeConfig(**kwargs),
+                       cache=ArtifactCache()), wl
 
 
 class TestDeviceShardQueues:
@@ -82,8 +83,9 @@ class TestDeviceShardQueues:
 
 class TestDispatcher:
     def test_unknown_policy_rejected(self):
+        # the dispatcher's policy arrives validated by ServeConfig
         with pytest.raises(ValueError, match="unknown dispatch policy"):
-            Dispatcher("fastest-first")
+            ServeConfig(policy="fastest-first")
 
     def test_round_robin_cycles(self):
         shards = [DeviceShard(i) for i in range(3)]
@@ -281,7 +283,7 @@ class TestTimeSlicing:
         engine, wl = build_engine(model, devices=1, time_sliced=True)
         trace = build_scenario("steady", wl, ScenarioConfig(num_requests=16, seed=3))
         report = engine.serve(trace)
-        full = [r for r in report.results if r.batch_size == engine.batcher.max_batch]
+        full = [r for r in report.results if r.batch_size == engine.config.max_batch]
         assert full, "expected at least one full batch"
         by_batch = {}
         for r in full:
@@ -342,13 +344,14 @@ class TestLevelAffinityDrain:
             shard.enqueue(make_batch(seq, levels[seq % len(levels)]))
         return shard
 
+    # the shard's drain knobs arrive validated by ServeConfig
     def test_unknown_drain_policy_rejected(self):
         with pytest.raises(ValueError, match="unknown drain policy"):
-            DeviceShard(0, drain_policy="lifo")
+            ServeConfig(drain_policy="lifo")
 
     def test_invalid_fairness_window_rejected(self):
         with pytest.raises(ValueError, match="fairness_window"):
-            DeviceShard(0, fairness_window=0)
+            ServeConfig(fairness_window=0)
 
     def test_serves_levels_run_to_run(self):
         # alternating enqueue order, but the drain sticks with a level:

@@ -13,13 +13,15 @@ from repro.serve import (
     AdmissionQueue,
     ArtifactCache,
     InferenceRequest,
-    MicroBatcher,
     ScenarioConfig,
+    ServeConfig,
     ServeEngine,
     StreamingEngine,
     build_scenario,
     stream_scenario,
 )
+
+from tests.conftest import admission_batches
 
 LM_CFG = TransformerConfig(vocab_size=60, dim=32, num_heads=2, ffn_dim=64,
                            num_encoder_layers=2, num_decoder_layers=1,
@@ -39,7 +41,8 @@ def build_engine(model, **kwargs):
               for s in (0.3, 0.5, 0.7, 0.9)}
     adapter = RuntimeAdapter(ladder, wl, manager=MaskManager(model),
                              hardware_pattern_size=8)
-    return ServeEngine(model, adapter, cache=ArtifactCache(), **kwargs), wl
+    return ServeEngine(model, adapter, ServeConfig(**kwargs),
+                       cache=ArtifactCache()), wl
 
 
 # ---------------------------------------------------------------------------
@@ -48,7 +51,7 @@ def build_engine(model, **kwargs):
 
 class TestAdmissionQueue:
     def test_full_group_flushes_on_admission(self):
-        q = AdmissionQueue(max_batch=2, max_wait_s=1.0)
+        q = AdmissionQueue(max_batch=2, window_s=1.0)
         full, window = q.add(req(0, 0.0), 0.0)
         assert full is None
         assert window is not None and window[0] == pytest.approx(1.0)
@@ -60,7 +63,7 @@ class TestAdmissionQueue:
         assert len(q) == 0
 
     def test_window_close_releases_partial_group(self):
-        q = AdmissionQueue(max_batch=8, max_wait_s=0.05)
+        q = AdmissionQueue(max_batch=8, window_s=0.05)
         _, window = q.add(req(0, 0.0), 0.0)
         deadline, key, generation = window
         assert deadline == pytest.approx(0.05)
@@ -69,7 +72,7 @@ class TestAdmissionQueue:
         assert group.ready_s == pytest.approx(0.05)  # partial: window close
 
     def test_stale_generation_close_is_ignored(self):
-        q = AdmissionQueue(max_batch=1, max_wait_s=0.05)
+        q = AdmissionQueue(max_batch=1, window_s=0.05)
         full, window = q.add(req(0, 0.0), 0.0)
         assert full is not None  # max_batch=1: flushed immediately
         deadline, key, generation = window
@@ -79,13 +82,13 @@ class TestAdmissionQueue:
         assert window2[2] != generation
 
     def test_close_due_strict_vs_inclusive(self):
-        q = AdmissionQueue(max_batch=8, max_wait_s=0.05)
+        q = AdmissionQueue(max_batch=8, window_s=0.05)
         q.add(req(0, 0.0), 0.0)
         assert q.close_due(0.05, strict=True) == []
         assert len(q.close_due(0.05)) == 1
 
     def test_flush_remaining_oldest_first(self):
-        q = AdmissionQueue(max_batch=8, max_wait_s=1.0)
+        q = AdmissionQueue(max_batch=8, window_s=1.0)
         q.add(req(0, 0.0, level="l6"), 0.0)
         q.add(req(1, 0.1, level="l4"), 0.1)
         q.add(req(2, 0.2, level="l3"), 0.2)
@@ -100,19 +103,20 @@ class TestAdmissionQueue:
             q.add(req(1, 0.5), 0.5)
 
     def test_invalid_config_rejected(self):
-        with pytest.raises(ValueError):
-            AdmissionQueue(max_batch=0)
-        with pytest.raises(ValueError):
-            AdmissionQueue(max_wait_s=-1.0)
+        # the queue's knobs arrive validated by the engine's ServeConfig
+        with pytest.raises(ValueError, match="max_batch"):
+            ServeConfig(max_batch=0)
+        with pytest.raises(ValueError, match="window_s"):
+            ServeConfig(window_s=-1.0)
 
 
 # ---------------------------------------------------------------------------
-# MicroBatcher is the trace replay of the admission queue — pin it against
+# replaying a trace through the admission queue must group it exactly like
 # an independent implementation of the historical grouping algorithm
 # ---------------------------------------------------------------------------
 
 def reference_batches(requests, max_batch, window_s, key_fn):
-    """The pre-refactor MicroBatcher algorithm, kept as an oracle."""
+    """The historical trace-grouping algorithm, kept as an oracle."""
     ordered = sorted(requests, key=lambda r: (r.arrival_s, r.req_id))
     open_groups, flush_order = {}, []
 
@@ -149,7 +153,7 @@ class TestMicroBatcherEquivalence:
             t += float(rng.choice([0.0, 0.005, 0.02, 0.1]))
             reqs.append(req(i, t, level=str(rng.choice(levels))))
         key_fn = lambda r: r.level_name  # noqa: E731
-        got = MicroBatcher(max_batch, window, key_fn).batches(reqs)
+        got = admission_batches(reqs, max_batch, window, key_fn)
         want = reference_batches(reqs, max_batch, window, key_fn)
         assert [[r.req_id for r in g] for g in got] == \
                [[r.req_id for r in g] for g in want]
@@ -284,13 +288,13 @@ class TestStreamingLoop:
         ladder = {0.5: random_pattern_set(8, 0.5, 2, np.random.default_rng(0))}
         adapter = RuntimeAdapter(ladder, wl, hardware_pattern_size=8)
         with pytest.raises(ValueError, match="devices"):
-            StreamingEngine(model, adapter, devices=0)
+            StreamingEngine(model, adapter, ServeConfig(devices=0))
         with pytest.raises(ValueError, match="dispatch policy"):
-            StreamingEngine(model, adapter, policy="fastest-first")
+            StreamingEngine(model, adapter, ServeConfig(policy="fastest-first"))
         with pytest.raises(ValueError, match="drain policy"):
-            StreamingEngine(model, adapter, drain_policy="lifo")
-        with pytest.raises(ValueError, match="max_wait_s"):
-            StreamingEngine(model, adapter, max_wait_s=float("inf"))
+            StreamingEngine(model, adapter, ServeConfig(drain_policy="lifo"))
+        with pytest.raises(ValueError, match="window_s"):
+            StreamingEngine(model, adapter, ServeConfig(window_s=float("inf")))
 
 
 # ---------------------------------------------------------------------------
@@ -627,7 +631,7 @@ class TestCompileFallbackWarnings:
         with pytest.warns(RuntimeWarning, match="compile_inference failed"):
             report = engine.serve([req(0)])
         assert report.num_requests == 1
-        assert engine.fast_forward  # the offline wrapper keeps its knob
+        assert engine.config.decode.fast_forward  # the config is untouched
 
     def test_decode_compile_failure_warns(self, monkeypatch):
         import repro.serve.streaming as streaming_mod
