@@ -85,18 +85,44 @@ class RuntimeAdapter:
         self.manager = manager
         self.hardware_pattern_size = hardware_pattern_size
         self.active_sparsity: Optional[float] = None
+        # analytic latencies are pure functions of (level, sparsity,
+        # batch) for this adapter's model and workload: each is computed
+        # once and looked up afterwards
+        self._rungs: Dict[VFLevel, Dict[float, float]] = {}
+        self._batch_s: Dict[Tuple[VFLevel, Optional[float], int], float] = {}
 
     # ------------------------------------------------------------------
+    def rungs(self, level: VFLevel) -> Dict[float, float]:
+        """The ladder at ``level``: sparsity -> single-inference latency,
+        least sparse first (built once per level)."""
+        table = self._rungs.get(level)
+        if table is None:
+            table = self._rungs[level] = {
+                sparsity: self.latency.latency_s(
+                    self.workload, level, sparsity, SparsityKind.PATTERN,
+                    self.hardware_pattern_size)
+                for sparsity, _ in self.candidates}
+        return table
+
     def feasible_sparsity(self, level: VFLevel, deadline_s: float) -> Optional[float]:
         """Smallest candidate sparsity meeting the deadline, or None."""
-        for sparsity, _ in self.candidates:
-            lat = self.latency.latency_s(
-                self.workload, level, sparsity, SparsityKind.PATTERN,
-                self.hardware_pattern_size,
-            )
+        for sparsity, lat in self.rungs(level).items():
             if lat <= deadline_s:
                 return sparsity
         return None
+
+    def batch_latency_s(self, level: VFLevel, sparsity: Optional[float],
+                        size: int = 1) -> float:
+        """Analytic service time of ``size`` requests at ``sparsity``
+        (``None``, an infeasible deadline, runs the sparsest rung)."""
+        key = (level, sparsity, size)
+        est = self._batch_s.get(key)
+        if est is None:
+            est = self._batch_s[key] = self.latency.batch_latency_s(
+                self.workload, level, size,
+                sparsity if sparsity is not None else self.candidates[-1][0],
+                SparsityKind.PATTERN, self.hardware_pattern_size)
+        return est
 
     def plan(self, level: VFLevel, deadline_s: float,
              active_sparsity: Optional[float],
@@ -120,10 +146,7 @@ class RuntimeAdapter:
         if chosen is _UNRESOLVED:
             chosen = self.feasible_sparsity(level, deadline_s)
         effective = chosen if chosen is not None else self.candidates[-1][0]
-        lat = self.latency.latency_s(
-            self.workload, level, effective, SparsityKind.PATTERN,
-            self.hardware_pattern_size,
-        )
+        lat = self.rungs(level)[effective]
         switched = chosen is not None and chosen != active_sparsity
         switch: Optional[SwitchStats] = None
         if switched:

@@ -34,6 +34,9 @@ Layout
   tick-granularity independent — any feeding schedule of the same
   arrival stream produces the same admissions, placements and
   simulated timeline;
+- :mod:`~repro.serve.admission` — :class:`AdmissionControl`, the
+  queue-full, tenant-quota and shed/degrade decisions made per arrival,
+  over O(1) backlog counters the waiting stages keep current;
 - :mod:`~repro.serve.engine`    — the offline :class:`ServeEngine`
   wrapper: ``serve(trace)`` submits the whole trace into a streaming
   session over the same config and drains it, a trace-at-once API on
@@ -131,6 +134,7 @@ outputs vs a fault-free serve of the surviving set, and a strictly
 lower shed rate for ``degrade`` than ``reject`` (``BENCH_faults.json``).
 """
 
+from repro.serve.admission import AdmissionControl
 from repro.serve.batcher import (
     AdmissionQueue,
     FlushedGroup,
@@ -179,6 +183,7 @@ from repro.serve.scenarios import (
 )
 
 __all__ = [
+    "AdmissionControl",
     "AdmissionQueue",
     "ArtifactCache",
     "CacheStats",

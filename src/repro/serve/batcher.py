@@ -26,7 +26,8 @@ Three pieces:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import (Callable, Collection, Dict, Hashable, List, Optional,
+                    Sequence, Tuple)
 
 import numpy as np
 
@@ -129,6 +130,16 @@ class RequestResult:
     def met_slo(self) -> bool:
         """End-to-end completion within the request's service objective."""
         return self.latency_s <= self.request.slo
+
+
+def tenant_counts(requests: Sequence[InferenceRequest],
+                  done: Collection[int] = ()) -> Dict[str, int]:
+    """Requests per tenant, leaving out the ids in ``done``."""
+    counts: Dict[str, int] = {}
+    for r in requests:
+        if r.req_id not in done:
+            counts[r.tenant] = counts.get(r.tenant, 0) + 1
+    return counts
 
 
 # ---------------------------------------------------------------------------
@@ -251,14 +262,19 @@ class AdmissionQueue:
     let it discard close events for groups that already flushed full.
     Admission order must be non-decreasing in time (ties allowed); the
     queue is deterministic and preserves FIFO order within a key.
+
+    ``ledger`` (an :class:`~repro.serve.admission.AdmissionControl`) is
+    told of every request entering or leaving an open group.
     """
 
     def __init__(self, max_batch: int = 8, window_s: float = 0.05,
-                 key_fn: Optional[Callable[[InferenceRequest], Hashable]] = None) -> None:
+                 key_fn: Optional[Callable[[InferenceRequest], Hashable]] = None,
+                 ledger=None) -> None:
         # max_batch/window_s arrive validated by ServeConfig
         self.max_batch = max_batch
         self.window_s = window_s
         self.key_fn = key_fn or _default_key
+        self.ledger = ledger
         # insertion-ordered: dict order == group creation order == ascending
         # opened_s (admission is time-ordered), which keeps every flush
         # discipline below deterministic
@@ -312,11 +328,16 @@ class AdmissionQueue:
                     group.requests.pop(i)
                     if not group.requests:
                         del self._open[key]
+                    if self.ledger is not None:
+                        self.ledger.release({req.tenant: 1}, 1)
                     return req
         return None
 
     def _close(self, key: Hashable, full: bool) -> FlushedGroup:
         group = self._open.pop(key)
+        if self.ledger is not None:
+            self.ledger.release(tenant_counts(group.requests),
+                                len(group.requests))
         return FlushedGroup(group.key, group.requests, group.opened_s,
                             group.deadline_s, full)
 
@@ -342,6 +363,8 @@ class AdmissionQueue:
             self._open[key] = group
             window = (group.deadline_s, key, group.generation)
         group.requests.append(request)
+        if self.ledger is not None:
+            self.ledger.hold({request.tenant: 1}, 1)
         if len(group.requests) >= self.max_batch:
             return self._close(key, full=True), window
         return None, window

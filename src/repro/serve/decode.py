@@ -94,17 +94,26 @@ class DecodeLane:
     else when the earliest pending arrival joins); ``admit`` moves due
     jobs into their compat group's session at a token boundary.  The
     engine owns the actual token step — the lane only keeps membership,
-    join times and the pending heap.
+    join times and the pending heap.  ``ledger`` (an
+    :class:`~repro.serve.admission.AdmissionControl`) is told of every
+    job entering or leaving the pending heap.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, ledger=None) -> None:
         self.pending: List[Tuple[float, int, DecodeJob]] = []
         self.groups: Dict[Hashable, _LaneGroup] = {}
+        self.ledger = ledger
         self._tiebreak = itertools.count()
+
+    def _count(self, job: DecodeJob, held: bool) -> None:
+        if self.ledger is not None:
+            count = self.ledger.hold if held else self.ledger.release
+            count({job.request.tenant: 1})
 
     def add_pending(self, job: DecodeJob) -> None:
         heapq.heappush(self.pending,
                        (job.request.arrival_s, next(self._tiebreak), job))
+        self._count(job, True)
 
     def has_active(self) -> bool:
         return any(not g.session.finished() for g in self.groups.values())
@@ -122,6 +131,7 @@ class DecodeLane:
         joined = 0
         while self.pending and self.pending[0][0] <= now_s:
             _, _, job = heapq.heappop(self.pending)
+            self._count(job, False)
             group = self.groups.get(job.compat_key)
             if group is None:
                 group = _LaneGroup(session_factory())
@@ -142,6 +152,7 @@ class DecodeLane:
             if entry[2].request.req_id == req_id:
                 self.pending.remove(entry)
                 heapq.heapify(self.pending)
+                self._count(entry[2], False)
                 return entry[2]
         return None
 
@@ -162,6 +173,8 @@ class DecodeLane:
         active streams in group/sid order.
         """
         jobs = [job for _, _, job in sorted(self.pending)]
+        for job in jobs:
+            self._count(job, False)
         self.pending = []
         for key in self.group_keys():
             group = self.groups[key]

@@ -16,9 +16,7 @@ owns the timeline.  A shard advertises when it can next act
 (:meth:`DeviceShard.next_event_s` — it is idle and a queued batch is
 ready) and the loop pops its next batch (:meth:`DeviceShard.pop_next`)
 at that instant, so per-device clocks advance interleaved with
-admissions instead of each shard being drained to exhaustion.  The
-legacy :meth:`DeviceShard.drain` generator is a thin wrapper (reset the
-policy state, pop until empty) kept for full-queue use and tests.  Both
+admissions instead of each shard being drained to exhaustion.  Both
 routing and draining know about reconfiguration:
 
 - **drain policies** — ``fifo`` follows the global flush order (min
@@ -51,7 +49,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Deque, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.serve.batcher import InferenceRequest
 from repro.serve.decode import DecodeJob, DecodeLane
@@ -81,6 +79,10 @@ class QueuedBatch:
     # results for members not already done)
     requeues: int = 0
     done_ids: Tuple[int, ...] = ()
+    # live members per tenant, held in the admission-control counters
+    # while the batch waits in a device queue or parked
+    live: Dict[str, int] = field(default_factory=dict, repr=False,
+                                 compare=False)
 
     def __len__(self) -> int:
         return len(self.requests)
@@ -187,8 +189,13 @@ class DeviceShard:
       immediately re-trigger the flip-back).  ``None`` (default) keeps
       the historical one-way behaviour.
 
-    The affinity run state persists across pops, so incremental
-    event-loop use and a one-shot :meth:`drain` walk the same policy.
+    The affinity run state persists across pops.
+
+    ``members`` counts the requests of every queued batch (done members
+    included).  ``ledger`` (an
+    :class:`~repro.serve.admission.AdmissionControl`) is told of every
+    batch entering or leaving the queues and of every decode job
+    entering or leaving the lane's pending heap.
 
     The shard's installed-pattern state (``active_sparsity``) is updated
     by the engine as it executes, because a pattern swap happens on
@@ -201,7 +208,8 @@ class DeviceShard:
     def __init__(self, shard_id: int, drain_policy: str = "fifo",
                  fairness_window: int = 4, adaptive_window: int = 8,
                  adaptive_threshold: float = 0.5,
-                 adaptive_low_threshold: Optional[float] = None) -> None:
+                 adaptive_low_threshold: Optional[float] = None,
+                 ledger=None) -> None:
         # the drain knobs arrive validated by ServeConfig
         self.shard_id = shard_id
         self.drain_policy = drain_policy
@@ -210,6 +218,8 @@ class DeviceShard:
         self.adaptive_threshold = adaptive_threshold
         self.adaptive_low_threshold = adaptive_low_threshold
         self.queues: Dict[str, Deque[QueuedBatch]] = {}
+        self.members = 0
+        self.ledger = ledger
         self.clock_s = 0.0
         # estimated not-yet-executed backlog — introspection only; routing
         # scores the cumulative assigned_est_s below, never this
@@ -229,7 +239,7 @@ class DeviceShard:
         self.slowdown: float = 1.0
         # rolling decode batch resident on this device (continuous
         # batching: streams join/leave at token boundaries)
-        self.decode = DecodeLane()
+        self.decode = DecodeLane(ledger)
         self.stats = ShardStats(shard_id, drain_policy=self._base_policy())
         # persistent drain-policy state (level-affinity run tracking)
         self._current_level: Optional[str] = None
@@ -255,14 +265,19 @@ class DeviceShard:
     # -- queueing ------------------------------------------------------
     def enqueue(self, batch: QueuedBatch) -> None:
         self.queues.setdefault(batch.level_name, deque()).append(batch)
+        self.members += len(batch)
+        if self.ledger is not None:
+            self.ledger.hold_batch(batch, len(batch))
         self.pending_s += batch.est_service_s
         self.assigned_est_s += batch.est_service_s
         if batch.sparsity is not None:
             self.expected_sparsity = batch.sparsity
 
-    def backlog(self) -> int:
-        """Number of queued, not-yet-executed batches."""
-        return sum(len(q) for q in self.queues.values())
+    def _left(self, batch: QueuedBatch) -> None:
+        """``batch`` left the queues (popped, retracted or failed over)."""
+        self.members -= len(batch)
+        if self.ledger is not None:
+            self.ledger.release_batch(batch, len(batch))
 
     def queued_batches(self) -> List[QueuedBatch]:
         """Every queued batch, in flush order (deterministic)."""
@@ -284,6 +299,7 @@ class DeviceShard:
                     q.remove(batch)
                     if not q:
                         del self.queues[name]
+                    self._left(batch)
                     self.pending_s = max(0.0,
                                          self.pending_s - batch.est_service_s)
                     return batch
@@ -342,17 +358,8 @@ class DeviceShard:
         batch = self.queues[self._current_level].popleft()
         self._run += 1
         self.pending_s = max(0.0, self.pending_s - batch.est_service_s)
+        self._left(batch)
         return batch
-
-    def drain(self) -> Iterator[QueuedBatch]:
-        """Yield all queued batches per the drain policy (full-queue walk)."""
-        self._current_level = None
-        self._run = 0
-        while True:
-            batch = self.pop_next()
-            if batch is None:
-                return
-            yield batch
 
     # -- health state machine (driven by the engine's fault events) ----
     @property
@@ -384,6 +391,8 @@ class DeviceShard:
         batches = sorted((b for q in self.queues.values() for b in q),
                          key=lambda b: b.seq)
         self.queues.clear()
+        for batch in batches:
+            self._left(batch)
         self.pending_s = 0.0
         self.stats.requeued_batches += len(batches)
         self._current_level = None

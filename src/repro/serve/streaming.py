@@ -49,12 +49,11 @@ healthy shards through the same dispatcher (each requeued batch is
 charged one pattern-switch-equivalent at execution), downed shards are
 re-probed at exponentially backed-off intervals, and admission gains
 two overload defenses (``shed_policy``/``max_queue``): deadline-aware
-shedding and graceful degradation to sparser pattern rungs.  Shedding
-and degradation both happen *before* a request touches the admission
-queue, so the surviving requests group into exactly the micro-batches a
-fault-free serve of the same survivors would form — which is what makes
-every completed output bit-identical to that fault-free serve (the
-faults bench's core invariant, alongside conservation:
+shedding and graceful degradation to sparser pattern rungs, decided by
+:class:`~repro.serve.admission.AdmissionControl` *before* a request
+touches the admission queue — which keeps every completed output
+bit-identical to a fault-free serve of the survivors (the faults
+bench's core invariant, alongside conservation:
 ``completed + shed + cancelled == submitted``).
 
 Three scheduler-side defenses ride the same heap:
@@ -75,11 +74,9 @@ Three scheduler-side defenses ride the same heap:
   in :class:`~repro.serve.faults.CancelRecord`;
 - **per-tenant isolation** (``tenant_weights``) — with a bounded queue,
   each tenant owns a weighted share of the admission slots; a tenant
-  flooding past its share is shed (``tenant_quota``) while every other
-  tenant keeps admitting, so one hot client cannot starve the fleet
-  (every tenant's share is at least one slot).  Quota decisions happen
-  before the admission queue, like shedding, so grouping — and
-  therefore bit-exactness — is untouched.
+  flooding past its share is shed (``tenant_quota``) by the same
+  admission control while every other tenant keeps admitting (every
+  share is at least one slot).
 
 Every knob named above is a field of the engine's
 :class:`~repro.serve.config.ServeConfig`, validated once when that
@@ -102,6 +99,7 @@ from repro.hardware.dvfs import DVFSTable, VFLevel
 from repro.nn.generation import DecodeSession, GenerationConfig
 from repro.nn.inference import UnsupportedModel, compile_decode, compile_inference
 from repro.hardware.latency import SparsityKind
+from repro.serve.admission import AdmissionControl
 from repro.serve.batcher import (
     AdmissionQueue,
     FlushedGroup,
@@ -444,8 +442,12 @@ class StreamingEngine:
                 adapter.workload, len(pset),
                 adapter.hardware_pattern_size).seconds
             for sparsity, pset in self.ladder.items()}
+        # overload defenses plus the backlog counters they read; every
+        # waiting stage below reports its arrivals and departures to it
+        self.admission_control = AdmissionControl(config, adapter, self.dvfs)
         self.admission = AdmissionQueue(config.max_batch, config.window_s,
-                                        key_fn=self._compat_key)
+                                        key_fn=self._compat_key,
+                                        ledger=self.admission_control)
         self.dispatcher = Dispatcher(config.policy,
                                      switch_cost_s=self._switch_cost_s)
         self.shards = [DeviceShard(
@@ -453,7 +455,8 @@ class StreamingEngine:
             fairness_window=config.fairness_window,
             adaptive_window=config.adaptive_window,
             adaptive_threshold=config.adaptive_threshold,
-            adaptive_low_threshold=config.adaptive_low_threshold)
+            adaptive_low_threshold=config.adaptive_low_threshold,
+            ledger=self.admission_control)
             for i in range(config.devices)]
         state = dict(initial_device_state or {})
         for shard in self.shards:
@@ -479,10 +482,7 @@ class StreamingEngine:
         self._wall = 0.0
         self._cache_start = (cache.stats.snapshot()
                              if cache is not None else None)
-        # -- admission control / cancellation ---------------------------
-        self._admission_control_on = (config.shed_policy != "none"
-                                      or config.max_queue is not None
-                                      or config.tenant_weights is not None)
+        # -- cancellation -----------------------------------------------
         self._cancelled: List[CancelRecord] = []
         # requests cancelled before their arrival event was processed,
         # and the ids whose arrivals have been processed (so a cancel
@@ -572,11 +572,6 @@ class StreamingEngine:
     def device_state(self) -> Dict[int, Optional[float]]:
         """Installed sparsity per device (to seed a follow-up session)."""
         return {s.shard_id: s.active_sparsity for s in self.shards}
-
-    def backlog(self) -> int:
-        """Requests waiting in open groups plus batches queued on devices."""
-        return len(self.admission) + sum(
-            len(b) for s in self.shards for q in s.queues.values() for b in q)
 
     def next_event_s(self) -> Optional[float]:
         """Simulated time of the next pending event or completion."""
@@ -772,10 +767,9 @@ class StreamingEngine:
             # drain must never hang: if the heap is exhausted with work
             # still parked, no recovery is coming (the probe chain was
             # abandoned by a permanent outage) — shed, don't lose
-            parked, self._parked = self._parked, []
-            for qb in parked:
+            batches, jobs = self._unpark()
+            for qb in batches:
                 self._shed_batch(qb, self.now_s, "no_device")
-            jobs, self._parked_decode = self._parked_decode, []
             for job in jobs:
                 self._shed_request(job.request, self.now_s, "no_device")
 
@@ -906,14 +900,23 @@ class StreamingEngine:
 
     def _rejoin_shard(self, shard: DeviceShard, now: float) -> None:
         shard.rejoin(now)
-        parked, self._parked = self._parked, []
-        for qb in parked:
+        batches, jobs = self._unpark()
+        for qb in batches:
             qb.ready_s = max(qb.ready_s, now)
             self._dispatch_batch(qb)
-        jobs, self._parked_decode = self._parked_decode, []
         for job in jobs:
             self._dispatch_decode(job)
         self._schedule_shard(shard)
+
+    def _unpark(self) -> Tuple[List[QueuedBatch], List[DecodeJob]]:
+        """Hand back (and stop counting) all work parked by an outage."""
+        batches, self._parked = self._parked, []
+        jobs, self._parked_decode = self._parked_decode, []
+        for qb in batches:
+            self.admission_control.release_batch(qb, 0)
+        for job in jobs:
+            self.admission_control.release({job.request.tenant: 1})
+        return batches, jobs
 
     def _dispatch_batch(self, qb: QueuedBatch) -> Optional[DeviceShard]:
         """Route a batch over the *available* shards (park/shed if none)."""
@@ -921,6 +924,7 @@ class StreamingEngine:
         if not avail:
             if self._recovery_pending():
                 self._parked.append(qb)
+                self.admission_control.hold_batch(qb, 0)
             else:
                 self._shed_batch(qb, self.now_s, "no_device")
             return None
@@ -934,6 +938,7 @@ class StreamingEngine:
         if not avail:
             if self._recovery_pending():
                 self._parked_decode.append(job)
+                self.admission_control.hold({job.request.tenant: 1})
             else:
                 self._shed_request(job.request, self.now_s, "no_device")
             return
@@ -950,8 +955,8 @@ class StreamingEngine:
         self._schedule_shard(shard)
 
     def _shed_request(self, request: InferenceRequest, now: float,
-                      reason: str, est: Optional[float] = None) -> None:
-        self._shed.append(ShedRecord(request, now, reason, est))
+                      reason: str) -> None:
+        self._shed.append(ShedRecord(request, now, reason))
 
     def _shed_batch(self, qb: QueuedBatch, now: float, reason: str) -> None:
         done = set(qb.done_ids)
@@ -988,9 +993,11 @@ class StreamingEngine:
         """
         done = set(qb.done_ids) | {req.req_id}
         qb.done_ids = tuple(sorted(done))
+        self.admission_control.retire(qb, req)
         if len(done) == len(qb.requests):
             if parked:
                 self._parked.remove(qb)
+                self.admission_control.release_batch(qb, 0)
             elif shard is not None:
                 shard.retract(qb.seq)
         self._record_cancel(req, now, "parked" if parked else "queued")
@@ -1031,6 +1038,7 @@ class StreamingEngine:
         for job in self._parked_decode:
             if job.request.req_id == req_id:
                 self._parked_decode.remove(job)
+                self.admission_control.release({job.request.tenant: 1})
                 self._record_cancel(job.request, now, "decode_pending")
                 return
         for shard_id in sorted(self._inflight):
@@ -1048,145 +1056,6 @@ class StreamingEngine:
                         self.shards[shard_id].stats.decode_streams -= 1
                     self._record_cancel(result.request, now, "inflight")
                     return
-
-    # ------------------------------------------------------------------
-    # admission control (deadline-aware shedding / graceful degradation)
-    # ------------------------------------------------------------------
-    def _batch_est_s(self, level: VFLevel, sparsity: Optional[float],
-                     size: int = 1) -> float:
-        """Analytic service time of ``size`` requests at ``sparsity``
-        (``None``, an infeasible deadline, runs the sparsest rung)."""
-        return self.adapter.latency.batch_latency_s(
-            self.adapter.workload, level, size,
-            sparsity if sparsity is not None else self.fallback_sparsity,
-            SparsityKind.PATTERN, self.adapter.hardware_pattern_size)
-
-    def _admission_estimate_s(self, now: float, service_s: float,
-                              key: Hashable) -> float:
-        """Deterministic completion estimate for a request arriving now.
-
-        Pessimistic by design: the batching-window wait, plus the
-        earliest instant an available device runs dry (its clock plus
-        queued backlog), plus the single-request service time at the
-        candidate operating point.  Every input is a pure function of
-        the executed event history, so the estimate — and therefore the
-        shed decision — is tick-granularity independent.
-
-        The window charge is only the residual window of the open group
-        the ``key``-compatible request would actually join (nothing at
-        all when the admission would flush it full); a request that would
-        open a new group waits out a whole ``window_s``.
-        """
-        avail = self._available_shards()
-        if not avail:
-            return float("inf")
-        free = min(max(s.clock_s, now) + s.pending_s for s in avail)
-        wait = now + self.config.window_s
-        group = self.admission.open_group(key)
-        if group is not None:
-            wait = (now if len(group.requests) + 1 >= self.config.max_batch
-                    else group.deadline_s)
-        return max(wait, free) + service_s
-
-    def _tenant_share(self, tenant: str) -> float:
-        """The tenant's weighted share of the bounded queue, >= 1 slot.
-
-        The one-slot floor is the starvation guard: no matter how the
-        weights divide ``max_queue``, every tenant can always hold at
-        least one request in the system, so every live tenant makes
-        progress even under a hot-tenant flood.
-        """
-        weights = self.config.tenant_weights or {}
-        total = sum(weights.values())
-        if tenant in weights:
-            w = weights[tenant]
-        else:
-            # unlisted tenants join as weight-1 participants
-            w = 1.0
-            total += 1.0
-        max_queue = self.config.max_queue
-        if max_queue is None or total <= 0:
-            return float("inf")
-        return max(1.0, max_queue * w / total)
-
-    def _tenant_backlog(self, tenant: str) -> int:
-        """This tenant's live requests waiting anywhere in the system.
-
-        The per-tenant analogue of :meth:`backlog` (open admission
-        groups + queued batches), extended over parked work and pending
-        decode jobs; every term is a pure function of the executed event
-        history, so quota decisions are tick-granularity independent.
-        """
-        count = sum(1 for r in self.admission.waiting()
-                    if r.tenant == tenant)
-        batches = [qb for s in self.shards for qb in s.queued_batches()]
-        batches.extend(self._parked)
-        for qb in batches:
-            done = set(qb.done_ids)
-            count += sum(1 for r in qb.requests
-                         if r.req_id not in done and r.tenant == tenant)
-        jobs = [job for s in self.shards for _, _, job in s.decode.pending]
-        jobs.extend(self._parked_decode)
-        count += sum(1 for job in jobs if job.request.tenant == tenant)
-        return count
-
-    def _admission_control(self, request: InferenceRequest,
-                           now: float) -> bool:
-        """Overload defenses at arrival; ``False`` = the request was shed.
-
-        Runs *before* the request touches the admission queue, so shed
-        requests never influence micro-batch grouping and a degraded
-        request is re-stamped before its compatibility key is computed —
-        the survivors form exactly the batches a fault-free serve of the
-        surviving set would form (the bit-exactness invariant).
-        """
-        cfg = self.config
-        if cfg.max_queue is not None and self.backlog() >= cfg.max_queue:
-            self._shed_request(request, now, "queue_full")
-            return False
-        if (cfg.tenant_weights is not None and cfg.max_queue is not None
-                and (self._tenant_backlog(request.tenant)
-                     >= self._tenant_share(request.tenant))):
-            # weighted fair admission: the tenant flooded past its share
-            # of the bounded queue; everyone else's share stays intact
-            self._shed_request(request, now, "tenant_quota")
-            return False
-        if cfg.shed_policy == "none":
-            return True
-        level = self.dvfs[request.level_name]
-        budget = request.arrival_s + request.slo
-        resolved = self.adapter.feasible_sparsity(level, request.deadline_s)
-        est = self._admission_estimate_s(
-            now, self._batch_est_s(level, resolved),
-            key=(request.level_name, resolved))
-        if resolved is not None and est <= budget:
-            return True
-        if cfg.shed_policy == "degrade":
-            # the paper's accuracy-for-deadline trade as an overload
-            # response: walk the sparser (faster) rungs, least degraded
-            # first, and serve at the first one whose estimate fits the
-            # SLO instead of shedding.  The deadline is re-stamped to the
-            # rung's predicted latency so the adapter resolves exactly
-            # that rung; the original deadline is kept on the request.
-            slo = request.slo
-            for sparsity, _ in self.adapter.candidates:
-                if resolved is not None and sparsity <= resolved:
-                    continue
-                lat = self.adapter.latency.latency_s(
-                    self.adapter.workload, level, sparsity,
-                    SparsityKind.PATTERN, self.adapter.hardware_pattern_size)
-                if lat > slo:
-                    continue  # keep the slo >= deadline invariant
-                rung_est = self._admission_estimate_s(
-                    now, self._batch_est_s(level, sparsity),
-                    key=(request.level_name, sparsity))
-                if rung_est <= budget:
-                    request.degraded_from_s = request.deadline_s
-                    request.slo_s = slo
-                    request.deadline_s = lat
-                    return True
-        self._shed_request(request, now, "deadline", est)
-        return False
 
     def _on_arrival(self, request: InferenceRequest, now: float) -> None:
         req = request.request if isinstance(request, DecodeJob) else request
@@ -1208,9 +1077,12 @@ class StreamingEngine:
         if isinstance(request, DecodeJob):
             self._place_decode(request, now)
             return
-        if (self._admission_control_on
-                and not self._admission_control(request, now)):
-            return
+        if self.admission_control.enabled:
+            shed = self.admission_control.admit(request, now, self.admission,
+                                                self.shards)
+            if shed is not None:
+                self._shed.append(shed)
+                return
         full, window = self.admission.add(request, now)
         if window is not None:
             deadline, key, generation = window
@@ -1224,8 +1096,8 @@ class StreamingEngine:
         """Route an arrived decode stream to a device's lane."""
         req = job.request
         job.compat_key = self._compat_key(req)
-        per_token = self._batch_est_s(self.dvfs[req.level_name],
-                                      job.compat_key[1])
+        per_token = self.adapter.batch_latency_s(self.dvfs[req.level_name],
+                                                 job.compat_key[1])
         job.est_service_s = per_token * job.config.max_new_tokens
         self._dispatch_decode(job)
 
@@ -1237,7 +1109,7 @@ class StreamingEngine:
         level = self.dvfs[requests[0].level_name]
         sparsity = self.adapter.feasible_sparsity(
             level, min(r.deadline_s for r in requests))
-        est = self._batch_est_s(level, sparsity, len(requests))
+        est = self.adapter.batch_latency_s(level, sparsity, len(requests))
         qb = QueuedBatch(seq, list(requests), level.name, group.ready_s, est,
                          sparsity=sparsity)
         shard = self._dispatch_batch(qb)
@@ -1295,9 +1167,7 @@ class StreamingEngine:
                     + qb.est_service_s)
 
         moved: set = set()
-        guard = len(qb.requests) + sum(len(b)
-                                       for q in shard.queues.values()
-                                       for b in q) + 2
+        guard = len(qb.requests) + shard.members + 2
         while eta() > budget and guard > 0:
             guard -= 1
             victims = [v for v in shard.queued_batches()
@@ -1528,7 +1398,8 @@ class StreamingEngine:
             # correctness the mask-switch decode tests pin
             self._install(effective)
             emitted = session.step()
-            per_token = self._batch_est_s(level, effective, len(active))
+            per_token = self.adapter.batch_latency_s(level, effective,
+                                                     len(active))
             if shard.slowdown != 1.0:
                 per_token *= shard.slowdown
             service = switch_s + per_token

@@ -16,6 +16,8 @@ from repro.data.wikitext import SyntheticWikiText, WikiTextConfig
 from repro.nn.distilbert import DistilBertConfig, DistilBertForSequenceTask
 from repro.nn.transformer import TransformerConfig, TransformerLM
 from repro.serve.batcher import AdmissionQueue
+from repro.serve.decode import DecodeJob
+from repro.serve.streaming import StreamingEngine
 
 
 TINY_TRANSFORMER = TransformerConfig(
@@ -45,6 +47,68 @@ def admission_batches(requests, max_batch=8, window_s=0.05, key_fn=None):
             groups.append(full)
     groups.extend(queue.flush_remaining())
     return [g.requests for g in groups]
+
+
+def backlog_oracle(engine):
+    """The queue-full backlog by rescan: every member of the open
+    admission groups and of the batches queued on devices, done members
+    included; parked batches and pending decode jobs left out."""
+    return len(engine.admission) + sum(
+        len(qb) for s in engine.shards for qb in s.queued_batches())
+
+
+def tenant_backlog_oracle(engine, tenant):
+    """The quota backlog by rescan: ``tenant``'s live requests in open
+    groups, queued batches, parked batches and pending decode jobs."""
+    count = sum(1 for r in engine.admission.waiting() if r.tenant == tenant)
+    batches = [qb for s in engine.shards for qb in s.queued_batches()]
+    batches.extend(engine._parked)
+    for qb in batches:
+        done = set(qb.done_ids)
+        count += sum(1 for r in qb.requests
+                     if r.req_id not in done and r.tenant == tenant)
+    jobs = [job for s in engine.shards for _, _, job in s.decode.pending]
+    jobs.extend(engine._parked_decode)
+    count += sum(1 for job in jobs if job.request.tenant == tenant)
+    return count
+
+
+class BacklogChecks:
+    """What :func:`backlog_oracle_check` saw across its checks."""
+
+    def __init__(self):
+        self.checks = 0
+        self.tenants = set()  # every tenant that ever arrived
+        self.pending_decode = 0  # checks with a decode job pending on a lane
+        self.parked_decode = 0  # checks with a decode job parked
+        self.parked = 0  # checks with a batch parked
+
+
+@pytest.fixture()
+def backlog_oracle_check(monkeypatch):
+    """Assert the admission-control counters equal the rescan oracles
+    before every arrival the engine processes (each admission decision
+    runs inside one), for every tenant anywhere in the system."""
+    seen = BacklogChecks()
+    on_arrival = StreamingEngine._on_arrival
+
+    def checked(engine, request, now):
+        control = engine.admission_control
+        assert control.backlog() == backlog_oracle(engine)
+        req = request.request if isinstance(request, DecodeJob) else request
+        seen.tenants.add(req.tenant)
+        for tenant in seen.tenants | set(control.live):
+            assert (control.tenant_backlog(tenant)
+                    == tenant_backlog_oracle(engine, tenant)), tenant
+        seen.checks += 1
+        seen.pending_decode += any(s.decode.pending for s in engine.shards)
+        seen.parked_decode += bool(engine._parked_decode)
+        seen.parked += bool(engine._parked)
+        return on_arrival(engine, request, now)
+
+    monkeypatch.setattr(StreamingEngine, "_on_arrival", checked)
+    yield seen
+    assert seen.checks > 0
 
 
 @pytest.fixture()

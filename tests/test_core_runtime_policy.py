@@ -36,6 +36,46 @@ class TestFeasibility:
         assert adapter.feasible_sparsity(L4, 1e-6) is None
 
 
+def walk_ladder(adapter, level, deadline_s):
+    """The per-rung walk the rung table replaced: recompute each rung's
+    latency until one meets the deadline."""
+    for sparsity, _ in adapter.candidates:
+        lat = adapter.latency.latency_s(
+            adapter.workload, level, sparsity, SparsityKind.PATTERN,
+            adapter.hardware_pattern_size)
+        if lat <= deadline_s:
+            return sparsity
+    return None
+
+
+class TestRungTable:
+    @pytest.mark.parametrize("level", list(DVFSTable()), ids=lambda lv: lv.name)
+    def test_matches_per_rung_walk_at_every_boundary(self, adapter, level):
+        for sparsity, lat in adapter.rungs(level).items():
+            assert lat == adapter.latency.latency_s(
+                adapter.workload, level, sparsity, SparsityKind.PATTERN,
+                adapter.hardware_pattern_size)
+            for deadline in (np.nextafter(lat, 0.0), lat,
+                             np.nextafter(lat, np.inf)):
+                assert (adapter.feasible_sparsity(level, float(deadline))
+                        == walk_ladder(adapter, level, float(deadline)))
+
+    def test_table_is_ladder_ordered_and_built_once(self, adapter):
+        table = adapter.rungs(L4)
+        assert list(table) == [s for s, _ in adapter.candidates]
+        assert adapter.rungs(L4) is table
+
+    def test_batch_latency_memo_matches_model(self, adapter):
+        sparsest = adapter.candidates[-1][0]
+        for sparsity, size in ((0.5, 1), (0.5, 8), (None, 3)):
+            want = adapter.latency.batch_latency_s(
+                adapter.workload, L4, size,
+                sparsest if sparsity is None else sparsity,
+                SparsityKind.PATTERN, adapter.hardware_pattern_size)
+            assert adapter.batch_latency_s(L4, sparsity, size) == want
+            assert adapter.batch_latency_s(L4, sparsity, size) == want
+
+
 class TestAdaptation:
     def test_first_adapt_switches(self, adapter):
         event = adapter.adapt(L6, 1.0)

@@ -398,6 +398,7 @@ def _chaos_case(scenario, seed, policy):
     assert_exact(report, seed=seed)
 
 
+@pytest.mark.usefixtures("backlog_oracle_check")
 class TestChaosMatrix:
     @pytest.mark.parametrize("scenario", ["bursty", "steady"])
     @pytest.mark.parametrize("seed", [0, 1, 2])

@@ -28,6 +28,7 @@ import pytest
 from repro.cli import main as cli_main
 from repro.serve import (
     AdmissionQueue,
+    DecodeOptions,
     FaultPlan,
     InferenceRequest,
     ScenarioConfig,
@@ -338,6 +339,7 @@ class TestAssignTenants:
 # chaos matrix: preemption x cancellation x faults
 # ---------------------------------------------------------------------------
 
+@pytest.mark.usefixtures("backlog_oracle_check")
 class TestChaosMatrix:
     def test_crash_lands_on_preempting_schedule(self):
         # shard 0 dies right after the tight request forces preemption;
@@ -393,6 +395,48 @@ class TestChaosMatrix:
                        tenant_weights={"t0": 2.0, "t1": 1.0})
         assert report.conserved
         assert_exact(report, seed=seed, devices=2)
+
+    @pytest.mark.parametrize("policy", ["queued", "running"])
+    def test_decode_streams_through_total_outage(self, policy,
+                                                 backlog_oracle_check):
+        # every other arrival is a decode stream; both shards go down at
+        # 3 ms for 10 ms, so pending decode jobs are evacuated and parked,
+        # later streams park on arrival, flushed batches park, and the
+        # quota decisions in between count all of it; arrivals run on
+        # past the recovery, which hands the parked work back
+        faults = FaultPlan([ShardFault("crash", 0, 3e-3, 0.01),
+                            ShardFault("crash", 1, 3e-3, 0.01)])
+        _, _, engine = make_stack(
+            devices=2, faults=faults, max_queue=8, preempt_policy=policy,
+            tenant_weights={"hot": 2.0, "cold": 1.0},
+            decode=DecodeOptions(max_new_tokens=6, seed=11))
+        core = engine.streaming()
+        # parked batch members (1, 7, 9) and a parked decode stream (20)
+        cancels = [(1, 3e-3), (9, 4e-3), (7, 5e-3), (20, 6e-3)]
+        for rid, at in cancels:
+            core.cancel(rid, at_s=at)
+        prev = None
+        for i in range(80):
+            req = request(i, i * 2.5e-4, 10.0,
+                          tenant="hot" if i % 3 else "cold")
+            if prev is not None and req.arrival_s > prev:
+                core.tick(prev)
+            if i % 2 == 0:
+                core.submit_decode(replace(req, tokens=req.tokens[:4]))
+            else:
+                core.submit(req)
+            prev = req.arrival_s
+        core.drain()
+        report = core.report()
+        assert report.conserved
+        assert report.failures == 2
+        assert {(c.request.req_id, c.where) for c in report.cancelled} == {
+            (1, "parked"), (7, "parked"), (9, "parked"),
+            (20, "decode_pending")}
+        assert any(rec.reason == "tenant_quota" for rec in report.shed)
+        assert report.starved_tenants == []
+        seen = backlog_oracle_check
+        assert seen.pending_decode and seen.parked_decode and seen.parked
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,14 @@ def make_batch(seq, level="l6", est=1.0, n=2, ready=0.0, seed=0):
     return QueuedBatch(seq, reqs, level, ready, est)
 
 
+def drain(shard):
+    """Pop every queued batch in drain-policy order."""
+    batches = []
+    while (batch := shard.pop_next()) is not None:
+        batches.append(batch)
+    return batches
+
+
 def build_engine(model, **kwargs):
     wl = profile_from_model(model, seq_len=12)
     ladder = {s: random_pattern_set(8, s, 2, np.random.default_rng(0))
@@ -55,23 +63,24 @@ class TestDeviceShardQueues:
             assert all(b.level_name == level for b in queue)
             seqs = [b.seq for b in queue]
             assert seqs == sorted(seqs)  # FIFO inside each level queue
-        assert shard.backlog() == 5
+        assert len(shard.queued_batches()) == 5
+        assert shard.members == 10
 
     def test_drain_preserves_global_flush_order(self):
         shard = DeviceShard(0)
         order = ["l6", "l3", "l6", "l4", "l3", "l4"]
         for seq, level in enumerate(order):
             shard.enqueue(make_batch(seq, level))
-        drained = [b.seq for b in shard.drain()]
+        drained = [b.seq for b in drain(shard)]
         assert drained == list(range(len(order)))
-        assert shard.backlog() == 0
+        assert not shard.queued_batches() and shard.members == 0
         assert shard.pending_s == pytest.approx(0.0)
 
     def test_record_accumulates_stats(self):
         shard = DeviceShard(3)
         batch = make_batch(0, n=4)
         shard.enqueue(batch)
-        next(shard.drain())
+        assert shard.pop_next() is batch
         shard.record(batch, service_s=0.5, completion_s=0.7, switched=True)
         assert shard.clock_s == 0.7
         assert shard.stats.requests == 4
@@ -357,7 +366,7 @@ class TestLevelAffinityDrain:
         # alternating enqueue order, but the drain sticks with a level:
         # runs of `window` instead of a switch per batch
         shard = self.interleaved_shard(window=4)
-        drained = list(shard.drain())
+        drained = drain(shard)
         runs = []
         for batch in drained:
             if runs and runs[-1][0] == batch.level_name:
@@ -375,7 +384,7 @@ class TestLevelAffinityDrain:
 
     def test_fifo_still_default_and_global_order(self):
         shard = self.interleaved_shard(drain_policy="fifo")
-        assert [b.seq for b in shard.drain()] == list(range(12))
+        assert [b.seq for b in drain(shard)] == list(range(12))
 
     def test_fairness_window_bounds_runs(self):
         # window=2 on a 3-level interleave: no level may be served more
@@ -385,7 +394,7 @@ class TestLevelAffinityDrain:
         for seq in range(18):
             shard.enqueue(make_batch(seq, levels[seq % 3]))
         run_len, last, longest = 0, None, 0
-        for batch in shard.drain():
+        for batch in drain(shard):
             run_len = run_len + 1 if batch.level_name == last else 1
             last = batch.level_name
             longest = max(longest, run_len)
@@ -398,7 +407,7 @@ class TestLevelAffinityDrain:
         for seq in range(15):
             shard.enqueue(make_batch(seq, "l6"))
         shard.enqueue(make_batch(15, "l4"))
-        order = [b.level_name for b in shard.drain()]
+        order = [b.level_name for b in drain(shard)]
         assert "l4" in order[:4]  # served after at most `window` l6 batches
         assert len(order) == 16
 
@@ -407,9 +416,9 @@ class TestLevelAffinityDrain:
         shard.enqueue(make_batch(0, "l6"))
         for seq in range(1, 5):
             shard.enqueue(make_batch(seq, "l4"))
-        drained = [b.seq for b in shard.drain()]
+        drained = [b.seq for b in drain(shard)]
         assert sorted(drained) == list(range(5))
-        assert shard.backlog() == 0
+        assert not shard.queued_batches()
 
 
 class TestSwitchAwareDispatch:

@@ -203,7 +203,7 @@ class TestStreamingLoop:
         times = [r.completion_s for r in early] + [r.completion_s for r in late]
         assert times == sorted(times)
         assert core.next_event_s() is None
-        assert core.backlog() == 0
+        assert core.admission_control.backlog() == 0
 
     def test_window_close_flushes_without_further_arrivals(self):
         core, _ = self.make_core(max_batch=8, window_s=0.02)
