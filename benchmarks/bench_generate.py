@@ -1,15 +1,16 @@
-"""Decode-plane bench: eager token-by-token generation vs the KV-cached plan.
+"""Decode bench: eager token-by-token generation vs the compiled plan.
 
 The interactive-translation story serves tokens, not batches: one
 autoregressive step per produced token, under a per-token deadline.  This
 bench measures what :func:`repro.nn.inference.compile_decode` (driven
-through :class:`repro.nn.generation.DecodeSession`) buys on that path
+through :class:`repro.nn.generation.DecodeSession`, whose step is the
+last output row of the compiled full-sequence plan) buys on that path
 across model shapes × mask formats:
 
 - **per-token wall clock** — best-of-N full decodes through the eager
   Tensor loop (exactly the historical ``generate()``) vs the compiled
-  KV-cached decode plane;
-- **exactness** — the float64 decode plane must reproduce the eager
+  decode session;
+- **exactness** — the float64 compiled decode must reproduce the eager
   tokens **and logprobs** bit for bit (``==``, not allclose), solo and
   under a ragged continuous-batching schedule where streams join and
   leave the rolling batch at token boundaries;
@@ -92,15 +93,12 @@ def eager_decode(model, prompt: np.ndarray, cfg: GenerationConfig):
     return tokens, logprobs
 
 
-def compiled_decode_run(model, decoder, prompts, cfgs):
+def compiled_decode_run(model, plan, prompts, cfgs):
     """Decode ``prompts`` together through one shared compiled session."""
-    session = DecodeSession(model, decoder=decoder)
-    try:
-        sids = [session.submit_prompt(p, c) for p, c in zip(prompts, cfgs)]
-        session.run()
-        return [session.result(sid) for sid in sids]
-    finally:
-        session.close()
+    session = DecodeSession(model, plan=plan)
+    sids = [session.submit_prompt(p, c) for p, c in zip(prompts, cfgs)]
+    session.run()
+    return [session.result(sid) for sid in sids]
 
 
 def best_of(run, repeats: int) -> float:
@@ -113,7 +111,7 @@ def best_of(run, repeats: int) -> float:
     return 1e3 * best
 
 
-def ragged_schedule_exact(model, decoder, seed: int) -> bool:
+def ragged_schedule_exact(model, plan, seed: int) -> bool:
     """Streams joining one per boundary with mixed budgets/sampling must
     each equal their solo eager run bit for bit."""
     rng = np.random.default_rng(seed)
@@ -122,26 +120,23 @@ def ragged_schedule_exact(model, decoder, seed: int) -> bool:
     cfgs = [GenerationConfig(max_new_tokens=3 + i % 4,
                              top_k=None if i % 2 else 5, seed=i)
             for i in range(6)]
-    session = DecodeSession(model, decoder=decoder)
-    try:
-        sids = [session.submit_prompt(prompts[0], cfgs[0])]
-        pending = list(zip(prompts[1:], cfgs[1:]))
-        while pending or not session.finished():
-            if not session.finished():
-                session.step()
-            if pending:
-                p, c = pending.pop(0)
-                sids.append(session.submit_prompt(p, c))
-        for sid, prompt, cfg in zip(sids, prompts, cfgs):
-            ref_tokens, ref_logprobs = eager_decode(model, prompt, cfg)
-            got = session.result(sid)
-            if not np.array_equal(got.tokens, ref_tokens):
-                return False
-            if got.logprobs != ref_logprobs:
-                return False
-        return True
-    finally:
-        session.close()
+    session = DecodeSession(model, plan=plan)
+    sids = [session.submit_prompt(prompts[0], cfgs[0])]
+    pending = list(zip(prompts[1:], cfgs[1:]))
+    while pending or not session.finished():
+        if not session.finished():
+            session.step()
+        if pending:
+            p, c = pending.pop(0)
+            sids.append(session.submit_prompt(p, c))
+    for sid, prompt, cfg in zip(sids, prompts, cfgs):
+        ref_tokens, ref_logprobs = eager_decode(model, prompt, cfg)
+        got = session.result(sid)
+        if not np.array_equal(got.tokens, ref_tokens):
+            return False
+        if got.logprobs != ref_logprobs:
+            return False
+    return True
 
 
 def run_bench(smoke: bool = False, seed: int = 0, repeats: int = 5) -> dict:
@@ -152,30 +147,29 @@ def run_bench(smoke: bool = False, seed: int = 0, repeats: int = 5) -> dict:
     batching = None
     for name, model in build_models(seed):
         vocab = model.cfg.vocab_size
-        decoder = compile_decode(model)
+        plan = compile_decode(model)
         cfg = GenerationConfig(max_new_tokens=NEW_TOKENS)
         prompt = rng.integers(0, vocab, size=PROMPT_LEN)
 
         ref_tokens, ref_logprobs = eager_decode(model, prompt, cfg)
-        got = compiled_decode_run(model, decoder, [prompt], [cfg])[0]
+        got = compiled_decode_run(model, plan, [prompt], [cfg])[0]
         tokens_match = bool(np.array_equal(got.tokens, ref_tokens))
         lp_err = (max(abs(a - b) for a, b in zip(got.logprobs, ref_logprobs))
                   if got.logprobs else 0.0)
 
         eager_ms = best_of(lambda: eager_decode(model, prompt, cfg), repeats)
         compiled_ms = best_of(
-            lambda: compiled_decode_run(model, decoder, [prompt], [cfg]),
+            lambda: compiled_decode_run(model, plan, [prompt], [cfg]),
             repeats)
         cases[name] = {
             "prompt_len": PROMPT_LEN,
             "new_tokens": NEW_TOKENS,
-            "kv_capable": decoder.kv_capable,
             "eager_tok_ms": eager_ms / NEW_TOKENS,
             "compiled_tok_ms": compiled_ms / NEW_TOKENS,
             "speedup": eager_ms / compiled_ms,
             "exact": tokens_match and lp_err == 0.0,
             "max_abs_err": float(lp_err),
-            "ragged_exact": ragged_schedule_exact(model, decoder, seed + 1),
+            "ragged_exact": ragged_schedule_exact(model, plan, seed + 1),
         }
         if name == ACCEPTANCE_CASE:
             # continuous batching on the acceptance shape: the per
@@ -184,7 +178,7 @@ def run_bench(smoke: bool = False, seed: int = 0, repeats: int = 5) -> dict:
                        for _ in range(BATCH_STREAMS)]
             cfgs = [cfg] * BATCH_STREAMS
             batched_ms = best_of(
-                lambda: compiled_decode_run(model, decoder, prompts, cfgs),
+                lambda: compiled_decode_run(model, plan, prompts, cfgs),
                 repeats)
             solo_eager_ms = best_of(
                 lambda: [eager_decode(model, p, cfg) for p in prompts],
@@ -216,14 +210,14 @@ def run_bench(smoke: bool = False, seed: int = 0, repeats: int = 5) -> dict:
 
 def render(digest: dict) -> str:
     rows = [
-        f"{'case':<16} {'eager tok ms':>13} {'kv tok ms':>10} {'speedup':>8} "
+        f"{'case':<16} {'eager tok ms':>13} {'plan tok ms':>12} {'speedup':>8} "
         f"{'exact':>6} {'ragged':>7}",
-        "-" * 66,
+        "-" * 68,
     ]
     for name, case in digest["cases"].items():
         rows.append(
             f"{name:<16} {case['eager_tok_ms']:>13.3f} "
-            f"{case['compiled_tok_ms']:>10.3f} {case['speedup']:>7.2f}x "
+            f"{case['compiled_tok_ms']:>12.3f} {case['speedup']:>7.2f}x "
             f"{'yes' if case['exact'] else 'NO':>6} "
             f"{'yes' if case['ragged_exact'] else 'NO':>7}")
     bat = digest["batching"]

@@ -384,15 +384,15 @@ def compare_forward(baseline: dict, fresh: dict) -> List[dict]:
 
 
 # ---------------------------------------------------------------------------
-# generate (decode-plane) bench comparison (pure)
+# generate (decode) bench comparison (pure)
 # ---------------------------------------------------------------------------
 
 def compare_generate(baseline: dict, fresh: dict) -> List[dict]:
-    """Diff two decode-plane digests; one finding per checked metric.
+    """Diff two decode bench digests; one finding per checked metric.
 
     Coverage is anchored on the baseline: a case present in the
     committed digest but absent from the fresh run fails.  Exactness is
-    unconditional — the compiled KV-cached decode must reproduce the
+    unconditional — the compiled decode session must reproduce the
     eager loop's tokens *and* logprobs bit for bit, solo and under the
     ragged continuous-batching schedule.
     """
@@ -437,7 +437,7 @@ def compare_generate(baseline: dict, fresh: dict) -> List[dict]:
         "metric": "acceptance.speedup", "baseline": floor, "fresh": speedup,
         "gated": True,
         "ok": speedup is not None and floor is not None and speedup >= floor,
-        "note": f"KV-cached decode must stay >= {floor}x per token over "
+        "note": f"compiled decode must stay >= {floor}x per token over "
                 "the eager loop on the acceptance case (same-machine "
                 "ratio)"})
     findings.append(find_info("batching.speedup",
@@ -1047,7 +1047,7 @@ def run_fresh_forward(baseline: dict) -> dict:
 
 
 def run_fresh_generate(baseline: dict) -> dict:
-    """Re-run the decode-plane bench at the committed configuration."""
+    """Re-run the decode bench at the committed configuration."""
     _import_benchmarks()
     from benchmarks.bench_generate import run_bench
 

@@ -12,9 +12,9 @@ Commands:
   converts part of the trace into continuously-batched decode streams;
   ``--faults``/``--shed-policy`` inject shard failures and pick the
   overload defense: failover, deadline-aware shedding, degradation)
-- ``rt3 generate``  — token-by-token generation through the KV-cached
-  compiled decode plane: staggered streams join and leave a rolling
-  batch (``--check`` re-runs eagerly and demands ``==`` outputs)
+- ``rt3 generate``  — token-by-token generation through the compiled
+  forward plan: staggered streams join and leave a rolling batch
+  (``--check`` re-runs eagerly and demands ``==`` outputs)
 
 All commands run offline on the synthetic substrates; sizes are laptop
 scale by default and adjustable via flags.
@@ -287,8 +287,7 @@ def cmd_serve(args) -> int:
                 max_new_tokens=args.decode_max_new_tokens,
                 top_k=args.decode_top_k,
                 temperature=args.decode_temperature, seed=args.decode_seed,
-                eos_id=args.decode_eos_id,
-                fast_forward=not args.no_fast_forward),
+                eos_id=args.decode_eos_id),
             faults=faults, shed_policy=args.shed_policy,
             max_queue=args.max_queue,
             probe_backoff_s=args.probe_backoff_ms / 1e3,
@@ -345,8 +344,7 @@ def cmd_serve(args) -> int:
         report = engine.serve(trace)
     summary = {"scenario": args.scenario, "batch_size": args.batch_size,
                "cache_enabled": not args.no_cache,
-               "streaming": args.streaming,
-               "fast_forward": not args.no_fast_forward, **report.summary()}
+               "streaming": args.streaming, **report.summary()}
     print(json.dumps(summary, indent=2))
     if args.output:
         # written before the verify gate so a mismatch still leaves the
@@ -368,20 +366,16 @@ def _run_decode_schedule(model, prompts, cfg, *, compiled):
     from repro.nn.generation import DecodeSession
 
     session = DecodeSession(model, cfg, compiled=compiled)
-    try:
-        sids = [session.submit_prompt(prompts[0])]
-        queue = list(prompts[1:])
-        steps = 0
-        while queue or not session.finished():
-            if not session.finished():
-                session.step()
-                steps += 1
-            if queue:
-                sids.append(session.submit_prompt(queue.pop(0)))
-        results = [session.result(sid) for sid in sids]
-    finally:
-        session.close()
-    return results, steps, session.decoder is not None
+    sids = [session.submit_prompt(prompts[0])]
+    queue = list(prompts[1:])
+    steps = 0
+    while queue or not session.finished():
+        if not session.finished():
+            session.step()
+            steps += 1
+        if queue:
+            sids.append(session.submit_prompt(queue.pop(0)))
+    return [session.result(sid) for sid in sids], steps
 
 
 def cmd_generate(args) -> int:
@@ -411,8 +405,7 @@ def cmd_generate(args) -> int:
                    for _ in range(args.num_streams)]
 
     start = time.perf_counter()
-    results, steps, used_plane = _run_decode_schedule(
-        model, prompts, cfg, compiled=not args.eager)
+    results, steps = _run_decode_schedule(model, prompts, cfg, compiled=True)
     wall = time.perf_counter() - start
     new_tokens = sum(len(r.generated) for r in results)
 
@@ -420,7 +413,6 @@ def cmd_generate(args) -> int:
         "streams": len(results),
         "steps": steps,
         "new_tokens": new_tokens,
-        "compiled_decode": used_plane and not args.eager,
         "wall_ms": round(wall * 1e3, 3),
         "tokens_per_s": round(new_tokens / wall, 1) if wall > 0 else None,
         "outputs": [{"prompt_len": len(p),
@@ -428,7 +420,7 @@ def cmd_generate(args) -> int:
                     for p, r in zip(prompts, results)],
     }
     if args.check:
-        ref, _, _ = _run_decode_schedule(model, prompts, cfg, compiled=False)
+        ref, _ = _run_decode_schedule(model, prompts, cfg, compiled=False)
         exact = all(
             np.array_equal(a.tokens, b.tokens)
             and list(a.logprobs) == list(b.logprobs)
@@ -507,12 +499,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "back to fifo once its post-flip switch rate "
                               "over a full window falls to this value "
                               "(default: one-way flip)")
-    p_serve.add_argument("--no-fast-forward", action="store_true",
-                         help="serve through the eager autograd Tensor "
-                              "forward instead of the compiled zero-autograd "
-                              "ndarray plan (outputs are bit-identical; the "
-                              "compiled plan is faster); also disables the "
-                              "KV-cached decode plane")
     p_serve.add_argument("--decode-streams", type=int, default=0,
                          help="serve the first N arrivals as decode streams: "
                               "each prompt is continued token-by-token on "
@@ -598,7 +584,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.set_defaults(fn=cmd_serve)
 
     p_gen = sub.add_parser(
-        "generate", help="KV-cached continuous-batching generation demo")
+        "generate", help="continuous-batching generation demo")
     p_gen.add_argument("--prompt", default=None,
                        help="comma-separated token ids for a single stream "
                             "(default: --num-streams random prompts)")
@@ -613,9 +599,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="per-stream sampling RNG seed")
     p_gen.add_argument("--eos-id", type=int, default=None,
                        help="token id that ends a stream early")
-    p_gen.add_argument("--eager", action="store_true",
-                       help="decode through the eager Tensor forward instead "
-                            "of the compiled KV-cached plane (same bits)")
     p_gen.add_argument("--check", action="store_true",
                        help="re-run the same schedule eagerly and require "
                             "bit-identical tokens and logprobs")

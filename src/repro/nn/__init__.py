@@ -20,7 +20,8 @@ Two forward planes share the same weights:
   parameter/mask signature (O(1)
   :attr:`~repro.nn.layers.Linear.cache_token` / ``Parameter.version``
   checks), so switching back to a pattern set already seen is a lookup;
-  the serving stack uses it for every batch by default.
+  the serving stack runs every batch and every decode step through it
+  (a decode step is the plan's last output row).
 """
 
 from repro.nn.module import Module, Parameter, ModuleList
@@ -44,9 +45,7 @@ from repro.nn.generation import (
     sample_token,
 )
 from repro.nn.inference import (
-    CompiledDecode,
     CompiledForward,
-    DecodeState,
     ScratchPool,
     UnsupportedModel,
     compile_decode,
@@ -82,9 +81,7 @@ __all__ = [
     "ConstantLR",
     "LinearWarmupDecay",
     "StepLR",
-    "CompiledDecode",
     "CompiledForward",
-    "DecodeState",
     "ScratchPool",
     "UnsupportedModel",
     "compile_decode",

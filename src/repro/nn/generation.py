@@ -10,10 +10,11 @@ The public surface is :class:`GenerationConfig` (the sampling knobs as one
 value object) plus :class:`DecodeSession` (``submit_prompt`` / ``step`` /
 ``finished``): a session owns a set of decode streams, advances every
 unfinished stream by one token per ``step`` and batches equal-length
-contexts through the compiled KV-cached decode plane
-(:class:`~repro.nn.inference.CompiledDecode`).  Streams may be submitted
-at any point — they join the rolling batch at the next token boundary —
-and each stream's float64 output is bit-identical (``==``) to running it
+contexts through the compiled full-sequence plan
+(:class:`~repro.nn.inference.CompiledForward`), taking the last row of
+its output as the next-token logits.  Streams may be submitted at any
+point — they join the rolling batch at the next token boundary — and
+each stream's float64 output is bit-identical (``==``) to running it
 alone through the eager Tensor forward.
 """
 
@@ -25,7 +26,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.nn.inference import CompiledDecode, UnsupportedModel, compile_decode
+from repro.nn.inference import CompiledForward, compile_decode
 from repro.nn.transformer import TransformerLM
 from repro.tensor.tensor import Tensor, no_grad
 from repro.utils.config import require
@@ -97,7 +98,7 @@ def sample_token(logits: np.ndarray, cfg: GenerationConfig,
 
 class _Stream:
     __slots__ = ("sid", "tokens", "prompt_len", "cfg", "rng", "logprobs",
-                 "state", "emitted", "done")
+                 "emitted", "done")
 
     def __init__(self, sid: int, prompt: np.ndarray,
                  cfg: GenerationConfig) -> None:
@@ -107,7 +108,6 @@ class _Stream:
         self.cfg = cfg
         self.rng = np.random.default_rng(cfg.seed)
         self.logprobs: List[float] = []
-        self.state = None
         self.emitted = 0
         self.done = False
 
@@ -122,11 +122,13 @@ class DecodeSession:
     tokens and logprobs are bit-identical to a solo run regardless of
     what joins or leaves the batch around it.
 
-    ``compiled=True`` (default) decodes through the shared
-    :class:`~repro.nn.inference.CompiledDecode` plane (pass ``decoder=``
-    to share one across sessions, as the serving engine does);
-    ``compiled=False`` keeps the eager per-stream Tensor forward under
-    ``no_grad`` — same bits, no plan.  The session puts the model in
+    ``compiled=True`` (default) runs each group's ``(G, L)`` contexts
+    through the model's compiled
+    :class:`~repro.nn.inference.CompiledForward` plan and keeps the last
+    row (pass ``plan=`` to share one plan across sessions, as the
+    serving engine does); ``compiled=False`` keeps the eager per-stream
+    Tensor forward under ``no_grad`` — same bits, no plan, the reference
+    the compiled path is checked against.  The session puts the model in
     eval mode and leaves it there; callers that need train mode back
     restore it themselves.
     """
@@ -134,19 +136,13 @@ class DecodeSession:
     def __init__(self, model: TransformerLM,
                  config: Optional[GenerationConfig] = None, *,
                  compiled: bool = True, dtype: str = "float64",
-                 decoder: Optional[CompiledDecode] = None) -> None:
+                 plan: Optional[CompiledForward] = None) -> None:
         self.model = model
         self.config = (config or GenerationConfig()).validate()
         model.eval()
-        if decoder is not None:
-            self.decoder: Optional[CompiledDecode] = decoder
-        elif compiled:
-            try:
-                self.decoder = compile_decode(model, dtype=dtype)
-            except UnsupportedModel:
-                self.decoder = None
-        else:
-            self.decoder = None
+        self.plan: Optional[CompiledForward] = (
+            compile_decode(model, dtype=dtype, plan=plan) if compiled
+            else None)
         self._max_len = model.cfg.max_len
         self._streams: Dict[int, _Stream] = {}
         self._next_sid = 0
@@ -162,10 +158,7 @@ class DecodeSession:
             raise ValueError("prompt cannot be empty")
         sid = self._next_sid
         self._next_sid += 1
-        stream = _Stream(sid, prompt, cfg)
-        if self.decoder is not None:
-            stream.state = self.decoder.new_state()
-        self._streams[sid] = stream
+        self._streams[sid] = _Stream(sid, prompt, cfg)
         return sid
 
     @property
@@ -184,25 +177,21 @@ class DecodeSession:
         if not active:
             return {}
         emitted: Dict[int, int] = {}
-        if self.decoder is None:
+        if self.plan is None:
             for s in active:
                 context = s.tokens[-self._max_len:]
                 with no_grad():
                     logits = self.model(Tensor(context[None, :])).data[0, -1]
                 self._emit(s, logits, emitted)
             return emitted
-        groups: Dict[Tuple[int, bool], List[_Stream]] = {}
+        groups: Dict[int, List[_Stream]] = {}
         for s in active:
-            # once the context window slides, cached K/V rows describe
-            # shifted positions — signal the decode plane to run full
-            length = min(len(s.tokens), self._max_len)
-            sliding = len(s.tokens) > self._max_len
-            groups.setdefault((length, sliding), []).append(s)
-        for key in sorted(groups):
-            members = groups[key]
+            groups.setdefault(min(len(s.tokens), self._max_len),
+                              []).append(s)
+        for length in sorted(groups):
+            members = groups[length]
             contexts = np.stack([s.tokens[-self._max_len:] for s in members])
-            states = [s.state for s in members]
-            logits = self.decoder.decode_step(contexts, states, full=key[1])
+            logits = np.ascontiguousarray(self.plan(contexts)[:, -1])
             for i, s in enumerate(members):
                 self._emit(s, logits[i], emitted)
         return emitted
@@ -217,9 +206,6 @@ class DecodeSession:
         if (s.emitted >= s.cfg.max_new_tokens
                 or (s.cfg.eos_id is not None and nxt == s.cfg.eos_id)):
             s.done = True
-            if s.state is not None:
-                s.state.release()
-                s.state = None
 
     def run(self) -> None:
         """Step until every stream has finished."""
@@ -231,24 +217,14 @@ class DecodeSession:
         return GenerationResult(s.tokens, s.tokens[s.prompt_len:],
                                 s.logprobs)
 
-    def close(self) -> None:
-        """Release every stream's K/V rows back to the scratch pool."""
-        for s in self._streams.values():
-            if s.state is not None:
-                s.state.release()
-                s.state = None
-
 
 def _decode_one(model: TransformerLM, prompt: np.ndarray,
                 cfg: GenerationConfig) -> GenerationResult:
     """Continue one prompt to completion through a private session."""
     session = DecodeSession(model, cfg)
-    try:
-        sid = session.submit_prompt(prompt)
-        session.run()
-        return session.result(sid)
-    finally:
-        session.close()
+    sid = session.submit_prompt(prompt)
+    session.run()
+    return session.result(sid)
 
 
 def generate_with_deadline(model: TransformerLM, prompt: np.ndarray,

@@ -49,8 +49,11 @@ by itself.
 Supported architectures: :class:`~repro.nn.transformer.TransformerLM`,
 :class:`~repro.nn.distilbert.DistilBertModel` and
 :class:`~repro.nn.distilbert.DistilBertForSequenceTask` — the two model
-families of the paper.  Anything else raises :class:`UnsupportedModel`
-(the serving engine then falls back to the eager Tensor path).
+families of the paper.  Anything else raises :class:`UnsupportedModel`,
+and so does the serving engine on its first batch: the eager Tensor
+forward is the reference the plan is checked against, not a fallback.
+Autoregressive decoding needs no second plane: a decode step is the last
+row of this plan over the stream's context (:func:`compile_decode`).
 """
 
 from __future__ import annotations
@@ -72,8 +75,8 @@ from repro.nn.transformer import (
 )
 from repro.tensor.functional import _GELU_C
 
-__all__ = ["CompiledDecode", "CompiledForward", "DecodeState", "ScratchPool",
-           "UnsupportedModel", "compile_decode", "compile_inference"]
+__all__ = ["CompiledForward", "ScratchPool", "UnsupportedModel",
+           "compile_decode", "compile_inference"]
 
 DTYPES = ("float64", "float32")
 
@@ -85,7 +88,7 @@ _MASK_CACHE_CAP = 64
 # set of effective weights); programs of superseded weights are dropped
 _PROGRAM_CACHE_CAP = 8
 
-# input shapes bound per plane: each owns one scratch arena shared by
+# input shapes bound per plan: each owns one scratch arena shared by
 # every program's binding of that shape; beyond the cap the least
 # recently bound shape is dropped from every program and its buffers go
 # back to the pool
@@ -104,15 +107,15 @@ class ScratchPool:
     whole buffer (``np.matmul(..., out=)``, ``np.copyto``, ``np.subtract``
     with ``out=``).  Bound executions draw their buffers through a
     per-shape arena (:class:`_Arena`) that keeps them out of the free
-    lists for as long as a binding can run over them; a :class:`DecodeState`
-    takes its K/V rows here directly.  ``misses`` counts real
-    ``np.empty`` allocations, the number the forward bench reports: once
-    a shape is bound it stays flat.  ``hits`` counts buffers handed out
-    again instead — from a free list or, while binding, from the arena.
+    lists for as long as a binding can run over them.  ``misses`` counts
+    real ``np.empty`` allocations, the number the forward bench reports:
+    once a shape is bound it stays flat.  ``hits`` counts buffers handed
+    out again instead — from a free list or, while binding, from the
+    arena.
 
-    Free lists are keyed on ``(shape, dtype)``: a float32 opt-in plan and
-    the float64 KV caches of a decode plane can share one pool without a
-    same-shape buffer of the wrong precision ever being handed back out.
+    Free lists are keyed on ``(shape, dtype)``: a plan's float, integer
+    token and boolean mask buffers share one pool without a same-shape
+    buffer of the wrong type ever being handed back out.
     """
 
     def __init__(self, dtype: np.dtype, per_shape_cap: int = 4) -> None:
@@ -199,29 +202,24 @@ class _Bound:
 
     ``inputs`` are the buffers a call copies its arguments into,
     ``steps`` the prebuilt calls, ``head`` the ``(f, args, bias, shape)``
-    call producing the fresh result.  The decode plane's KV binding runs
-    in two segments: ``outputs`` are the bound buffers the caller reads
-    and fills between ``steps`` and ``after``.
+    call producing the fresh result.
     """
 
-    __slots__ = ("inputs", "steps", "head", "outputs", "after")
+    __slots__ = ("inputs", "steps", "head")
 
-    def __init__(self, inputs: tuple, steps: list, head: Optional[tuple],
-                 outputs: tuple = (), after: tuple = ()) -> None:
+    def __init__(self, inputs: tuple, steps: list, head: tuple) -> None:
         self.inputs = inputs
         self.steps = steps
         self.head = head
-        self.outputs = outputs
-        self.after = after
 
 
 class _Program:
     """One compiled weight signature and the shapes bound to it."""
 
-    __slots__ = ("parts", "names", "bound")
+    __slots__ = ("bind", "names", "bound")
 
-    def __init__(self, parts, names: List[str]) -> None:
-        self.parts = parts
+    def __init__(self, bind: Callable, names: List[str]) -> None:
+        self.bind = bind
         self.names = names
         self.bound: Dict[tuple, _Bound] = {}
 
@@ -285,62 +283,7 @@ def _bind_attend(b: _Arena, q: np.ndarray, k: np.ndarray, v: np.ndarray,
     return merged
 
 
-class _BoundPlane:
-    """Programs keyed on weight signature, each bound lazily per input
-    shape over per-shape arenas drawn from ``pool``."""
-
-    def __init__(self, pool: ScratchPool) -> None:
-        self.pool = pool
-        self.binds = 0
-        self._programs: Dict[tuple, _Program] = {}
-        self._arenas: Dict[tuple, _Arena] = {}
-
-    @staticmethod
-    def _weight_versions(sig: tuple) -> tuple:
-        """The weight/bias/loose-parameter versions inside a signature.
-
-        Parameter versions only ever grow, so a cached entry whose
-        versions differ from the live ones can never be looked up again.
-        """
-        return tuple(entry[1:3] for entry in sig[0]), sig[1]
-
-    def _lookup(self, sig: tuple, build: Callable[[], _Program]) -> _Program:
-        """The program for ``sig``, built (and the cache bounded) on a
-        miss; a dropped program takes its bound shapes with it."""
-        cache = self._programs
-        entry = cache.get(sig)
-        if entry is None:
-            live = self._weight_versions(sig)
-            for old in [k for k in cache if self._weight_versions(k) != live]:
-                del cache[old]
-            if len(cache) >= _PROGRAM_CACHE_CAP:
-                del cache[next(iter(cache))]
-            entry = cache[sig] = build()
-        return entry
-
-    def _bind(self, program: _Program, key: tuple,
-              build: Callable[[_Arena], _Bound],
-              keep: Optional[tuple] = None) -> _Bound:
-        """Bind ``program`` to input shape ``key`` over that shape's arena
-        (``keep`` names a shape whose arena must survive the eviction)."""
-        arenas = self._arenas
-        arena = arenas.pop(key, None)
-        if arena is None:
-            if len(arenas) >= _BIND_CACHE_CAP:
-                old = next(k for k in arenas if k != keep)
-                for prog in self._programs.values():
-                    prog.bound.pop(old, None)
-                arenas.pop(old).release()
-            arena = _Arena(self.pool)
-        arenas[key] = arena
-        arena.reset()
-        bound = build(arena)
-        program.bound[key] = bound
-        self.binds += 1
-        return bound
-
-
-class CompiledForward(_BoundPlane):
+class CompiledForward:
     """A model's forward compiled to flat programs of pure-ndarray steps.
 
     Calling the plan runs the snapshot program: ``plan(tokens,
@@ -386,8 +329,11 @@ class CompiledForward(_BoundPlane):
         if sparse is not None and self.dtype != np.float64:
             raise ValueError("sparse kernel dispatch requires dtype='float64'")
         self.sparse = sparse
-        super().__init__(ScratchPool(self.dtype))
+        self.pool = ScratchPool(self.dtype)
+        self.binds = 0
         self.compiles = 0
+        self._programs: Dict[tuple, _Program] = {}
+        self._arenas: Dict[tuple, _Arena] = {}
         self.program: List[str] = []
         self._mask_cache: Dict = {}
         # signature sources, collected once: Linears carry cache_token
@@ -411,6 +357,52 @@ class CompiledForward(_BoundPlane):
     def recompiles(self) -> int:
         """Compilations beyond the first (0 = weights never changed)."""
         return self.compiles - 1
+
+    @staticmethod
+    def _weight_versions(sig: tuple) -> tuple:
+        """The weight/bias/loose-parameter versions inside a signature.
+
+        Parameter versions only ever grow, so a cached entry whose
+        versions differ from the live ones can never be looked up again.
+        """
+        return tuple(entry[1:3] for entry in sig[0]), sig[1]
+
+    def _lookup(self, sig: tuple) -> _Program:
+        """The program for ``sig``, compiled (and the cache bounded) on a
+        miss; a dropped program takes its bound shapes with it."""
+        cache = self._programs
+        entry = cache.get(sig)
+        if entry is None:
+            live = self._weight_versions(sig)
+            for old in [k for k in cache if self._weight_versions(k) != live]:
+                del cache[old]
+            if len(cache) >= _PROGRAM_CACHE_CAP:
+                del cache[next(iter(cache))]
+            entry = cache[sig] = self._compile()
+        return entry
+
+    def _bind(self, key: tuple) -> _Bound:
+        """Bind the current program to ``(tokens shape, mask shape)`` over
+        that shape's arena."""
+        arenas = self._arenas
+        arena = arenas.pop(key, None)
+        if arena is None:
+            if len(arenas) >= _BIND_CACHE_CAP:
+                old = next(iter(arenas))
+                for prog in self._programs.values():
+                    prog.bound.pop(old, None)
+                arenas.pop(old).release()
+            arena = _Arena(self.pool)
+        arenas[key] = arena
+        arena.reset()
+        tokens_shape, mask_shape = key
+        tok = arena.take(tokens_shape, np.intp)
+        mask = None if mask_shape is None else arena.take(mask_shape, np.bool_)
+        self._program.bind(arena, tok, mask)
+        bound = self._program.bound[key] = _Bound((tok, mask), arena.steps,
+                                                  arena.head)
+        self.binds += 1
+        return bound
 
     def signature(self) -> tuple:
         """O(1)-per-layer identity of everything the snapshots depend on.
@@ -782,7 +774,7 @@ class CompiledForward(_BoundPlane):
 
         def bind(b: _Arena, tokens: np.ndarray,
                  attn_mask: Optional[np.ndarray]) -> None:
-            hidden = bert.parts(b, tokens, attn_mask, final=False)
+            hidden = bert.bind(b, tokens, attn_mask, final=False)
             pooled = pre(b, hidden[:, 0])
             b.give(hidden)
             positive = b.take(pooled.shape, np.bool_)
@@ -801,7 +793,7 @@ class CompiledForward(_BoundPlane):
         # flipped back to train mode must fail loudly rather than let
         # the plan silently keep eval (dropout-free) semantics
         self._check_eval()
-        self._program = self._lookup(sig, self._compile)
+        self._program = self._lookup(sig)
         self.program = self._program.names
         self._signature = sig
 
@@ -832,8 +824,7 @@ class CompiledForward(_BoundPlane):
         key = (tokens.shape, None if attn_mask is None else attn_mask.shape)
         bound = self._program.bound.get(key)
         if bound is None:
-            bound = self._bind(self._program, key,
-                               lambda b: self._bind_root(b, key))
+            bound = self._bind(key)
         tok, mask = bound.inputs
         np.copyto(tok, tokens)
         if mask is not None:
@@ -841,398 +832,21 @@ class CompiledForward(_BoundPlane):
         _run(bound.steps)
         return _run_head(bound.head)
 
-    def _bind_root(self, b: _Arena, key: tuple) -> _Bound:
-        """Bind the current program to ``(tokens shape, mask shape)``."""
-        tokens_shape, mask_shape = key
-        tok = b.take(tokens_shape, np.intp)
-        mask = None if mask_shape is None else b.take(mask_shape, np.bool_)
-        self._program.parts(b, tok, mask)
-        return _Bound((tok, mask), b.steps, b.head)
-
-
-class DecodeState:
-    """Per-stream decoder self-attention K/V rows, allocated from the plan's
-    :class:`ScratchPool` (dtype-keyed, so a float32 plan and these float64
-    rows coexist).  ``rows`` counts how many leading positions hold valid
-    projections; ``epoch`` ties the rows to one compile epoch of the
-    owning :class:`CompiledDecode` — a weight or mask change bumps the
-    epoch and the next ``decode_step`` rebuilds the rows from scratch."""
-
-    __slots__ = ("k", "v", "rows", "epoch", "_pool")
-
-    def __init__(self, decode: "CompiledDecode") -> None:
-        cfg = decode.model.cfg
-        self._pool = decode.plan.pool
-        self.k = self._pool.take((cfg.max_len, cfg.dim))
-        self.v = self._pool.take((cfg.max_len, cfg.dim))
-        self.rows = 0
-        self.epoch = decode.epoch
-
-    def invalidate(self) -> None:
-        self.rows = 0
-
-    def release(self) -> None:
-        """Hand the K/V buffers back to the pool (state becomes unusable)."""
-        if self.k is not None:
-            self._pool.give(self.k)
-            self._pool.give(self.v)
-            self.k = self.v = None
-
-
-
-
-class CompiledDecode(_BoundPlane):
-    """Stateful single-token decode plane over a :class:`CompiledForward`.
-
-    The architecture's forward re-encodes the *whole* context through the
-    bidirectional encoder every step — appending a token changes every
-    encoder output, so nothing on that side is cacheable.  What *is*
-    position-stable is the decoder's self-attention input (the token
-    embeddings), so for single-decoder-layer models ``decode_step`` keeps
-    per-stream K/V rows (:class:`DecodeState`) and pushes only the last
-    **two** positions through the decoder, discarding the penultimate row.
-    Two, not one: OpenBLAS picks a different kernel for ``M == 1`` GEMMs
-    whose rows do not bitwise match the rows of larger GEMMs, while every
-    ``M >= 2`` row is bitwise independent of its batch-mates — the
-    invariant that makes the float64 decode plane ``==``-identical to the
-    eager per-token forward (asserted by tests and ``bench_generate``).
-
-    The same invariant makes *continuous batching* exact: stacking G
-    equal-length streams into one ``(G, L)`` step yields, per stream, the
-    identical bits a solo run would — streams can join and leave a rolling
-    batch at any token boundary without perturbing each other.
-
-    A step runs as two segments bound to its ``(G, L)`` shape by the same
-    layer binders as the full-sequence plan (see :class:`CompiledForward`):
-    segment A embeds, encodes and projects the decoder's last two
-    positions to q/k/v; segment B attends over the stacked K/V rows, then
-    runs cross-attention, the FFN, the final norm and a fresh ``lm_head``
-    output.  The only Python between them copies each stream's K/V rows;
-    cold or invalidated streams are first rebuilt by a step list bound to
-    ``(streams, L)`` that reruns the K/V projections as M=L GEMMs.
-    ``binds`` counts real bindings of either kind.
-
-    Effective weights are snapshot by the same helpers as the
-    full-sequence plan and keyed on the same ``cache_token``/version
-    counters: a weight change or mask switch moves both planes to the
-    programs of the new signature (compiling each only the first time
-    that signature is seen), bumps ``epoch`` and thereby invalidates
-    every outstanding :class:`DecodeState`.  Falls back to the full plan
-    (still zero autograd) whenever the incremental path cannot be exact:
-    multi-layer decoders, sparse executors, contexts shorter than two
-    tokens, a caller-signalled sliding window (``full=True`` — positions
-    shift, so cached rows are stale by construction), or contexts beyond
-    ``kv_len_cap``.  That cap exists because the M==1 quirk is not the
-    only kernel boundary: for GEMMs whose weight operand is a transposed
-    *view* (the plan's — and the eager path's — idiom), OpenBLAS flips to
-    a different blocking once ``M`` crosses a shape-dependent threshold,
-    after which M=2 rows no longer bitwise match M=L rows.  The
-    thresholds are shape-determined but not portably predictable, so
-    compile probes every decode-path GEMM shape at every length up to
-    ``max_len`` with random operands and caps the incremental path at
-    the longest prefix where all of them are tail-row invariant.
-    """
-
-    def __init__(self, model: Module, dtype: str = "float64",
-                 plan: Optional[CompiledForward] = None) -> None:
-        if not isinstance(model, TransformerLM):
-            raise UnsupportedModel(
-                f"compile_decode supports TransformerLM models, "
-                f"not {type(model).__name__}")
-        self.model = model
-        self.plan = plan if plan is not None else CompiledForward(
-            model, dtype=dtype)
-        super().__init__(self.plan.pool)
-        self.dtype = self.plan.dtype
-        self.epoch = 0
-        self.decode_compiles = 0
-        # single decoder layer: its self-attention K/V rows are the only
-        # position-stable intermediates; deeper decoders would need the
-        # (changing) cross-attention outputs of earlier layers
-        self.kv_capable = (len(model.decoder) == 1
-                           and self.plan.sparse is None)
-        self._program: Optional[_Program] = None
-        # longest context the incremental path may serve bitwise; probed
-        # once per model shape (0 until the first decode compile)
-        self.kv_len_cap = 0
-        self._decode_signature = self.plan.signature()
-        self.plan._check_eval()
-        self._load_decode(self._decode_signature)
-
-    # ------------------------------------------------------------------
-    def new_state(self) -> DecodeState:
-        """A fresh per-stream K/V cache bound to the current epoch."""
-        return DecodeState(self)
-
-    def _ensure_fresh(self) -> None:
-        sig = self.plan.signature()
-        if sig != self._decode_signature:
-            # a parameter or installed mask changed: point both planes at
-            # the programs for the new signature (compiling only on a
-            # miss) and retire every outstanding DecodeState via the
-            # epoch — its K/V rows were projected with other weights
-            self.plan._refresh(sig)
-            self._load_decode(sig)
-            self._decode_signature = sig
-            self.epoch += 1
-
-    def _load_decode(self, sig: tuple) -> None:
-        if self.kv_capable:
-            self._program = self._lookup(sig, self._compile_decode)
-
-    def _compile_decode(self) -> _Program:
-        plan, model = self.plan, self.model
-        dec = model.decoder[0]
-        sa = dec.self_attn
-        parts = {
-            "encode": plan._compile_lm_encode(model),
-            "norm1": plan._compile_norm(dec.norm1),
-            "q": plan._compile_linear(sa.q_proj),
-            "k": plan._compile_linear(sa.k_proj),
-            "v": plan._compile_linear(sa.v_proj),
-            "self_out": plan._compile_linear(sa.out_proj),
-            "norm2": plan._compile_norm(dec.norm2),
-            "cross": plan._compile_attention(dec.cross_attn),
-            "norm3": plan._compile_norm(dec.norm3),
-            "ffn": plan._compile_ffn_relu(dec.ffn),
-            "final_norm": plan._compile_norm(model.final_norm),
-            "lm_head": plan._compile_linear(model.lm_head),
-            "heads": sa.num_heads,
-            "head_dim": sa.head_dim,
-            "scale": 1.0 / math.sqrt(sa.head_dim),
-        }
-        self.decode_compiles += 1
-        if not self.kv_len_cap:
-            # kernel regimes depend only on shapes/layout, never on the
-            # weight or mask values, so one probe per model shape holds
-            # across recompiles
-            self.kv_len_cap = self._probe_kv_len_cap(parts)
-        return _Program(parts, ["decode.kv", "decode.rebuild"])
-
-    def _bind_kv(self, b: _Arena, batch: int, length: int) -> _Bound:
-        """Segments A and B of a ``(batch, length)`` step."""
-        d = self._program.parts
-        tokens = b.take((batch, length), np.intp)
-        emb, memory = d["encode"](b, tokens, None)
-        # ---- A: decoder norm1 + q/k/v over the last two positions -----
-        tail = emb[:, length - 2:]
-        h2 = d["norm1"](b, tail)
-        q2, k2, v2 = d["q"](b, h2), d["k"](b, h2), d["v"](b, h2)
-        b.give(h2)
-        steps_a, b.steps = b.steps, []
-        # ---- B: self-attention over the stacked cached K/V rows -------
-        # (kbuf/vbuf are filled by the row copy between the segments,
-        # which also reads k2/v2 last — B may reuse those)
-        kbuf = b.take((batch, length, emb.shape[2]))
-        vbuf = b.take((batch, length, emb.shape[2]))
-        b.give(k2, v2)
-        tail_mask = np.ascontiguousarray(
-            self.plan._causal(length)[length - 2:])
-        merged = _bind_attend(b, q2, kbuf, vbuf, d["heads"], d["head_dim"],
-                              d["scale"], tail_mask)
-        b.give(q2, kbuf, vbuf)
-        x2 = d["self_out"](b, merged)
-        b.give(merged)
-        b.add(np.add, tail, x2, x2)
-        # ---- cross-attention against the freshly encoded memory -------
-        h = d["norm2"](b, x2)
-        x3 = d["cross"](b, h, memory, None)
-        b.give(h)
-        b.add(np.add, x2, x3, x3)
-        b.give(x2)
-        h = d["norm3"](b, x3)
-        y2 = d["ffn"](b, h)
-        b.give(h)
-        b.add(np.add, x3, y2, y2)
-        b.give(x3)
-        d["lm_head"](b, d["final_norm"](b, y2), final=True)
-        return _Bound((tokens,), steps_a, b.head,
-                      outputs=(emb, k2, v2, kbuf, vbuf), after=b.steps)
-
-    def _bind_rebuild(self, b: _Arena, streams: int, length: int) -> _Bound:
-        """Full K/V rows of ``streams`` cold caches: M=length GEMMs,
-        row-bitwise equal to the incremental fills."""
-        d = self._program.parts
-        rows = b.take((streams, length, self.model.cfg.dim))
-        h = d["norm1"](b, rows)
-        k, v = d["k"](b, h), d["v"](b, h)
-        b.give(h)
-        return _Bound((rows,), b.steps, None, outputs=(k, v))
-
-    def _probe_kv_len_cap(self, d: dict) -> int:
-        """Longest context length at which the M==2 tail path is bitwise
-        equal to the full plan, probed empirically per GEMM shape.
-
-        BLAS picks a different blocking for transposed-*view* weight
-        operands once ``M`` crosses a shape-dependent threshold (e.g. on
-        OpenBLAS ``(K=64, N=128)`` flips at ``M == 10`` while
-        ``(K=32, N=64)`` holds until ``M == 19``); past it the last rows
-        of an ``M == L`` GEMM stop matching the same rows computed at
-        ``M == 2``.  Kernel choice depends only on shape and layout, so
-        random operands in the plan's exact layouts (transposed views
-        for weights, contiguous tails for activations, strided head
-        views for attention) decide each length definitively.
-        """
-        cfg = self.model.cfg
-        heads, hd = d["heads"], d["head_dim"]
-        dim = heads * hd
-        dt = self.dtype
-        rng = np.random.default_rng(0)
-
-        def view_w(k, n):
-            return np.ascontiguousarray(
-                rng.standard_normal((n, k)).astype(dt)).T
-
-        # every (in, out) shape the tail path pushes through a
-        # transposed-view weight; contiguous-weight GEMMs are row
-        # invariant and need no probe
-        shapes = sorted({(dim, dim), (dim, cfg.ffn_dim),
-                         (cfg.ffn_dim, dim), (dim, cfg.vocab_size)})
-        weights = [view_w(k, n) for k, n in shapes]
-        kv_shape = (dim, dim)  # K/V projections also fill the cache
-
-        for length in range(2, cfg.max_len + 1):
-            ok = True
-            for w_t in weights:
-                x = rng.standard_normal(
-                    (1, length, w_t.shape[0])).astype(dt)
-                full = np.matmul(x, w_t)
-                tail = np.matmul(
-                    np.ascontiguousarray(x[:, length - 2:]), w_t)
-                if not np.array_equal(full[0, length - 1], tail[0, 1]):
-                    ok = False
-                    break
-                if w_t.shape == kv_shape:
-                    # cache rows written at earlier lengths must match a
-                    # full-length rebuild row for row: slide an M==2
-                    # window over every position
-                    win = np.ascontiguousarray(np.stack(
-                        [x[0, j - 1: j + 1] for j in range(1, length)]))
-                    rows = np.matmul(win, w_t)
-                    if not (np.array_equal(full[0, 1:], rows[:, 1])
-                            and np.array_equal(full[0, :-1], rows[:, 0])):
-                        ok = False
-                        break
-            if ok:
-                # 4-D attention in the plan's layouts: scores q @ k^T
-                # with a strided 2-row query view, context probs @ v
-                # with a contiguous 2-row probs tail
-                q = rng.standard_normal((1, length, dim)).astype(dt)
-                k = rng.standard_normal((1, length, dim)).astype(dt)
-                qh = q.reshape(1, length, heads, hd).transpose(0, 2, 1, 3)
-                kh = k.reshape(1, length, heads, hd).transpose(0, 2, 1, 3)
-                kht = kh.transpose(0, 1, 3, 2)
-                q2 = np.ascontiguousarray(q[:, length - 2:])
-                q2h = q2.reshape(1, 2, heads, hd).transpose(0, 2, 1, 3)
-                if not np.array_equal(np.matmul(qh, kht)[:, :, length - 1],
-                                      np.matmul(q2h, kht)[:, :, 1]):
-                    ok = False
-                else:
-                    probs = rng.random((1, heads, length, length)).astype(dt)
-                    v = rng.standard_normal((1, length, dim)).astype(dt)
-                    vh = v.reshape(1, length, heads,
-                                   hd).transpose(0, 2, 1, 3)
-                    tail_p = np.ascontiguousarray(probs[:, :, length - 2:])
-                    if not np.array_equal(
-                            np.matmul(probs, vh)[:, :, length - 1],
-                            np.matmul(tail_p, vh)[:, :, 1]):
-                        ok = False
-            if not ok:
-                return length - 1
-        return cfg.max_len
-
-
-    # ------------------------------------------------------------------
-    def decode_step(self, contexts: np.ndarray, states: List[DecodeState],
-                    full: bool = False) -> np.ndarray:
-        """Next-token logits ``(G, vocab)`` for G equal-length contexts.
-
-        ``contexts`` is ``(G, L)`` token ids (every stream at the same
-        context length — group ragged streams by length, they batch
-        exactly); ``states`` the G per-stream caches.  ``full=True``
-        forces the full-sequence plan (callers set it once their context
-        window starts sliding).
-        """
-        contexts = np.asarray(
-            contexts.data if hasattr(contexts, "data") else contexts)
-        if contexts.ndim != 2:
-            raise ValueError("decode_step expects (batch, length) contexts")
-        if contexts.shape[0] != len(states):
-            raise ValueError("one DecodeState per context row is required")
-        self._ensure_fresh()
-        for st in states:
-            if st.epoch != self.epoch:
-                st.rows = 0
-                st.epoch = self.epoch
-        length = contexts.shape[1]
-        if (full or not self.kv_capable or length < 2
-                or length > self.kv_len_cap):
-            # exactness fallbacks; cached rows no longer describe the
-            # next step's positions, so retire them (length-1 prefixes
-            # are M==1-tainted and deliberately never seed the cache,
-            # and beyond kv_len_cap the BLAS tail GEMMs change kernel
-            # regime)
-            logits = self.plan(contexts)
-            for st in states:
-                st.rows = 0
-            return np.ascontiguousarray(logits[:, -1])
-        return self._step_kv(contexts, states)
-
-    def _step_kv(self, contexts: np.ndarray,
-                 states: List[DecodeState]) -> np.ndarray:
-        program = self._program
-        key = contexts.shape
-        batch, length = key
-        bound = program.bound.get(key)
-        if bound is None:
-            bound = self._bind(program, key,
-                               lambda b: self._bind_kv(b, batch, length))
-        np.copyto(bound.inputs[0], contexts)
-        _run(bound.steps)
-        emb, k2, v2, kbuf, vbuf = bound.outputs
-        last = length - 1
-        rebuild = [g for g, st in enumerate(states) if st.rows != last]
-        if rebuild:
-            # cold or invalidated caches: recompute every row in one
-            # M=length GEMM — row-bitwise equal to the incremental fills
-            rkey = ("rebuild", len(rebuild), length)
-            rb = program.bound.get(rkey)
-            if rb is None:
-                rb = self._bind(program, rkey, lambda b: self._bind_rebuild(
-                    b, len(rebuild), length), keep=key)
-            np.take(emb, rebuild, 0, rb.inputs[0])
-            _run(rb.steps)
-            kf, vf = rb.outputs
-            for j, g in enumerate(rebuild):
-                st = states[g]
-                np.copyto(st.k[:length], kf[j])
-                np.copyto(st.v[:length], vf[j])
-                st.rows = length
-        for g, st in enumerate(states):
-            if st.rows == last:
-                np.copyto(st.k[last], k2[g, 1])
-                np.copyto(st.v[last], v2[g, 1])
-                st.rows = length
-            np.copyto(kbuf[g], st.k[:length])
-            np.copyto(vbuf[g], st.v[:length])
-        _run(bound.after)
-        return np.ascontiguousarray(_run_head(bound.head)[:, 1])
-
-    # decode_step is the one entry point; keep the plan's call idiom too
-    __call__ = decode_step
-
 
 def compile_decode(model: Module, dtype: str = "float64",
-                   plan: Optional[CompiledForward] = None) -> CompiledDecode:
-    """Compile a KV-cached single-token decode plane for ``model``.
+                   plan: Optional[CompiledForward] = None) -> CompiledForward:
+    """The plan a :class:`~repro.nn.generation.DecodeSession` step runs.
 
-    ``plan`` optionally shares an existing :class:`CompiledForward` (and
-    its scratch pool / mask cache); otherwise one is built.  ``float64``
-    decode is bit-identical to the eager per-token forward; ``float32``
-    inherits the plan's documented reduced-precision tolerance.  Raises
-    :class:`UnsupportedModel` for non-``TransformerLM`` architectures.
+    A decode step is the last row of the full-sequence plan over the
+    stream's context, so this is :func:`compile_inference` (or the
+    shared ``plan``) restricted to ``TransformerLM``.  Raises
+    :class:`UnsupportedModel` for any other architecture.
     """
-    return CompiledDecode(model, dtype=dtype, plan=plan)
+    if not isinstance(model, TransformerLM):
+        raise UnsupportedModel(
+            f"compile_decode supports TransformerLM models, "
+            f"not {type(model).__name__}")
+    return plan if plan is not None else CompiledForward(model, dtype=dtype)
 
 
 def compile_inference(model: Module, dtype: str = "float64",

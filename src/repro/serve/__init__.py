@@ -25,9 +25,10 @@ Layout
   forward plane** by default: the engines hand it a
   :class:`~repro.nn.inference.CompiledForward` plan (pure ndarray ops,
   bit-identical float64 outputs, no graph construction — asserted by a
-  regression test that a fast-path serve allocates zero Tensors), with
-  the eager ``no_grad`` Tensor path kept as the fallback for unknown
-  architectures and behind ``--no-fast-forward``;
+  regression test that a serve allocates zero Tensors).  The eager
+  ``no_grad`` Tensor path (``forward=None``) is the reference the plan
+  is checked against, not a fallback: a model the plan cannot compile
+  fails on the first served batch;
 - :mod:`~repro.serve.streaming` — the :class:`StreamingEngine` event
   loop (``submit`` / ``tick`` / ``drain``): one simulated-time heap
   over arrivals, window closes and shard executions.  Semantics are
@@ -43,14 +44,15 @@ Layout
   top of the online core (with the default ``fifo`` drain the simulated
   metrics are exactly the pre-streaming engine's; affinity-style drains
   decide online, from the batches admitted by each decision instant);
-- :mod:`~repro.serve.decode`    — the continuous-batching decode plane:
-  :class:`DecodeOptions` (the grouped decode/fast-forward sub-config,
+- :mod:`~repro.serve.decode`    — the continuous-batching decode lane:
+  :class:`DecodeOptions` (the grouped decode sampling sub-config,
   ``ServeConfig.decode``) and the per-device :class:`DecodeLane` — a
   rolling batch that streams join (arrival) and leave (eos / token
   budget) at *token boundaries*, grouped by operating-point
-  compatibility key and advanced through a shared KV-cached
-  :class:`~repro.nn.generation.DecodeSession` (bit-identical to solo
-  eager generation; ``submit_decode`` / ``serve_decode`` feed it);
+  compatibility key and advanced through a
+  :class:`~repro.nn.generation.DecodeSession` over the engine's shared
+  forward plan (bit-identical to solo eager generation;
+  ``submit_decode`` / ``serve_decode`` feed it);
 - :mod:`~repro.serve.sharding`  — :class:`DeviceShard` (per-V/F-level
   FIFO queues, per-device clock and installed-pattern state, and the
   event-driven ``next_event_s``/``pop_next`` interface the loop drives;

@@ -179,12 +179,13 @@ def run_padded(model, requests: Sequence[InferenceRequest], pad_id: int = 0,
     Sequence models (3-D logits) are sliced back to each request's true
     length; pooled heads (2-D outputs) return one row per request.
 
-    ``forward`` is an optional zero-autograd fast path — a callable
-    ``forward(tokens, attn_mask=...) -> np.ndarray`` such as a
-    :class:`~repro.nn.inference.CompiledForward` plan.  When given it
+    ``forward`` is the zero-autograd plan the serving engine passes — a
+    callable ``forward(tokens, attn_mask=...) -> np.ndarray`` such as a
+    :class:`~repro.nn.inference.CompiledForward`.  When given it
     replaces the eager ``model(...)`` call entirely: no ``no_grad``
-    guard is needed because the plan never touches the Tensor engine
-    (its float64 outputs are bit-identical, asserted in the tests).
+    guard is needed because the plan never touches the Tensor engine.
+    ``forward=None`` runs the eager Tensor forward under ``no_grad``:
+    the reference the plan's float64 outputs must equal bit for bit.
     """
     tokens, mask, lengths = pad_batch([r.tokens for r in requests], pad_id)
     if forward is not None:

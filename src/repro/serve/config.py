@@ -58,8 +58,7 @@ class ServeConfig:
     reaches ``adaptive_threshold``, and back to fifo at
     ``adaptive_low_threshold`` when that hysteresis band is set.
 
-    ``decode`` groups the decode-lane sampling defaults with the
-    compiled-plane switch (``decode.fast_forward``).
+    ``decode`` groups the decode-lane sampling defaults.
 
     Faults and admission control: ``faults`` schedules shard
     crash/stall/slow events (simulated seconds from session start;

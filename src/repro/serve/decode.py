@@ -32,13 +32,10 @@ __all__ = ["DecodeJob", "DecodeLane", "DecodeOptions"]
 
 @dataclass(frozen=True)
 class DecodeOptions:
-    """Decode-plane knobs as one value object.
+    """Decode-lane sampling defaults as one value object.
 
-    ``fast_forward`` gates both the compiled full-sequence plan and the
-    KV-cached decode plane (``False`` = eager Tensor forwards, same
-    bits).  The sampling fields are the defaults applied to decode
-    requests submitted without their own
-    :class:`~repro.nn.generation.GenerationConfig`.
+    The fields are the defaults applied to decode requests submitted
+    without their own :class:`~repro.nn.generation.GenerationConfig`.
     """
 
     max_new_tokens: int = 8
@@ -46,7 +43,6 @@ class DecodeOptions:
     temperature: float = 1.0
     seed: Optional[int] = None
     eos_id: Optional[int] = None
-    fast_forward: bool = True
 
     def generation_config(self) -> GenerationConfig:
         return GenerationConfig(
@@ -164,7 +160,7 @@ class DecodeLane:
     def evacuate(self) -> List[DecodeJob]:
         """Pull every job off the lane (pending *and* active) for failover.
 
-        Called when the owning device goes down: sessions are closed and
+        Called when the owning device goes down: sessions are dropped and
         active streams restart from their prompt on whatever device they
         land on next.  Decode is deterministic in (prompt, config) — the
         per-stream sampling RNG is seeded at prompt submission — so the
@@ -181,7 +177,6 @@ class DecodeLane:
             jobs.extend(group.streams[sid].job
                         for sid in sorted(group.streams))
             group.streams.clear()
-            group.session.close()
         self.groups = {}
         return jobs
 
@@ -190,5 +185,4 @@ class DecodeLane:
         for key in list(self.groups):
             group = self.groups[key]
             if not group.streams and group.session.finished():
-                group.session.close()
                 del self.groups[key]

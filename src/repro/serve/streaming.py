@@ -88,7 +88,6 @@ from __future__ import annotations
 import heapq
 import itertools
 import time
-import warnings
 from dataclasses import dataclass, field
 from typing import Dict, Hashable, List, Optional, Tuple
 
@@ -97,7 +96,7 @@ import numpy as np
 from repro.core.runtime_policy import AdaptationEvent, RuntimeAdapter
 from repro.hardware.dvfs import DVFSTable, VFLevel
 from repro.nn.generation import DecodeSession, GenerationConfig
-from repro.nn.inference import UnsupportedModel, compile_decode, compile_inference
+from repro.nn.inference import compile_inference
 from repro.hardware.latency import SparsityKind
 from repro.serve.admission import AdmissionControl
 from repro.serve.batcher import (
@@ -425,16 +424,12 @@ class StreamingEngine:
         if cache is not None and adapter.manager is not None:
             adapter.manager.attach_cache(cache)
         self.dvfs = DVFSTable()
-        # serve-path forwards default to the compiled zero-autograd plan
-        # (bit-identical to the eager path); the plan is built lazily on
-        # the first executed batch and compiles once per distinct weight
-        # and mask signature (O(1) token check), so a switch back to a
-        # ladder rung already served is a program lookup.  Cleared when
-        # the model turns out not to compile.
-        self.fast_forward = config.decode.fast_forward
+        # every batch and decode step runs the compiled zero-autograd
+        # plan (bit-identical to the eager path); it is built on the
+        # first executed batch and compiles once per distinct weight and
+        # mask signature (O(1) token check), so a switch back to a
+        # ladder rung already served is a program lookup
         self._plan = None
-        self._decoder = None
-        self._decoder_tried = False
         self.ladder: Dict[float, object] = dict(adapter.candidates)
         self.fallback_sparsity: float = adapter.candidates[-1][0]
         self._switch_cost_s: Dict[float, float] = {
@@ -516,52 +511,20 @@ class StreamingEngine:
         return self._verify_wall
 
     def _forward(self):
-        """The compiled zero-autograd forward plan (None = eager path)."""
-        if not self.fast_forward:
-            return None
+        """The compiled zero-autograd forward plan, built on first use.
+
+        A model the plan cannot serve fails here, on the first executed
+        batch or decode step: :class:`~repro.nn.inference.UnsupportedModel`
+        for an unknown architecture, ``ValueError`` for a model left in
+        training mode.
+        """
         if self._plan is None:
-            try:
-                self._plan = compile_inference(self.model)
-            except UnsupportedModel:
-                # unknown architecture: the designed fallback — serve
-                # through the eager Tensor path instead (same bits)
-                self.fast_forward = False
-                return None
-            except ValueError as exc:
-                # a *supported* model that cannot compile (left in
-                # training mode, say) is a misconfiguration; falling
-                # back silently would hide a large perf regression
-                warnings.warn(
-                    f"compile_inference failed ({exc}); serving through "
-                    "the eager Tensor path", RuntimeWarning, stacklevel=2)
-                self.fast_forward = False
-                return None
+            self._plan = compile_inference(self.model)
         return self._plan
 
-    def _decode_plan(self):
-        """The shared KV-cached decode plane (None = eager sessions)."""
-        if not self.fast_forward:
-            return None
-        if self._decoder is None and not self._decoder_tried:
-            self._decoder_tried = True
-            try:
-                self._decoder = compile_decode(self.model,
-                                               plan=self._forward())
-            except UnsupportedModel:
-                self._decoder = None
-            except ValueError as exc:
-                warnings.warn(
-                    f"compile_decode failed ({exc}); decode streams run "
-                    "eager sessions", RuntimeWarning, stacklevel=2)
-                self._decoder = None
-        return self._decoder
-
     def _decode_session(self) -> DecodeSession:
-        """A fresh lane session sharing the engine-wide decode plane."""
-        decoder = self._decode_plan()
-        if decoder is not None:
-            return DecodeSession(self.model, decoder=decoder)
-        return DecodeSession(self.model, compiled=False)
+        """A fresh lane session decoding through the engine-wide plan."""
+        return DecodeSession(self.model, plan=self._forward())
 
     def _compat_key(self, request: InferenceRequest) -> Hashable:
         """Requests batch together iff they resolve to one operating point."""
@@ -1393,8 +1356,8 @@ class StreamingEngine:
             event, effective, switch_s, installed = \
                 self._resolve_operating_point(shard, level, qb)
             # an identical re-install keeps every cache_token stable, so
-            # the decode plane's KV state survives; a real switch changes
-            # the tokens and bumps the decode epoch, retiring it — the
+            # the step replays the bound program; a real switch changes
+            # the tokens and the plan moves to that rung's program — the
             # correctness the mask-switch decode tests pin
             self._install(effective)
             emitted = session.step()

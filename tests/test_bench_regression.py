@@ -429,7 +429,7 @@ def generate_digest(exact=True, err=0.0, ragged=True, speedup=2.6,
         "repeats": 5,
         "cases": {
             "serve.dense": {
-                "prompt_len": 5, "new_tokens": 10, "kv_capable": True,
+                "prompt_len": 5, "new_tokens": 10,
                 "eager_tok_ms": 1.1, "compiled_tok_ms": 1.1 / speedup,
                 "speedup": speedup, "exact": exact,
                 "max_abs_err": err, "ragged_exact": ragged,

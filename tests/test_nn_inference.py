@@ -16,7 +16,6 @@ from repro.nn.layers import _KNOWN_MASKS_CAP, Linear, prunable_linears
 from repro.nn.optim import SGD
 from repro.nn.transformer import TransformerConfig, TransformerLM
 from repro.serve import (
-    DecodeOptions,
     ArtifactCache,
     InferenceRequest,
     ScenarioConfig,
@@ -26,6 +25,7 @@ from repro.serve import (
     pad_batch,
     run_padded,
 )
+from repro.serve.streaming import StreamingEngine
 from repro.sparse.executor import SparseExecutor
 from repro.tensor.tensor import Tensor, no_grad
 
@@ -608,32 +608,60 @@ class TestValidation:
         with pytest.raises(ValueError, match="batch, length"):
             plan(np.ones(8, dtype=np.int64))
 
-    def test_engine_falls_back_on_unsupported_model(self):
-        _, _, engine = build_serving_stack(StackConfig(seed=0))
+    def test_engine_rejects_unsupported_model(self):
+        _, workload, engine = build_serving_stack(StackConfig(seed=0))
         core = engine.streaming()
         core.model = Linear(8, 8)  # not a compilable architecture
-        assert core._forward() is None
-        assert core.fast_forward is False
+        trace = build_scenario("steady", workload,
+                               ScenarioConfig(num_requests=2, seed=0))
+        with pytest.raises(UnsupportedModel,
+                           match="compile_inference supports TransformerLM "
+                                 "and DistilBert\\* models, not Linear"):
+            core.play(trace)
 
 
 # ---------------------------------------------------------------------------
 # serving integration: fast path default, bit-identical, zero grad graph
 # ---------------------------------------------------------------------------
 
-def serve_report(fast_forward, seed=0, requests=24):
-    _, workload, engine = build_serving_stack(StackConfig(
-        seed=seed, decode=DecodeOptions(fast_forward=fast_forward),
-        verify=True))
+def serve_report(seed=0, requests=24):
+    _, workload, engine = build_serving_stack(StackConfig(seed=seed,
+                                                          verify=True))
     trace = build_scenario("bursty", workload,
                           ScenarioConfig(num_requests=requests, seed=seed))
     return engine.serve(trace)
 
 
+def serve_eagerly(monkeypatch):
+    """Route this test's engines through the eager Tensor forward, the
+    reference the compiled plan must match."""
+    monkeypatch.setattr(StreamingEngine, "_forward", lambda self: None)
+
+
+def assert_eager_replay(config, results):
+    """Each reported batch equals (``==``) the eager forward of its own
+    padded batch, under the pattern set it ran with."""
+    model, _, ref = build_serving_stack(config)
+    ladder = dict(ref.adapter.candidates)
+    batches = {}
+    for r in results:
+        batches.setdefault(r.batch_id, []).append(r)
+    for group in batches.values():
+        group.sort(key=lambda r: r.request.req_id)
+        assert len(group) == group[0].batch_size
+        ref.adapter.manager.apply(ladder[group[0].sparsity])
+        eager = run_padded(model, [r.request for r in group])
+        for r, want in zip(group, eager):
+            assert np.array_equal(r.output, want)
+
+
+SWITCHING_CFG = StackConfig(devices=2, policy="least-loaded", verify=True)
+
+
 def serve_logging_compiles(requests=48):
     """Serve the rung-alternating bursty trace on two least-loaded
     shards; log ``(set digest, plan compiles so far)`` at every install."""
-    _, workload, engine = build_serving_stack(StackConfig(
-        devices=2, policy="least-loaded", verify=True))
+    _, workload, engine = build_serving_stack(SWITCHING_CFG)
     core = engine.streaming()
     manager = core.adapter.manager
     apply, log = manager.apply, []
@@ -646,12 +674,12 @@ def serve_logging_compiles(requests=48):
     trace = build_scenario("bursty", workload,
                            ScenarioConfig(num_requests=requests, seed=0))
     core.play(trace)
-    return core, core.report(), log, trace
+    return core, core.report(), log
 
 
 class TestServePathCompiles:
     def test_one_compile_per_rung(self):
-        core, report, log, trace = serve_logging_compiles()
+        core, report, log = serve_logging_compiles()
         compiles = core._plan.compiles
         first_seen = {}
         for i, (digest, _) in enumerate(log):
@@ -665,20 +693,14 @@ class TestServePathCompiles:
         assert log[last_new + 1][1] == compiles
         assert report.max_verify_error < 1e-9
         # and the looked-up programs serve the same bits as eager forwards
-        _, _, eager_engine = build_serving_stack(StackConfig(
-            devices=2, policy="least-loaded",
-            decode=DecodeOptions(fast_forward=False)))
-        eager_report = eager_engine.serve(trace)
-        ref = {r.request.req_id: r.output for r in eager_report.results}
-        got = {r.request.req_id: r.output for r in report.results}
-        assert got.keys() == ref.keys()
-        assert all(np.array_equal(got[k], ref[k]) for k in ref)
+        assert_eager_replay(SWITCHING_CFG, report.results)
 
 
 class TestServingIntegration:
-    def test_fast_and_eager_serving_bit_identical(self):
-        fast = serve_report(True)
-        eager_r = serve_report(False)
+    def test_fast_and_eager_serving_bit_identical(self, monkeypatch):
+        fast = serve_report()
+        serve_eagerly(monkeypatch)
+        eager_r = serve_report()
         # the verify error measures batched-vs-solo padding exactness;
         # bit-identical forwards mean the two engines must report the
         # *same* value (and both within the serving tolerance)
@@ -714,9 +736,9 @@ class TestServingIntegration:
         # nodes, hence trivially zero recorded parents
         assert created == []
 
-    def test_eager_serve_never_records_grad_graph(self):
-        _, workload, engine = build_serving_stack(StackConfig(
-            seed=1, decode=DecodeOptions(fast_forward=False)))
+    def test_eager_serve_never_records_grad_graph(self, monkeypatch):
+        serve_eagerly(monkeypatch)
+        _, workload, engine = build_serving_stack(StackConfig(seed=1))
         trace = build_scenario("steady", workload,
                                ScenarioConfig(num_requests=16, seed=1))
         created = []
@@ -744,9 +766,3 @@ class TestServingIntegration:
         plan = core._forward()
         assert isinstance(plan, CompiledForward)
         assert core._forward() is plan  # built once, reused
-
-    def test_serve_engine_exposes_fast_forward_flag(self):
-        _, _, engine = build_serving_stack(StackConfig(
-            seed=0, decode=DecodeOptions(fast_forward=False)))
-        assert engine.config.decode.fast_forward is False
-        assert engine.streaming().fast_forward is False

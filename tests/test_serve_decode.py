@@ -41,12 +41,9 @@ def solo_eager(stack_seed, prompt, cfg, sparsity, stack_kwargs=None):
         pset = dict(engine.adapter.candidates)[sparsity]
         engine.adapter.manager.apply(pset)
     session = DecodeSession(model, cfg, compiled=False)
-    try:
-        sid = session.submit_prompt(prompt)
-        session.run()
-        return session.result(sid)
-    finally:
-        session.close()
+    sid = session.submit_prompt(prompt)
+    session.run()
+    return session.result(sid)
 
 
 class TestServeDecode:
@@ -157,28 +154,34 @@ class TestServeDecode:
                                                 level_name="l2",
                                                 arrival_s=0.0))
 
-    def test_eager_fallback_path(self):
-        """fast_forward=False decodes eagerly, same results surface."""
-        _, _, engine = build_serving_stack(
-            StackConfig(decode=DecodeOptions(fast_forward=False)))
-        report = engine.serve_decode(
-            [InferenceRequest(req_id=0, tokens=[1, 2, 3], level_name="l2",
-                              arrival_s=0.0)],
-            config=GenerationConfig(max_new_tokens=3, seed=7))
-        assert list(report.results[0].output.tokens[:3]) == [1, 2, 3]
-        assert len(report.results[0].output.generated) == 3
+    def test_lane_decodes_through_the_engine_plan(self):
+        """Lane sessions decode through the engine's own forward plan
+        and match an eager re-decode of the stream."""
+        _, _, engine = build_serving_stack(StackConfig())
+        core = engine.streaming()
+        gen_cfg = GenerationConfig(max_new_tokens=3, seed=7)
+        core.submit_decode(InferenceRequest(req_id=0, tokens=[1, 2, 3],
+                                            level_name="l2", arrival_s=0.0),
+                           config=gen_cfg)
+        core.drain()
+        result = core.report().results[0]
+        assert list(result.output.tokens[:3]) == [1, 2, 3]
+        assert len(result.output.generated) == 3
+        assert core._decode_session().plan is core._forward()
+        want = solo_eager(0, [1, 2, 3], gen_cfg, result.sparsity)
+        assert np.array_equal(result.output.tokens, want.tokens)
+        assert result.output.logprobs == want.logprobs
 
 
 class TestDecodeOptionsConfig:
     def test_stack_config_grouped_sub_config(self):
-        opts = DecodeOptions(max_new_tokens=3, top_k=2, fast_forward=False)
+        opts = DecodeOptions(max_new_tokens=3, top_k=2)
         cfg = StackConfig(decode=opts)
         assert cfg.decode is opts
         _, _, engine = build_serving_stack(cfg)
         assert engine.config.decode is opts
         core = engine.streaming()
         assert core.decode_options is opts
-        assert core.fast_forward is False
 
     def test_generation_config_derivation(self):
         opts = DecodeOptions(max_new_tokens=4, top_k=3, temperature=0.5,
@@ -198,7 +201,6 @@ class TestCLI:
         out = json.loads(capsys.readouterr().out)
         assert out["check_exact"] is True
         assert out["streams"] == 2
-        assert out["compiled_decode"] is True
 
     def test_serve_decode_streams(self, capsys):
         assert cli_main(["serve", "--requests", "12", "--decode-streams", "4",

@@ -1,5 +1,7 @@
 """Streaming serving core: admission, event loop, offline equivalence."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from repro.core.runtime_policy import RuntimeAdapter
 from repro.hardware.latency import LatencyModel, SparsityKind
 from repro.hardware.dvfs import DVFSTable
 from repro.hardware.workload import profile_from_model
+from repro.nn.inference import UnsupportedModel
 from repro.nn.transformer import TransformerConfig, TransformerLM
 from repro.serve import (
     AdmissionQueue,
@@ -613,43 +616,38 @@ class TestAdaptiveHysteresis:
 
 
 # ---------------------------------------------------------------------------
-# compile-fallback diagnostics: a supported model that fails to compile
-# must *warn* on its way to the eager path, never fall back silently
+# compile errors at the boundary: every batch and decode step runs the
+# compiled plan, so a model it cannot serve fails on the first one
 # ---------------------------------------------------------------------------
 
-class TestCompileFallbackWarnings:
-    def test_forward_compile_failure_warns(self):
-        # dropout left active (training mode) is a misconfiguration of a
-        # *supported* architecture: compile_inference raises ValueError,
-        # and the engine must name it while falling back to eager
-        cfg = TransformerConfig(vocab_size=60, dim=32, num_heads=2,
-                                ffn_dim=64, num_encoder_layers=2,
-                                num_decoder_layers=1, max_len=16,
-                                dropout=0.1, seed=3)
-        model = TransformerLM(cfg).train()
-        engine, _ = build_engine(model)
-        with pytest.warns(RuntimeWarning, match="compile_inference failed"):
-            report = engine.serve([req(0)])
-        assert report.num_requests == 1
-        assert engine.config.decode.fast_forward  # the config is untouched
+TRAIN_MODE_ERROR = re.escape(
+    "compile_inference snapshots eval-mode semantics; call model.eval() "
+    "first (found an active Dropout)")
 
-    def test_decode_compile_failure_warns(self, monkeypatch):
-        import repro.serve.streaming as streaming_mod
 
-        def boom(model, plan=None):
-            raise ValueError("decode plane unavailable")
+def train_mode_model():
+    # dropout left active (training mode) is a misconfiguration of a
+    # *supported* architecture
+    cfg = TransformerConfig(vocab_size=60, dim=32, num_heads=2, ffn_dim=64,
+                            num_encoder_layers=2, num_decoder_layers=1,
+                            max_len=16, dropout=0.1, seed=3)
+    return TransformerLM(cfg).train()
 
-        monkeypatch.setattr(streaming_mod, "compile_decode", boom)
-        model = TransformerLM(LM_CFG).eval()
-        engine, _ = build_engine(model)
+
+class TestCompileErrorsAtBoundary:
+    def test_train_mode_fails_on_first_batch(self):
+        engine, _ = build_engine(train_mode_model())
+        with pytest.raises(ValueError, match=TRAIN_MODE_ERROR):
+            engine.serve([req(0)])
+
+    def test_train_mode_fails_on_first_decode_step(self):
+        engine, _ = build_engine(train_mode_model())
         core = engine.streaming()
-        with pytest.warns(RuntimeWarning, match="compile_decode failed"):
-            core.submit_decode(req(0))
+        core.submit_decode(req(0))
+        with pytest.raises(ValueError, match=TRAIN_MODE_ERROR):
             core.drain()
-        assert core.report().num_requests == 1
 
-    def test_unsupported_model_falls_back_silently(self, recwarn):
-        # unknown architectures are the *designed* fallback: no warning
+    def test_unsupported_model_fails_on_first_batch(self):
         class Opaque:
             def modules(self):
                 return []
@@ -660,12 +658,11 @@ class TestCompileFallbackWarnings:
             def named_parameters(self):
                 return []
 
-        model = TransformerLM(LM_CFG).eval()
-        engine, _ = build_engine(model)
+        engine, _ = build_engine(TransformerLM(LM_CFG).eval())
         core = engine.streaming()
         core.model = Opaque()
-        assert core._forward() is None
-        assert not core.fast_forward
-        runtime = [w for w in recwarn
-                   if issubclass(w.category, RuntimeWarning)]
-        assert not runtime
+        core.submit(req(0))
+        with pytest.raises(UnsupportedModel, match=re.escape(
+                "compile_inference supports TransformerLM and DistilBert* "
+                "models, not Opaque")):
+            core.drain()
