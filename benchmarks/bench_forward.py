@@ -5,9 +5,9 @@ bench measures what :func:`repro.nn.inference.compile_inference` buys on
 that path across three model shapes (the serving stack's TransformerLM, a
 wider TransformerLM, and a DistilBERT classifier) × batch sizes:
 
-- **wall clock** — best-of-N loops of the eager Tensor forward (under
-  ``no_grad``, exactly what ``run_padded`` used to run) vs the compiled
-  plan;
+- **wall clock** — interleaved timed loops of the eager Tensor forward
+  (under ``no_grad``, exactly what ``run_padded`` used to run) vs the
+  compiled plan; the speedup is the median per-pair ratio;
 - **allocation counts** — graph nodes the eager path builds per forward
   (every ``Tensor`` carries data + closure + bookkeeping) vs the
   compiled plan's scratch-pool misses, which drop to **zero** per
@@ -33,7 +33,6 @@ from __future__ import annotations
 import argparse
 import pathlib
 import sys
-import time
 from typing import List, Optional
 
 import numpy as np
@@ -47,7 +46,7 @@ from repro.nn.inference import compile_inference
 from repro.nn.transformer import TransformerConfig, TransformerLM
 from repro.tensor.tensor import Tensor, no_grad
 
-from benchmarks.common import write_json_result, write_result
+from benchmarks.common import wall_ratio, write_json_result, write_result
 
 MIN_SPEEDUP = 2.0
 ACCEPTANCE_CASE = "serve.b1"
@@ -87,17 +86,6 @@ def count_tensor_nodes(forward) -> int:
     return counter[0]
 
 
-def best_of(forward, repeats: int, inner: int) -> float:
-    """Best mean milliseconds per call over ``repeats`` timed loops."""
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        for _ in range(inner):
-            forward()
-        best = min(best, (time.perf_counter() - start) / inner)
-    return 1e3 * best
-
-
 def run_bench(smoke: bool = False, seed: int = 0, repeats: int = 5) -> dict:
     """Measure every shape x batch; returns the machine-readable digest."""
     inner = 20 if smoke else 50
@@ -126,15 +114,15 @@ def run_bench(smoke: bool = False, seed: int = 0, repeats: int = 5) -> dict:
             misses_before = plan.pool.misses
             compiled_forward()
             steady_allocs = plan.pool.misses - misses_before
-            tensor_ms = best_of(tensor_forward, repeats, inner)
-            compiled_ms = best_of(compiled_forward, repeats, inner)
+            tensor_ms, compiled_ms, speedup = wall_ratio(
+                tensor_forward, compiled_forward, repeats, inner)
             cases[f"{shape_name}.b{batch}"] = {
                 "model": type(model).__name__,
                 "batch": batch,
                 "seq_len": seq_len,
                 "tensor_ms": tensor_ms,
                 "compiled_ms": compiled_ms,
-                "speedup": tensor_ms / compiled_ms,
+                "speedup": speedup,
                 "max_abs_err": max_err,
                 "exact": bool(np.array_equal(ref, got)),
                 "tensor_nodes": count_tensor_nodes(tensor_forward),

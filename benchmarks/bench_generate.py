@@ -7,9 +7,10 @@ through :class:`repro.nn.generation.DecodeSession`, whose step is the
 last output row of the compiled full-sequence plan) buys on that path
 across model shapes × mask formats:
 
-- **per-token wall clock** — best-of-N full decodes through the eager
-  Tensor loop (exactly the historical ``generate()``) vs the compiled
-  decode session;
+- **per-token wall clock** — full decodes through the eager Tensor loop
+  (exactly the historical ``generate()``) vs the compiled decode
+  session, timed in interleaved pairs (the speedup is the median
+  per-pair ratio);
 - **exactness** — the float64 compiled decode must reproduce the eager
   tokens **and logprobs** bit for bit (``==``, not allclose), solo and
   under a ragged continuous-batching schedule where streams join and
@@ -30,7 +31,6 @@ from __future__ import annotations
 import argparse
 import pathlib
 import sys
-import time
 from typing import List, Optional
 
 import numpy as np
@@ -45,7 +45,7 @@ from repro.nn.inference import compile_decode
 from repro.nn.transformer import TransformerConfig, TransformerLM
 from repro.tensor.tensor import Tensor, no_grad
 
-from benchmarks.common import write_json_result, write_result
+from benchmarks.common import wall_ratio, write_json_result, write_result
 
 MIN_SPEEDUP = 2.0
 ACCEPTANCE_CASE = "serve.dense"
@@ -101,16 +101,6 @@ def compiled_decode_run(model, plan, prompts, cfgs):
     return [session.result(sid) for sid in sids]
 
 
-def best_of(run, repeats: int) -> float:
-    """Best wall milliseconds for one call of ``run`` over ``repeats``."""
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        run()
-        best = min(best, time.perf_counter() - start)
-    return 1e3 * best
-
-
 def ragged_schedule_exact(model, plan, seed: int) -> bool:
     """Streams joining one per boundary with mixed budgets/sampling must
     each equal their solo eager run bit for bit."""
@@ -157,8 +147,8 @@ def run_bench(smoke: bool = False, seed: int = 0, repeats: int = 5) -> dict:
         lp_err = (max(abs(a - b) for a, b in zip(got.logprobs, ref_logprobs))
                   if got.logprobs else 0.0)
 
-        eager_ms = best_of(lambda: eager_decode(model, prompt, cfg), repeats)
-        compiled_ms = best_of(
+        eager_ms, compiled_ms, speedup = wall_ratio(
+            lambda: eager_decode(model, prompt, cfg),
             lambda: compiled_decode_run(model, plan, [prompt], [cfg]),
             repeats)
         cases[name] = {
@@ -166,7 +156,7 @@ def run_bench(smoke: bool = False, seed: int = 0, repeats: int = 5) -> dict:
             "new_tokens": NEW_TOKENS,
             "eager_tok_ms": eager_ms / NEW_TOKENS,
             "compiled_tok_ms": compiled_ms / NEW_TOKENS,
-            "speedup": eager_ms / compiled_ms,
+            "speedup": speedup,
             "exact": tokens_match and lp_err == 0.0,
             "max_abs_err": float(lp_err),
             "ragged_exact": ragged_schedule_exact(model, plan, seed + 1),
@@ -177,18 +167,16 @@ def run_bench(smoke: bool = False, seed: int = 0, repeats: int = 5) -> dict:
             prompts = [rng.integers(0, vocab, size=PROMPT_LEN)
                        for _ in range(BATCH_STREAMS)]
             cfgs = [cfg] * BATCH_STREAMS
-            batched_ms = best_of(
-                lambda: compiled_decode_run(model, plan, prompts, cfgs),
-                repeats)
-            solo_eager_ms = best_of(
+            solo_eager_ms, batched_ms, batch_speedup = wall_ratio(
                 lambda: [eager_decode(model, p, cfg) for p in prompts],
+                lambda: compiled_decode_run(model, plan, prompts, cfgs),
                 repeats)
             batching = {
                 "streams": BATCH_STREAMS,
                 "new_tokens_per_stream": NEW_TOKENS,
                 "batched_tok_ms": batched_ms / (BATCH_STREAMS * NEW_TOKENS),
                 "eager_tok_ms": solo_eager_ms / (BATCH_STREAMS * NEW_TOKENS),
-                "speedup": solo_eager_ms / batched_ms,
+                "speedup": batch_speedup,
             }
     acceptance = cases[ACCEPTANCE_CASE]
     return {

@@ -5,7 +5,8 @@ scalar per-tile ``pattern_matmul_loop`` reference that predates the
 pattern-grouped vectorization) across representative layer shapes and
 sparsities, and records for each case:
 
-- best-of-N wall-clock per kernel (the Python hot path the serving engine
+- median wall-clock per kernel, timed in interleaved pairs against the
+  grouped pattern kernel (the Python hot path the serving engine
   actually runs),
 - the :class:`~repro.sparse.kernels.OpCounter` digest (deterministic
   abstract cost — macs / index / overhead / weighted),
@@ -32,7 +33,6 @@ from __future__ import annotations
 import argparse
 import pathlib
 import sys
-import time
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -52,7 +52,7 @@ from repro.sparse import (
     pattern_matmul_loop,
 )
 
-from benchmarks.common import write_json_result, write_result
+from benchmarks.common import wall_ratio, write_json_result, write_result
 
 # the acceptance case the regression gate pins: a transformer-scale layer
 # where tile dispatch overhead dominated the pre-vectorization kernel
@@ -69,16 +69,6 @@ CASES = [
     dict(name=ACCEPTANCE_CASE, shape=(256, 256), psize=4, sparsity=0.75),
 ]
 SMOKE_CASES = [CASES[0], CASES[-1]]
-
-
-def _best_of(fn, repeats: int) -> float:
-    """Minimum wall-clock of ``repeats`` invocations (steady-state)."""
-    best = float("inf")
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - t0)
-    return best
 
 
 def bench_case(case: dict, seed: int = 0, repeats: int = 5) -> dict:
@@ -113,15 +103,18 @@ def bench_case(case: dict, seed: int = 0, repeats: int = 5) -> dict:
         "pattern_vs_loop": float(np.abs(pat_out - loop_out).max()),
     }
 
-    # steady-state wall clock: tables/groups already materialized above
-    wall_ms = {
-        "dense": 1e3 * _best_of(lambda: dense_matmul(wm, x), repeats),
-        "coo": 1e3 * _best_of(lambda: coo_matmul(coo, x), repeats),
-        "block": 1e3 * _best_of(lambda: block_matmul(blk, x), repeats),
-        "pattern": 1e3 * _best_of(lambda: pattern_matmul(pat, x), repeats),
-        "pattern_loop": 1e3 * _best_of(
-            lambda: pattern_matmul_loop(pat_for_loop, x), repeats),
-    }
+    # steady-state wall clock: tables/groups already materialized above;
+    # every kernel is timed in interleaved pairs against the grouped one
+    def grouped():
+        return pattern_matmul(pat, x)
+
+    wall_ms = {}
+    wall_ms["pattern_loop"], wall_ms["pattern"], speedup = wall_ratio(
+        lambda: pattern_matmul_loop(pat_for_loop, x), grouped, repeats)
+    for fmt, run in (("dense", lambda: dense_matmul(wm, x)),
+                     ("coo", lambda: coo_matmul(coo, x)),
+                     ("block", lambda: block_matmul(blk, x))):
+        wall_ms[fmt] = wall_ratio(run, grouped, repeats)[0]
 
     return {
         "shape": list(case["shape"]),
@@ -137,7 +130,7 @@ def bench_case(case: dict, seed: int = 0, repeats: int = 5) -> dict:
             "pattern_loop": loop_c.as_dict(),
         },
         "wall_ms": wall_ms,
-        "speedup_pattern_vs_loop": wall_ms["pattern_loop"] / wall_ms["pattern"],
+        "speedup_pattern_vs_loop": speedup,
         "max_abs_err": errors,
     }
 
@@ -241,7 +234,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="two cases, fewer repeats, for CI")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--repeats", type=int, default=None,
-                        help="wall-clock repeats per kernel (best-of)")
+                        help="interleaved wall-clock pairs per kernel")
     args = parser.parse_args(argv)
     repeats = args.repeats or (3 if args.smoke else 5)
     digest = run_bench(smoke=args.smoke, seed=args.seed, repeats=repeats)

@@ -10,18 +10,16 @@ committed baseline on every CI run.
 
 Absolute numbers are not expected to match the authors' testbed; the
 *shape* (who wins, by roughly what factor) is asserted in the tests and
-pinned by the regression gate's comparators.  This module also hosts the
-shared comparator helpers (row-set equality, drift budgets, the
-missing-metric conventions) so the per-bench comparators in the gate
-script stay declarative.
+pinned by the regression gate's rule table.
 """
 
 from __future__ import annotations
 
 import json
 import pathlib
-from typing import Dict, List
-
+import statistics
+import time
+from typing import Callable, Dict, Tuple
 
 from repro.core.controller import ControllerConfig
 from repro.core.block_pruning import BlockPruningConfig
@@ -114,6 +112,28 @@ def small_rt3_config(deadline_s: float, episodes: int = 6, seed: int = 0,
     )
 
 
+def wall_ratio(slow: Callable, fast: Callable, repeats: int,
+               inner: int = 1) -> Tuple[float, float, float]:
+    """Time ``slow`` against ``fast`` in ``repeats`` interleaved pairs.
+
+    Each pair runs ``inner`` calls of ``slow`` then ``inner`` calls of
+    ``fast``.  Returns the median milliseconds per call of each side and
+    the median of the per-pair ratios.  Both halves of a pair see the
+    same machine state, so a slow patch on a shared host moves both and
+    cancels in the ratio instead of landing on one side of a best-of-N.
+    """
+    slow_s, fast_s, ratios = [], [], []
+    for _ in range(max(1, repeats)):
+        for fn, times in ((slow, slow_s), (fast, fast_s)):
+            start = time.perf_counter()
+            for _ in range(inner):
+                fn()
+            times.append((time.perf_counter() - start) / inner)
+        ratios.append(slow_s[-1] / fast_s[-1])
+    return (1e3 * statistics.median(slow_s), 1e3 * statistics.median(fast_s),
+            statistics.median(ratios))
+
+
 def fmt_pct(x: float) -> str:
     return f"{100 * x:.2f}%"
 
@@ -122,112 +142,7 @@ def fmt_runs(x: float) -> str:
     return f"{x:.3e}"
 
 
-# ---------------------------------------------------------------------------
-# comparator helpers shared by scripts/check_bench_regression.py
-#
-# Every comparator returns a list of *findings*; one finding per checked
-# metric with the shape {metric, baseline, fresh, gated, ok, note}.  The
-# helpers below encode the gate-wide conventions:
-#   - a metric absent from the *baseline* passes with a note (older
-#     baselines predate it);
-#   - a metric missing from the *fresh* run fails (the bench stopped
-#     reporting a gated number);
-#   - wall-clock numbers are recorded but never gated.
-# ---------------------------------------------------------------------------
-
-WALL_CLOCK_NOTE = "informational (wall-clock / runner-dependent)"
-
-
 def canon(x: float, ndigits: int = 9) -> float:
     """Canonical float for digest rows: rounded so exact-equality gating
     compares stable decimals rather than the last ulp of a repr."""
     return round(float(x), ndigits)
-
-
-def find_info(metric: str, baseline, fresh, note: str = WALL_CLOCK_NOTE) -> dict:
-    """An informational finding: shown in the report, never gated."""
-    return {"metric": metric, "baseline": baseline, "fresh": fresh,
-            "gated": False, "ok": True, "note": note}
-
-
-def find_row_set(metric: str, base_rows, fresh_rows, note: str) -> dict:
-    """Gate two collections of canonical row tuples by exact set equality."""
-    base_set, fresh_set = set(base_rows), set(fresh_rows)
-    return {"metric": metric, "baseline": float(len(base_set)),
-            "fresh": float(len(fresh_set)), "gated": True,
-            "ok": base_set == fresh_set, "note": note}
-
-
-def find_exact(metric: str, base, fresh, note: str) -> dict:
-    """Gate one deterministic scalar by exact equality."""
-    finding = {"metric": metric,
-               "baseline": None if base is None else float(base),
-               "fresh": None if fresh is None else float(fresh),
-               "gated": True}
-    if base is None:
-        finding.update(ok=True, note="metric absent from baseline; skipped")
-    elif fresh is None:
-        finding.update(ok=False, note="metric missing from fresh run")
-    else:
-        finding.update(ok=float(fresh) == float(base), note=note)
-    return finding
-
-
-def find_within(metric: str, base, fresh, *, budget: float, kind: str,
-                relative: bool = False, note: str = "") -> dict:
-    """Gate one scalar under a drift budget.
-
-    ``kind`` is ``"floor"`` (higher is better: fail when the fresh value
-    drops below ``base - budget``), ``"ceiling"`` (lower is better: fail
-    when it rises above ``base + budget``) or ``"band"`` (fail when it
-    leaves ``base ± budget`` in either direction); with ``relative=True``
-    the budget is a fraction of the baseline value.
-    """
-    finding = {"metric": metric,
-               "baseline": None if base is None else float(base),
-               "fresh": None if fresh is None else float(fresh),
-               "gated": True}
-    if base is None:
-        finding.update(ok=True, note="metric absent from baseline; skipped")
-        return finding
-    if fresh is None:
-        finding.update(ok=False, note="metric missing from fresh run")
-        return finding
-    base, fresh = float(base), float(fresh)
-    span = abs(base) * budget if relative else budget
-    if kind == "floor":
-        limit = base - span
-        finding.update(ok=fresh >= limit, limit=limit,
-                       note=note or f"must stay >= {limit:.4g}")
-    elif kind == "ceiling":
-        limit = base + span
-        finding.update(ok=fresh <= limit, limit=limit,
-                       note=note or f"must stay <= {limit:.4g}")
-    elif kind == "band":
-        finding.update(ok=abs(fresh - base) <= span,
-                       note=note or f"must stay within {span:.4g} of baseline")
-    else:
-        raise ValueError(f"unknown drift kind {kind!r}")
-    return finding
-
-
-def cover_pareto_points(base_front, fresh_front, *, acc_budget: float,
-                        runs_rel_budget: float, prefix: str = "pareto") -> List[dict]:
-    """One finding per committed Pareto point: it must be matched or
-    dominated (within the drift budgets) by some fresh front point.
-
-    A dropped point — no fresh point reaching its accuracy *and* its
-    #runs — fails; a fresh front that strictly dominates passes.
-    """
-    findings = []
-    for i, (aw, runs) in enumerate(base_front):
-        covered = any(
-            q_aw >= aw - acc_budget
-            and q_runs >= runs * (1.0 - runs_rel_budget)
-            for q_aw, q_runs in fresh_front)
-        findings.append({
-            "metric": f"{prefix}[{i}]", "baseline": float(aw),
-            "fresh": None, "gated": True, "ok": covered,
-            "note": f"committed front point (Aw={aw:.4f}, runs={runs:.3e}) "
-                    "must stay covered by the replayed front"})
-    return findings

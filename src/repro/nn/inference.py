@@ -76,7 +76,7 @@ from repro.nn.transformer import (
 from repro.tensor.functional import _GELU_C
 
 __all__ = ["CompiledForward", "ScratchPool", "UnsupportedModel",
-           "compile_decode", "compile_inference"]
+           "compile_decode", "compile_inference", "require_eval"]
 
 DTYPES = ("float64", "float32")
 
@@ -222,6 +222,19 @@ class _Program:
         self.bind = bind
         self.names = names
         self.bound: Dict[tuple, _Bound] = {}
+
+
+def require_eval(modules) -> None:
+    """Refuse an active ``Dropout`` among ``modules``.
+
+    A compiled plan snapshots eval-mode semantics, so a model left in
+    training mode must fail loudly rather than silently lose its dropout.
+    """
+    if any(isinstance(m, Dropout) and m.p > 0.0 and m.training
+           for m in modules):
+        raise ValueError(
+            "compile_inference snapshots eval-mode semantics; call "
+            "model.eval() first (found an active Dropout)")
 
 
 def _run(steps: list) -> None:
@@ -418,12 +431,6 @@ class CompiledForward:
                        lin._mask_version)
                       for lin in self._linears),
                 tuple(p.version for p in self._loose_params))
-
-    def _check_eval(self) -> None:
-        if any(m.training for m in self._dropouts):
-            raise ValueError(
-                "compile_inference snapshots eval-mode semantics; call "
-                "model.eval() first (found an active Dropout)")
 
     def _cast(self, arr: np.ndarray) -> np.ndarray:
         if arr.dtype == self.dtype:
@@ -792,7 +799,7 @@ class CompiledForward:
         # re-checked on every signature change, hit or miss: a model
         # flipped back to train mode must fail loudly rather than let
         # the plan silently keep eval (dropout-free) semantics
-        self._check_eval()
+        require_eval(self._dropouts)
         self._program = self._lookup(sig)
         self.program = self._program.names
         self._signature = sig

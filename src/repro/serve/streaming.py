@@ -96,7 +96,7 @@ import numpy as np
 from repro.core.runtime_policy import AdaptationEvent, RuntimeAdapter
 from repro.hardware.dvfs import DVFSTable, VFLevel
 from repro.nn.generation import DecodeSession, GenerationConfig
-from repro.nn.inference import compile_inference
+from repro.nn.inference import compile_inference, require_eval
 from repro.hardware.latency import SparsityKind
 from repro.serve.admission import AdmissionControl
 from repro.serve.batcher import (
@@ -523,8 +523,13 @@ class StreamingEngine:
         return self._plan
 
     def _decode_session(self) -> DecodeSession:
-        """A fresh lane session decoding through the engine-wide plan."""
-        return DecodeSession(self.model, plan=self._forward())
+        """A fresh lane session.  It holds no plan yet: each tick attaches
+        the engine-wide plan after installing the group's rung, so a fresh
+        engine compiles once, for the rung it actually serves.  The
+        session puts the model in eval mode, so a train-mode model is
+        refused here first, as its first batch would be."""
+        require_eval(self.model.modules())
+        return DecodeSession(self.model, compiled=False)
 
     def _compat_key(self, request: InferenceRequest) -> Hashable:
         """Requests batch together iff they resolve to one operating point."""
@@ -1360,6 +1365,7 @@ class StreamingEngine:
             # the tokens and the plan moves to that rung's program — the
             # correctness the mask-switch decode tests pin
             self._install(effective)
+            session.plan = self._forward()
             emitted = session.step()
             per_token = self.adapter.batch_latency_s(level, effective,
                                                      len(active))

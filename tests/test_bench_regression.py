@@ -1,8 +1,11 @@
-"""Unit tests for the CI multi-bench regression gate's comparison logic."""
+"""Unit tests for the CI multi-bench regression gate's rule table."""
 
 import importlib.util
+import inspect
 import json
 import pathlib
+import re
+import shutil
 
 import pytest
 
@@ -64,43 +67,38 @@ def verdicts(findings):
 
 class TestCompare:
     def test_identical_digests_pass(self):
-        findings = gate.compare(digest(), digest())
+        findings = gate.compare("serve", digest(), digest())
         assert all(verdicts(findings).values())
 
     def test_throughput_drop_beyond_tolerance_fails(self):
-        findings = gate.compare(digest(), digest(sim_rps=4000.0 * 0.80))
+        findings = gate.compare("serve", digest(), digest(sim_rps=4000.0 * 0.80))
         assert verdicts(findings)["sim_throughput_rps"] is False
 
     def test_throughput_drop_within_tolerance_passes(self):
-        findings = gate.compare(digest(), digest(sim_rps=4000.0 * 0.90))
+        findings = gate.compare("serve", digest(), digest(sim_rps=4000.0 * 0.90))
         assert verdicts(findings)["sim_throughput_rps"] is True
 
     def test_p95_rise_beyond_tolerance_fails(self):
-        findings = gate.compare(digest(), digest(p95=6.0 * 1.25))
+        findings = gate.compare("serve", digest(), digest(p95=6.0 * 1.25))
         assert verdicts(findings)["p95_latency_ms"] is False
 
     def test_sharded_metrics_gated_too(self):
         findings = gate.compare(
-            digest(), digest(sharded_rps=5000.0 * 0.5, sharded_p95=5.0 * 2))
+            "serve", digest(), digest(sharded_rps=5000.0 * 0.5, sharded_p95=5.0 * 2))
         got = verdicts(findings)
         assert got["sharded.sim_rps_sharded"] is False
         assert got["sharded.p95_latency_ms"] is False
 
     def test_exactness_always_gated(self):
-        findings = gate.compare(digest(), digest(err=1e-6))
+        findings = gate.compare("serve", digest(), digest(err=1e-6))
         got = verdicts(findings)
         assert got["max_batch_vs_single_error"] is False
         assert got["sharded.max_verify_error"] is False
 
-    def test_custom_thresholds(self):
-        fresh = digest(sim_rps=4000.0 * 0.90)
-        strict = gate.compare(digest(), fresh, max_throughput_drop=0.05)
-        assert verdicts(strict)["sim_throughput_rps"] is False
-
     def test_metric_missing_from_baseline_is_skipped(self):
         base = digest()
         del base["sharded"]
-        findings = gate.compare(base, digest())
+        findings = gate.compare("serve", base, digest())
         got = {f["metric"]: f for f in findings}
         assert got["sharded.sim_rps_sharded"]["ok"] is True
         assert "absent from baseline" in got["sharded.sim_rps_sharded"]["note"]
@@ -108,14 +106,14 @@ class TestCompare:
     def test_metric_missing_from_fresh_run_fails(self):
         fresh = digest()
         del fresh["sim_throughput_rps"]
-        findings = gate.compare(digest(), fresh)
+        findings = gate.compare("serve", digest(), fresh)
         assert verdicts(findings)["sim_throughput_rps"] is False
 
     def test_wall_clock_metrics_never_gated(self):
         fresh = digest()
         fresh["batched_throughput_rps"] = 1.0  # collapses, but runner-dependent
         fresh["speedup"] = 0.01
-        findings = gate.compare(digest(), fresh)
+        findings = gate.compare("serve", digest(), fresh)
         assert all(verdicts(findings).values())
         info = {f["metric"] for f in findings if not f["gated"]}
         assert {"speedup", "batched_throughput_rps"} <= info
@@ -123,37 +121,37 @@ class TestCompare:
 
 class TestCompareKernels:
     def test_identical_digests_pass(self):
-        findings = gate.compare_kernels(kernels_digest(), kernels_digest())
+        findings = gate.compare("kernels", kernels_digest(), kernels_digest())
         assert all(verdicts(findings).values())
 
     def test_exactness_breach_fails(self):
-        findings = gate.compare_kernels(kernels_digest(), kernels_digest(err=1e-6))
+        findings = gate.compare("kernels", kernels_digest(), kernels_digest(err=1e-6))
         got = verdicts(findings)
         assert got["cases.ffn-256x256-s75.max_abs_err.pattern"] is False
         assert got["cases.ffn-256x256-s75.max_abs_err.pattern_vs_loop"] is False
 
     def test_op_counter_drift_fails(self):
         # op counts are deterministic: any change is a behavioural change
-        findings = gate.compare_kernels(kernels_digest(),
-                                        kernels_digest(macs=131073))
+        findings = gate.compare("kernels", kernels_digest(),
+                                           kernels_digest(macs=131073))
         got = verdicts(findings)
         assert got["cases.ffn-256x256-s75.op_counters.pattern.macs"] is False
 
     def test_speedup_below_floor_fails(self):
-        findings = gate.compare_kernels(kernels_digest(),
-                                        kernels_digest(speedup=3.0))
+        findings = gate.compare("kernels", kernels_digest(),
+                                           kernels_digest(speedup=3.0))
         assert verdicts(findings)["acceptance.speedup"] is False
 
     def test_speedup_above_floor_passes(self):
-        findings = gate.compare_kernels(kernels_digest(),
-                                        kernels_digest(speedup=5.5))
+        findings = gate.compare("kernels", kernels_digest(),
+                                           kernels_digest(speedup=5.5))
         assert verdicts(findings)["acceptance.speedup"] is True
 
     def test_dropped_case_fails(self):
         # removing a gated case from the bench must not silently pass
         fresh = kernels_digest()
         del fresh["cases"]["ffn-256x256-s75"]
-        findings = gate.compare_kernels(kernels_digest(), fresh)
+        findings = gate.compare("kernels", kernels_digest(), fresh)
         missing = [f for f in findings if f["gated"] and not f["ok"]]
         assert missing
         assert any("missing from fresh run" in f["note"] for f in missing)
@@ -161,7 +159,7 @@ class TestCompareKernels:
     def test_dropped_kernel_fails(self):
         fresh = kernels_digest()
         del fresh["cases"]["ffn-256x256-s75"]["op_counters"]["pattern"]
-        findings = gate.compare_kernels(kernels_digest(), fresh)
+        findings = gate.compare("kernels", kernels_digest(), fresh)
         got = {f["metric"]: f for f in findings if f["gated"]}
         key = "cases.ffn-256x256-s75.op_counters.pattern"
         assert got[key]["ok"] is False
@@ -170,19 +168,19 @@ class TestCompareKernels:
         # the bench cannot lower its own gate by editing its threshold
         fresh = kernels_digest(speedup=3.0, min_speedup=1.0)
         fresh["acceptance"]["ok"] = True
-        findings = gate.compare_kernels(kernels_digest(min_speedup=5.0), fresh)
+        findings = gate.compare("kernels", kernels_digest(min_speedup=5.0), fresh)
         assert verdicts(findings)["acceptance.speedup"] is False
 
     def test_floor_falls_back_to_fresh_for_old_baselines(self):
         base = kernels_digest()
         del base["acceptance"]
-        findings = gate.compare_kernels(base, kernels_digest(speedup=6.0))
+        findings = gate.compare("kernels", base, kernels_digest(speedup=6.0))
         assert verdicts(findings)["acceptance.speedup"] is True
 
     def test_counter_missing_from_baseline_is_skipped(self):
         base = kernels_digest()
         del base["cases"]["ffn-256x256-s75"]["op_counters"]["pattern"]["macs"]
-        findings = gate.compare_kernels(base, kernels_digest())
+        findings = gate.compare("kernels", base, kernels_digest())
         got = {f["metric"]: f for f in findings}
         key = "cases.ffn-256x256-s75.op_counters.pattern.macs"
         assert got[key]["ok"] is True
@@ -191,7 +189,7 @@ class TestCompareKernels:
     def test_wall_clock_never_gated(self):
         fresh = kernels_digest()
         fresh["cases"]["ffn-256x256-s75"]["wall_ms"]["pattern"] = 1e6
-        findings = gate.compare_kernels(kernels_digest(), fresh)
+        findings = gate.compare("kernels", kernels_digest(), fresh)
         assert all(verdicts(findings).values())
         info = {f["metric"] for f in findings if not f["gated"]}
         assert "cases.ffn-256x256-s75.wall_ms.pattern" in info
@@ -232,70 +230,70 @@ def table_digest(power_scale=1.0, names=("l1", "l6")):
 
 class TestCompareStream:
     def test_identical_digests_pass(self):
-        findings = gate.compare_stream(stream_digest(), stream_digest())
+        findings = gate.compare("stream", stream_digest(), stream_digest())
         assert all(verdicts(findings).values())
 
     def test_oracle_exactness_breach_fails(self):
-        findings = gate.compare_stream(stream_digest(),
-                                       stream_digest(err=1e-6))
+        findings = gate.compare("stream", stream_digest(),
+                                          stream_digest(err=1e-6))
         assert verdicts(findings)["max_oracle_err"] is False
 
     def test_lost_monotonicity_fails(self):
-        findings = gate.compare_stream(stream_digest(),
-                                       stream_digest(mono=False))
+        findings = gate.compare("stream", stream_digest(),
+                                          stream_digest(mono=False))
         got = verdicts(findings)
         assert got["monotonic.mean_batch_size"] is False
         assert got["monotonic.p50_latency_ms"] is False
 
     def test_batch_size_drift_fails(self):
-        findings = gate.compare_stream(
-            stream_digest(), stream_digest(batches=(1.0, 4.0, 8.0)))
+        findings = gate.compare(
+            "stream", stream_digest(), stream_digest(batches=(1.0, 4.0, 8.0)))
         assert verdicts(findings)["sweep[1].mean_batch_size"] is False
 
     def test_endpoint_efficiency_drop_fails(self):
-        findings = gate.compare_stream(
-            stream_digest(),
+        findings = gate.compare(
+            "stream", stream_digest(),
             stream_digest(efficiency=(1300.0, 1400.0, 1460.0 * 0.5)))
         assert verdicts(findings)["sweep[-1].service_throughput_rps"] is False
 
     def test_endpoint_p50_rise_fails(self):
-        findings = gate.compare_stream(
-            stream_digest(), stream_digest(p50=(2.1, 5.7, 9.2 * 2.0)))
+        findings = gate.compare(
+            "stream", stream_digest(), stream_digest(p50=(2.1, 5.7, 9.2 * 2.0)))
         assert verdicts(findings)["sweep[-1].p50_latency_ms"] is False
 
     def test_drift_within_tolerance_passes(self):
-        findings = gate.compare_stream(
-            stream_digest(),
+        findings = gate.compare(
+            "stream", stream_digest(),
             stream_digest(efficiency=(1300.0, 1400.0, 1460.0 * 0.9)))
         assert verdicts(findings)["sweep[-1].service_throughput_rps"] is True
 
 
 class TestCompareTable:
     def test_identical_digests_pass(self):
-        findings = gate.compare_table(table_digest(), table_digest())
+        findings = gate.compare("table", table_digest(), table_digest())
         assert all(verdicts(findings).values())
 
     def test_row_drift_fails(self):
-        findings = gate.compare_table(table_digest(),
-                                      table_digest(names=("l1", "l5")))
+        findings = gate.compare("table", table_digest(),
+                                         table_digest(names=("l1", "l5")))
         assert verdicts(findings)["levels.row_set"] is False
 
     def test_power_drift_beyond_one_percent_fails(self):
-        findings = gate.compare_table(table_digest(),
-                                      table_digest(power_scale=1.02))
+        findings = gate.compare("table", table_digest(),
+                                         table_digest(power_scale=1.02))
         got = verdicts(findings)
         assert got["levels.l1.power_w"] is False
         assert got["levels.l6.power_w"] is False
 
     def test_power_drift_within_budget_passes(self):
-        findings = gate.compare_table(table_digest(),
-                                      table_digest(power_scale=1.005))
+        findings = gate.compare("table", table_digest(),
+                                         table_digest(power_scale=1.005))
         assert all(verdicts(findings).values())
 
     def test_wall_clock_never_gated(self):
         fresh = table_digest()
         fresh["governor"]["wall_ms"] = 1e6
-        findings = gate.compare_table(table_digest(), fresh)
+        findings = gate.compare("table", table_digest(), fresh)
         assert all(verdicts(findings).values())
         info = {f["metric"] for f in findings if not f["gated"]}
         assert "governor.wall_ms" in info
@@ -318,23 +316,23 @@ def table2_digest(e3=2.5e6, meets=True):
 
 class TestCompareTable2:
     def test_identical_digests_pass(self):
-        findings = gate.compare_table2(table2_digest(), table2_digest())
+        findings = gate.compare("table2", table2_digest(), table2_digest())
         assert all(verdicts(findings).values())
 
     def test_row_verdict_drift_fails(self):
-        findings = gate.compare_table2(table2_digest(),
-                                       table2_digest(meets=False))
+        findings = gate.compare("table2", table2_digest(),
+                                          table2_digest(meets=False))
         assert verdicts(findings)["rows.row_set"] is False
 
     def test_run_total_drift_fails(self):
-        findings = gate.compare_table2(table2_digest(),
-                                       table2_digest(e3=2.6e6))
+        findings = gate.compare("table2", table2_digest(),
+                                          table2_digest(e3=2.6e6))
         assert verdicts(findings)["total_runs.E3"] is False
 
     def test_wall_clock_never_gated(self):
         fresh = table2_digest()
         fresh["wall_ms"] = 1e6
-        findings = gate.compare_table2(table2_digest(), fresh)
+        findings = gate.compare("table2", table2_digest(), fresh)
         assert all(verdicts(findings).values())
         info = {f["metric"] for f in findings if not f["gated"]}
         assert "wall_ms" in info
@@ -366,56 +364,56 @@ def forward_digest(err=0.0, nodes=238, allocs=0, speedup=3.5,
 
 class TestCompareForward:
     def test_identical_digests_pass(self):
-        findings = gate.compare_forward(forward_digest(), forward_digest())
+        findings = gate.compare("forward", forward_digest(), forward_digest())
         assert all(verdicts(findings).values())
 
     def test_any_exactness_breach_fails(self):
         # bit-exactness: even a 1e-16 deviation is a gate failure
-        findings = gate.compare_forward(forward_digest(),
-                                        forward_digest(err=1e-16))
+        findings = gate.compare("forward", forward_digest(),
+                                           forward_digest(err=1e-16))
         assert verdicts(findings)["cases.serve.b1.max_abs_err"] is False
 
     def test_node_count_drift_fails(self):
-        findings = gate.compare_forward(forward_digest(),
-                                        forward_digest(nodes=239))
+        findings = gate.compare("forward", forward_digest(),
+                                           forward_digest(nodes=239))
         assert verdicts(findings)["cases.serve.b1.tensor_nodes"] is False
 
     def test_steady_alloc_drift_fails(self):
-        findings = gate.compare_forward(forward_digest(),
-                                        forward_digest(allocs=3))
+        findings = gate.compare("forward", forward_digest(),
+                                           forward_digest(allocs=3))
         assert (verdicts(findings)["cases.serve.b1.compiled_steady_allocs"]
                 is False)
 
     def test_speedup_below_floor_fails(self):
-        findings = gate.compare_forward(forward_digest(),
-                                        forward_digest(speedup=1.5))
+        findings = gate.compare("forward", forward_digest(),
+                                           forward_digest(speedup=1.5))
         assert verdicts(findings)["acceptance.speedup"] is False
 
     def test_baseline_floor_is_authoritative(self):
         # a fresh run cannot lower the gate by shipping a smaller floor
         fresh = forward_digest(speedup=2.2)
         fresh["acceptance"]["min_speedup"] = 1.0
-        findings = gate.compare_forward(forward_digest(min_speedup=2.5),
-                                        fresh)
+        findings = gate.compare("forward", forward_digest(min_speedup=2.5),
+                                           fresh)
         assert verdicts(findings)["acceptance.speedup"] is False
 
     def test_float32_tolerance_breach_fails(self):
-        findings = gate.compare_forward(forward_digest(),
-                                        forward_digest(rel32=5e-3))
+        findings = gate.compare("forward", forward_digest(),
+                                           forward_digest(rel32=5e-3))
         assert (verdicts(findings)["cases.serve.b1.float32_max_rel_err"]
                 is False)
 
     def test_dropped_case_fails(self):
         fresh = forward_digest()
         fresh["cases"] = {}
-        findings = gate.compare_forward(forward_digest(), fresh)
+        findings = gate.compare("forward", forward_digest(), fresh)
         assert verdicts(findings)["cases.serve.b1"] is False
 
     def test_wall_clock_never_gated(self):
         fresh = forward_digest()
         fresh["cases"]["serve.b1"]["tensor_ms"] = 1e6
         fresh["cases"]["serve.b1"]["compiled_ms"] = 1e6
-        findings = gate.compare_forward(forward_digest(), fresh)
+        findings = gate.compare("forward", forward_digest(), fresh)
         info = {f["metric"] for f in findings if not f["gated"]}
         assert "cases.serve.b1.speedup" in info
 
@@ -446,49 +444,49 @@ def generate_digest(exact=True, err=0.0, ragged=True, speedup=2.6,
 
 class TestCompareGenerate:
     def test_identical_digests_pass(self):
-        findings = gate.compare_generate(generate_digest(), generate_digest())
+        findings = gate.compare("generate", generate_digest(), generate_digest())
         assert all(verdicts(findings).values())
 
     def test_exactness_breach_fails(self):
-        findings = gate.compare_generate(generate_digest(),
-                                         generate_digest(exact=False))
+        findings = gate.compare("generate", generate_digest(),
+                                            generate_digest(exact=False))
         assert verdicts(findings)["cases.serve.dense.exact"] is False
 
     def test_logprob_err_breach_fails(self):
         # bit-exactness: even a 1e-16 logprob deviation is a gate failure
-        findings = gate.compare_generate(generate_digest(),
-                                         generate_digest(err=1e-16))
+        findings = gate.compare("generate", generate_digest(),
+                                            generate_digest(err=1e-16))
         assert verdicts(findings)["cases.serve.dense.max_abs_err"] is False
 
     def test_ragged_schedule_breach_fails(self):
-        findings = gate.compare_generate(generate_digest(),
-                                         generate_digest(ragged=False))
+        findings = gate.compare("generate", generate_digest(),
+                                            generate_digest(ragged=False))
         assert verdicts(findings)["cases.serve.dense.ragged_exact"] is False
 
     def test_speedup_below_floor_fails(self):
-        findings = gate.compare_generate(generate_digest(),
-                                         generate_digest(speedup=1.4))
+        findings = gate.compare("generate", generate_digest(),
+                                            generate_digest(speedup=1.4))
         assert verdicts(findings)["acceptance.speedup"] is False
 
     def test_baseline_floor_is_authoritative(self):
         # a fresh run cannot lower the gate by shipping a smaller floor
         fresh = generate_digest(speedup=2.2)
         fresh["acceptance"]["min_speedup"] = 1.0
-        findings = gate.compare_generate(generate_digest(min_speedup=2.5),
-                                         fresh)
+        findings = gate.compare("generate", generate_digest(min_speedup=2.5),
+                                            fresh)
         assert verdicts(findings)["acceptance.speedup"] is False
 
     def test_dropped_case_fails(self):
         fresh = generate_digest()
         fresh["cases"] = {}
-        findings = gate.compare_generate(generate_digest(), fresh)
+        findings = gate.compare("generate", generate_digest(), fresh)
         assert verdicts(findings)["cases.serve.dense"] is False
 
     def test_wall_clock_never_gated(self):
         fresh = generate_digest(speedup=0.01)
         fresh["acceptance"]["speedup"] = 2.6  # per-case speedups are info
         fresh["batching"]["speedup"] = 0.01
-        findings = gate.compare_generate(generate_digest(), fresh)
+        findings = gate.compare("generate", generate_digest(), fresh)
         info = {f["metric"] for f in findings if not f["gated"]}
         assert "cases.serve.dense.speedup" in info
         assert "batching.speedup" in info
@@ -537,54 +535,54 @@ def faults_digest(reject_shed=24, degrade_shed=0, conserved=True, exact=True,
 
 class TestCompareFaults:
     def test_identical_digests_pass(self):
-        findings = gate.compare_faults(faults_digest(), faults_digest())
+        findings = gate.compare("faults", faults_digest(), faults_digest())
         assert all(verdicts(findings).values())
 
     def test_conservation_breach_fails(self):
-        findings = gate.compare_faults(faults_digest(),
-                                       faults_digest(conserved=False))
+        findings = gate.compare("faults", faults_digest(),
+                                          faults_digest(conserved=False))
         v = verdicts(findings)
         assert v["policies.reject.conserved"] is False
         assert v["policies.degrade.conserved"] is False
 
     def test_exactness_breach_fails(self):
-        findings = gate.compare_faults(faults_digest(),
-                                       faults_digest(exact=False))
+        findings = gate.compare("faults", faults_digest(),
+                                          faults_digest(exact=False))
         assert verdicts(findings)["policies.reject.exact"] is False
 
     def test_shed_count_drift_fails(self):
         # deterministic simulation: even one extra shed request fails
-        findings = gate.compare_faults(faults_digest(),
-                                       faults_digest(reject_shed=25))
+        findings = gate.compare("faults", faults_digest(),
+                                          faults_digest(reject_shed=25))
         assert verdicts(findings)["policies.reject.shed"] is False
 
     def test_lost_strict_separation_fails(self):
-        findings = gate.compare_faults(
-            faults_digest(), faults_digest(reject_shed=24, degrade_shed=24))
+        findings = gate.compare(
+            "faults", faults_digest(), faults_digest(reject_shed=24, degrade_shed=24))
         assert verdicts(findings)["separation.strict"] is False
 
     def test_missing_policy_fails(self):
         fresh = faults_digest()
         del fresh["policies"]["degrade"]
-        findings = gate.compare_faults(faults_digest(), fresh)
+        findings = gate.compare("faults", faults_digest(), fresh)
         assert verdicts(findings)["policies.degrade"] is False
 
     def test_recovery_lag_over_budget_fails(self):
-        findings = gate.compare_faults(faults_digest(),
-                                       faults_digest(lag=1.5))
+        findings = gate.compare("faults", faults_digest(),
+                                          faults_digest(lag=1.5))
         assert verdicts(findings)["policies.reject.recovery_lag_s"] is False
 
     def test_baseline_budgets_are_authoritative(self):
         # a fresh run cannot widen the gate by shipping looser budgets
         fresh = faults_digest(lag=1.5, lag_budget=2.0)
-        findings = gate.compare_faults(faults_digest(), fresh)
+        findings = gate.compare("faults", faults_digest(), fresh)
         assert verdicts(findings)["policies.reject.recovery_lag_s"] is False
 
     def test_penalty_and_latency_never_gated(self):
         fresh = faults_digest()
         fresh["policies"]["reject"]["retry_penalty_ms"] = 99.0
         fresh["policies"]["reject"]["p95_latency_ms"] = 99.0
-        findings = gate.compare_faults(faults_digest(), fresh)
+        findings = gate.compare("faults", faults_digest(), fresh)
         info = {f["metric"] for f in findings if not f["gated"]}
         assert "policies.reject.retry_penalty_ms" in info
         assert "policies.reject.p95_latency_ms" in info
@@ -640,66 +638,66 @@ def preempt_digest(fifo_misses=6, preempt_misses=0, conserved=True,
 
 class TestComparePreempt:
     def test_identical_digests_pass(self):
-        findings = gate.compare_preempt(preempt_digest(), preempt_digest())
+        findings = gate.compare("preempt", preempt_digest(), preempt_digest())
         assert all(verdicts(findings).values())
 
     def test_conservation_breach_fails(self):
-        findings = gate.compare_preempt(preempt_digest(),
-                                        preempt_digest(conserved=False))
+        findings = gate.compare("preempt", preempt_digest(),
+                                           preempt_digest(conserved=False))
         v = verdicts(findings)
         assert v["policies.fifo.conserved"] is False
         assert v["policies.preempt.conserved"] is False
 
     def test_exactness_breach_fails(self):
-        findings = gate.compare_preempt(preempt_digest(),
-                                        preempt_digest(exact=False))
+        findings = gate.compare("preempt", preempt_digest(),
+                                           preempt_digest(exact=False))
         assert verdicts(findings)["policies.preempt.exact"] is False
 
     def test_counter_drift_fails(self):
         # deterministic simulation: even one extra preemption fails
-        findings = gate.compare_preempt(preempt_digest(),
-                                        preempt_digest(preemptions=13))
+        findings = gate.compare("preempt", preempt_digest(),
+                                           preempt_digest(preemptions=13))
         assert verdicts(findings)["policies.preempt.preemptions"] is False
 
     def test_cancel_count_drift_fails(self):
-        findings = gate.compare_preempt(preempt_digest(),
-                                        preempt_digest(cancelled=1))
+        findings = gate.compare("preempt", preempt_digest(),
+                                           preempt_digest(cancelled=1))
         assert verdicts(findings)["policies.fifo.cancelled"] is False
 
     def test_lost_strict_separation_fails(self):
-        findings = gate.compare_preempt(
-            preempt_digest(),
+        findings = gate.compare(
+            "preempt", preempt_digest(),
             preempt_digest(fifo_misses=6, preempt_misses=6))
         assert verdicts(findings)["separation.strict"] is False
 
     def test_starved_tenant_fails(self):
-        findings = gate.compare_preempt(
-            preempt_digest(), preempt_digest(starved=("victim",)))
+        findings = gate.compare(
+            "preempt", preempt_digest(), preempt_digest(starved=("victim",)))
         assert (verdicts(findings)["policies.preempt.starved_tenants"]
                 is False)
 
     def test_missing_arm_fails(self):
         fresh = preempt_digest()
         del fresh["policies"]["preempt"]
-        findings = gate.compare_preempt(preempt_digest(), fresh)
+        findings = gate.compare("preempt", preempt_digest(), fresh)
         assert verdicts(findings)["policies.preempt"] is False
 
     def test_hot_shed_rate_over_budget_fails(self):
-        findings = gate.compare_preempt(preempt_digest(),
-                                        preempt_digest(hot_shed_rate=0.9))
+        findings = gate.compare("preempt", preempt_digest(),
+                                           preempt_digest(hot_shed_rate=0.9))
         assert verdicts(findings)["policies.fifo.hot_shed_rate"] is False
 
     def test_baseline_budgets_are_authoritative(self):
         # a fresh run cannot widen the gate by shipping looser budgets
         fresh = preempt_digest(hot_shed_rate=0.9, shed_ceiling=0.95)
-        findings = gate.compare_preempt(preempt_digest(), fresh)
+        findings = gate.compare("preempt", preempt_digest(), fresh)
         assert verdicts(findings)["policies.fifo.hot_shed_rate"] is False
 
     def test_preempt_ceiling_gates_fresh_misses(self):
         # the fresh preempt arm drifting to 1 victim miss fails both the
         # exact counter and the committed ceiling
         fresh = preempt_digest(preempt_misses=1)
-        v = verdicts(gate.compare_preempt(preempt_digest(), fresh))
+        v = verdicts(gate.compare("preempt", preempt_digest(), fresh))
         assert v["policies.preempt.victim_slo_misses"] is False
         assert v["policies.preempt.victim_miss_ceiling"] is False
 
@@ -707,7 +705,7 @@ class TestComparePreempt:
         fresh = preempt_digest()
         fresh["policies"]["preempt"]["retry_penalty_ms"] = 99.0
         fresh["policies"]["preempt"]["victim_p95_latency_ms"] = 99.0
-        findings = gate.compare_preempt(preempt_digest(), fresh)
+        findings = gate.compare("preempt", preempt_digest(), fresh)
         info = {f["metric"] for f in findings if not f["gated"]}
         assert "policies.preempt.retry_penalty_ms" in info
         assert "policies.preempt.victim_p95_latency_ms" in info
@@ -741,49 +739,49 @@ def fig3_digest(best_aw=0.62, best_reward=0.55, front=None, feasible=6,
 
 class TestCompareFig3:
     def test_identical_digests_pass(self):
-        findings = gate.compare_fig3(fig3_digest(), fig3_digest())
+        findings = gate.compare("fig3", fig3_digest(), fig3_digest())
         assert all(verdicts(findings).values())
 
     def test_dropped_pareto_point_fails(self):
         # the replayed front no longer reaches the second committed point
         fresh = fig3_digest(front=[[0.58, 1.2e6]])
-        findings = gate.compare_fig3(fig3_digest(), fresh)
+        findings = gate.compare("fig3", fig3_digest(), fresh)
         assert verdicts(findings)["searches.loose-104ms.pareto[1]"] is False
 
     def test_dominating_front_passes(self):
         fresh = fig3_digest(front=[[0.60, 1.3e6], [0.64, 9.6e5]])
-        findings = gate.compare_fig3(fig3_digest(), fresh)
+        findings = gate.compare("fig3", fig3_digest(), fresh)
         assert all(v for k, v in verdicts(findings).items() if "pareto" in k)
 
     def test_accuracy_regression_beyond_budget_fails(self):
-        findings = gate.compare_fig3(fig3_digest(), fig3_digest(best_aw=0.55))
+        findings = gate.compare("fig3", fig3_digest(), fig3_digest(best_aw=0.55))
         got = verdicts(findings)
         assert got["searches.loose-104ms.best_weighted_accuracy"] is False
 
     def test_accuracy_drift_within_budget_passes(self):
-        findings = gate.compare_fig3(fig3_digest(), fig3_digest(best_aw=0.61))
+        findings = gate.compare("fig3", fig3_digest(), fig3_digest(best_aw=0.61))
         got = verdicts(findings)
         assert got["searches.loose-104ms.best_weighted_accuracy"] is True
 
     def test_lost_feasible_points_fail(self):
-        findings = gate.compare_fig3(fig3_digest(), fig3_digest(feasible=4))
+        findings = gate.compare("fig3", fig3_digest(), fig3_digest(feasible=4))
         assert verdicts(findings)["searches.loose-104ms.num_feasible"] is False
 
     def test_sparsity_grid_drift_fails(self):
-        findings = gate.compare_fig3(fig3_digest(), fig3_digest(l3=0.25))
+        findings = gate.compare("fig3", fig3_digest(), fig3_digest(l3=0.25))
         got = verdicts(findings)
         assert got["searches.loose-104ms.min_sparsity.l3"] is False
 
     def test_missing_search_fails(self):
         fresh = fig3_digest()
         fresh["searches"] = {}
-        findings = gate.compare_fig3(fig3_digest(), fresh)
+        findings = gate.compare("fig3", fig3_digest(), fresh)
         assert verdicts(findings)["searches.loose-104ms"] is False
 
     def test_wall_clock_never_gated(self):
         fresh = fig3_digest()
         fresh["wall_s"] = 1e6
-        findings = gate.compare_fig3(fig3_digest(), fresh)
+        findings = gate.compare("fig3", fig3_digest(), fresh)
         assert all(verdicts(findings).values())
 
 
@@ -801,21 +799,21 @@ def fig4_digest(sparsity=0.5625, digests=("a1b2", "c3d4", "e5f6"),
 
 class TestCompareFig4:
     def test_identical_digests_pass(self):
-        findings = gate.compare_fig4(fig4_digest(), fig4_digest())
+        findings = gate.compare("fig4", fig4_digest(), fig4_digest())
         assert all(verdicts(findings).values())
 
     def test_pattern_content_drift_fails(self):
         # same sparsity/counts but different searched patterns
         fresh = fig4_digest(digests=("a1b2", "c3d4", "ffff"))
-        findings = gate.compare_fig4(fig4_digest(), fresh)
+        findings = gate.compare("fig4", fig4_digest(), fresh)
         assert verdicts(findings)["levels.row_set"] is False
 
     def test_sparsity_drift_fails(self):
-        findings = gate.compare_fig4(fig4_digest(), fig4_digest(sparsity=0.5))
+        findings = gate.compare("fig4", fig4_digest(), fig4_digest(sparsity=0.5))
         assert verdicts(findings)["levels.row_set"] is False
 
     def test_overlap_drift_fails(self):
-        findings = gate.compare_fig4(fig4_digest(), fig4_digest(shared=0.5))
+        findings = gate.compare("fig4", fig4_digest(), fig4_digest(shared=0.5))
         assert verdicts(findings)["overlap.shared_kept"] is False
 
 
@@ -830,22 +828,22 @@ def fig5_digest(pruned=0.55, mean_loss=0.02):
 
 class TestCompareFig5:
     def test_identical_digests_pass(self):
-        findings = gate.compare_fig5(fig5_digest(), fig5_digest())
+        findings = gate.compare("fig5", fig5_digest(), fig5_digest())
         assert all(verdicts(findings).values())
 
     def test_score_drift_fails(self):
-        findings = gate.compare_fig5(fig5_digest(), fig5_digest(pruned=0.54))
+        findings = gate.compare("fig5", fig5_digest(), fig5_digest(pruned=0.54))
         assert verdicts(findings)["rows.row_set"] is False
 
     def test_mean_loss_drift_fails(self):
-        findings = gate.compare_fig5(fig5_digest(),
-                                     fig5_digest(mean_loss=0.03))
+        findings = gate.compare("fig5", fig5_digest(),
+                                        fig5_digest(mean_loss=0.03))
         assert verdicts(findings)["mean_score_loss"] is False
 
     def test_wall_clock_never_gated(self):
         fresh = fig5_digest()
         fresh["wall_s"] = 1e6
-        findings = gate.compare_fig5(fig5_digest(), fresh)
+        findings = gate.compare("fig5", fig5_digest(), fresh)
         assert all(verdicts(findings).values())
         info = {f["metric"] for f in findings if not f["gated"]}
         assert "wall_s" in info
@@ -876,64 +874,64 @@ def table3_digest(best_reward=0.52, rt3=0.60, meets=True, speedup=5200.0,
 
 class TestCompareTable3:
     def test_identical_digests_pass(self):
-        findings = gate.compare_table3(table3_digest(), table3_digest())
+        findings = gate.compare("table3", table3_digest(), table3_digest())
         assert all(verdicts(findings).values())
 
     def test_deadline_verdict_flip_fails(self):
-        findings = gate.compare_table3(table3_digest(),
-                                       table3_digest(meets=False))
+        findings = gate.compare("table3", table3_digest(),
+                                          table3_digest(meets=False))
         assert verdicts(findings)["verdicts.row_set"] is False
 
     def test_best_reward_regression_beyond_budget_fails(self):
-        findings = gate.compare_table3(table3_digest(),
-                                       table3_digest(best_reward=0.40))
+        findings = gate.compare("table3", table3_digest(),
+                                          table3_digest(best_reward=0.40))
         got = verdicts(findings)
         assert got["experiments.WikiText-2 (T:104ms).best_reward"] is False
 
     def test_best_reward_drift_within_budget_passes(self):
-        findings = gate.compare_table3(table3_digest(),
-                                       table3_digest(best_reward=0.48))
+        findings = gate.compare("table3", table3_digest(),
+                                          table3_digest(best_reward=0.48))
         got = verdicts(findings)
         assert got["experiments.WikiText-2 (T:104ms).best_reward"] is True
 
     def test_rt3_score_regression_fails(self):
-        findings = gate.compare_table3(table3_digest(),
-                                       table3_digest(rt3=0.50))
+        findings = gate.compare("table3", table3_digest(),
+                                          table3_digest(rt3=0.50))
         got = verdicts(findings)
         key = "experiments.WikiText-2 (T:104ms).levels.l6.rt3_score"
         assert got[key] is False
 
     def test_switch_speedup_below_floor_fails(self):
-        findings = gate.compare_table3(table3_digest(),
-                                       table3_digest(speedup=800.0))
+        findings = gate.compare("table3", table3_digest(),
+                                          table3_digest(speedup=800.0))
         got = verdicts(findings)
         assert got["experiments.WikiText-2 (T:104ms).switch_speedup"] is False
 
     def test_baseline_floor_is_authoritative(self):
         # a fresh run cannot lower the gate by shipping a smaller floor
-        findings = gate.compare_table3(table3_digest(floor=2000.0),
-                                       table3_digest(speedup=1500.0,
+        findings = gate.compare("table3", table3_digest(floor=2000.0),
+                                          table3_digest(speedup=1500.0,
                                                      floor=1.0))
         got = verdicts(findings)
         assert got["experiments.WikiText-2 (T:104ms).switch_speedup"] is False
 
     def test_switch_cost_rise_beyond_budget_fails(self):
-        findings = gate.compare_table3(
-            table3_digest(), table3_digest(switch_ms=8.75 * 1.2,
+        findings = gate.compare(
+            "table3", table3_digest(), table3_digest(switch_ms=8.75 * 1.2,
                                            speedup=5200.0 / 1.2))
         got = verdicts(findings)
         assert got["experiments.WikiText-2 (T:104ms).rt3_switch_ms"] is False
 
     def test_shortened_trajectory_fails(self):
-        findings = gate.compare_table3(table3_digest(),
-                                       table3_digest(episodes=3))
+        findings = gate.compare("table3", table3_digest(),
+                                          table3_digest(episodes=3))
         got = verdicts(findings)
         assert got["experiments.WikiText-2 (T:104ms).trajectory_len"] is False
 
     def test_missing_experiment_fails(self):
         fresh = table3_digest()
         fresh["experiments"] = {}
-        findings = gate.compare_table3(table3_digest(), fresh)
+        findings = gate.compare("table3", table3_digest(), fresh)
         assert verdicts(findings)["experiments.WikiText-2 (T:104ms)"] is False
 
 
@@ -953,18 +951,18 @@ def table4_digest(rt3_impr=4.9):
 
 class TestCompareTable4:
     def test_identical_digests_pass(self):
-        findings = gate.compare_table4(table4_digest(), table4_digest())
+        findings = gate.compare("table4", table4_digest(), table4_digest())
         assert all(verdicts(findings).values())
 
     def test_perturbed_row_fails(self):
-        findings = gate.compare_table4(table4_digest(),
-                                       table4_digest(rt3_impr=4.5))
+        findings = gate.compare("table4", table4_digest(),
+                                          table4_digest(rt3_impr=4.5))
         assert verdicts(findings)["rows.row_set"] is False
 
     def test_wall_clock_never_gated(self):
         fresh = table4_digest()
         fresh["wall_s"] = 1e6
-        findings = gate.compare_table4(table4_digest(), fresh)
+        findings = gate.compare("table4", table4_digest(), fresh)
         assert all(verdicts(findings).values())
 
 
@@ -986,99 +984,126 @@ def ablations_digest(reward=0.5, total_runs=2.1e6, acc=0.6):
 
 class TestCompareAblations:
     def test_identical_digests_pass(self):
-        findings = gate.compare_ablations(ablations_digest(),
-                                          ablations_digest())
+        findings = gate.compare("ablations", ablations_digest(),
+                                             ablations_digest())
         assert all(verdicts(findings).values())
 
     def test_governor_row_drift_fails(self):
-        findings = gate.compare_ablations(ablations_digest(),
-                                          ablations_digest(total_runs=2.2e6))
+        findings = gate.compare("ablations", ablations_digest(),
+                                             ablations_digest(total_runs=2.2e6))
         assert verdicts(findings)["governor.row_set"] is False
 
     def test_reward_regression_beyond_budget_fails(self):
-        findings = gate.compare_ablations(ablations_digest(),
-                                          ablations_digest(reward=0.40))
+        findings = gate.compare("ablations", ablations_digest(),
+                                             ablations_digest(reward=0.40))
         got = verdicts(findings)
         assert got["space_size.theta1_m1.best_reward"] is False
 
     def test_reward_drift_within_budget_passes(self):
-        findings = gate.compare_ablations(ablations_digest(),
-                                          ablations_digest(reward=0.46))
+        findings = gate.compare("ablations", ablations_digest(),
+                                             ablations_digest(reward=0.46))
         assert all(verdicts(findings).values())
 
     def test_dropped_space_point_fails(self):
         fresh = ablations_digest()
         fresh["space_size"] = []
-        findings = gate.compare_ablations(ablations_digest(), fresh)
+        findings = gate.compare("ablations", ablations_digest(), fresh)
         got = verdicts(findings)
         assert got["space_size.theta1_m1.best_reward"] is False
 
 
 class TestRender:
     def test_render_marks_failures(self):
-        findings = gate.compare(digest(), digest(sim_rps=1000.0))
+        findings = gate.compare("serve", digest(), digest(sim_rps=1000.0))
         table = gate.render(findings)
         assert "FAIL" in table and "info" in table
 
     def test_render_titles_benches(self):
-        table = gate.render(gate.compare(digest(), digest()), title="serve")
+        table = gate.render(gate.compare("serve", digest(), digest()), title="serve")
         assert table.startswith("== serve ==")
+
+
+def committed(name):
+    return json.loads((gate.RESULTS / f"BENCH_{name}.json").read_text())
+
+
+class TestTable:
+    @pytest.mark.parametrize("name", list(gate.BENCHES))
+    def test_committed_baseline_passes_against_itself(self, name):
+        baseline = committed(name)
+        findings = gate.compare(name, baseline, baseline)
+        assert any(f["gated"] for f in findings)
+        assert all(verdicts(findings).values())
+
+    @pytest.mark.parametrize("name", list(gate.BENCHES))
+    def test_recipe_binds_to_entry_signature(self, name):
+        kwargs = gate.recipe_kwargs(name, committed(name))
+        # every recipe path resolves in the committed baseline, so none
+        # silently falls back to the entry function's default
+        assert set(kwargs) == {item.partition("=")[0]
+                               for item in gate.BENCHES[name].recipe}
+        inspect.signature(gate.entry_function(name)).bind(**kwargs)
 
 
 class TestMainEntry:
     def test_missing_baseline_errors(self, tmp_path, capsys):
-        code = gate.main(["--baseline", str(tmp_path / "nope.json")])
+        code = gate.main(["--results-dir", str(tmp_path)])
         assert code == 2
         assert "no committed baseline" in capsys.readouterr().err
 
     def test_missing_kernels_baseline_errors(self, tmp_path, capsys):
-        code = gate.main(["--bench", "kernels",
-                          "--kernels-baseline", str(tmp_path / "nope.json")])
+        code = gate.main(["--bench", "kernels", "--results-dir", str(tmp_path)])
         assert code == 2
-        assert "no committed baseline" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "no committed baseline" in err and "BENCH_kernels.json" in err
 
-    def test_every_bench_has_override_flags(self, capsys):
+    def test_baseline_without_table_entry_fails(self, tmp_path, capsys):
+        shutil.copy(gate.RESULTS / "BENCH_table.json", tmp_path)
+        (tmp_path / "BENCH_orphan.json").write_text("{}")
+        code = gate.main(["--bench", "table", "--results-dir", str(tmp_path)])
+        assert code != 0
+        assert "BENCH_orphan.json" in capsys.readouterr().err
+
+    def test_cli_has_three_options(self, capsys):
         with pytest.raises(SystemExit):
             gate.main(["--help"])
-        helptext = capsys.readouterr().out
-        for name in gate.BENCHES:
-            assert f"--{name}-baseline" in helptext
-            assert f"--{name}-fresh-output" in helptext
-        # serve's historical short flags stay as aliases
-        assert "--baseline" in helptext and "--fresh-output" in helptext
+        options = set(re.findall(r"--[a-z][\w-]*", capsys.readouterr().out))
+        assert options == {"--help", "--bench", "--results-dir",
+                           "--update-baseline"}
 
     def test_update_baseline_round_trip(self, tmp_path):
         # a stale baseline fails the gate, --update-baseline refreshes it
         # in place, and the refreshed file then passes
-        committed = json.loads(gate.BENCHES["table"].baseline_path.read_text())
-        committed["levels"][0]["power_w"] *= 2.0
+        stale = committed("table")
+        stale["levels"][0]["power_w"] *= 2.0
         baseline = tmp_path / "BENCH_table.json"
-        baseline.write_text(json.dumps(committed))
-        fresh = tmp_path / "BENCH_table.fresh.json"
-        argv = ["--bench", "table", "--table-baseline", str(baseline),
-                "--table-fresh-output", str(fresh),
-                "--output", str(tmp_path / "report.json")]
+        baseline.write_text(json.dumps(stale))
+        argv = ["--bench", "table", "--results-dir", str(tmp_path)]
         assert gate.main(argv) == 1
         assert gate.main(argv + ["--update-baseline"]) == 0
+        fresh = tmp_path / "BENCH_table.fresh.json"
         assert json.loads(baseline.read_text()) == json.loads(fresh.read_text())
         assert gate.main(argv) == 0
 
-    @pytest.mark.slow
     def test_end_to_end_pass_and_report(self, tmp_path, capsys):
-        out = tmp_path / "report.json"
-        argv = ["--output", str(out)]
-        fresh = {}
-        for name in gate.BENCHES:
-            fresh[name] = tmp_path / f"{name}_fresh.json"
-            argv += [f"--{name}-fresh-output", str(fresh[name])]
-        code = gate.main(argv)
-        assert code == 0
-        assert out.exists()
-        # no hidden write into the repo tree
-        assert all(path.exists() for path in fresh.values())
-        report = json.loads(out.read_text())
-        assert set(report["benches"]) == set(gate.BENCHES)
+        # the two cheapest deterministic benches through main(); the full
+        # fifteen-bench replay is CI's gate step
+        names = ["table", "table2"]
+        for name in names:
+            shutil.copy(gate.RESULTS / f"BENCH_{name}.json", tmp_path)
+        assert gate.main(["--bench", *names, "--results-dir", str(tmp_path)]) == 0
+        report = json.loads((tmp_path / gate.REPORT_NAME).read_text())
         assert report["registry"] == list(gate.BENCHES)
-        assert report["failures"] == 0
-        assert report["ok"] is True
-        assert "no bench regression detected" in capsys.readouterr().out
+        assert report["selected"] == names
+        assert set(report["benches"]) == set(names)
+        assert report["failures"] == 0 and report["ok"] is True
+        for name in names:
+            # fresh digests land next to the baselines, not in the repo
+            assert (tmp_path / f"BENCH_{name}.fresh.json").exists()
+            bench = report["benches"][name]
+            assert bench["ok"] is True
+            assert all(set(f) >= {"metric", "baseline", "fresh", "gated",
+                                  "ok", "note"} for f in bench["findings"])
+        out = capsys.readouterr().out
+        assert "== table ==" in out and "== table2 ==" in out
+        assert "no bench regression detected" in out

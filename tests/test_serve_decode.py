@@ -155,10 +155,14 @@ class TestServeDecode:
                                                 arrival_s=0.0))
 
     def test_lane_decodes_through_the_engine_plan(self):
-        """Lane sessions decode through the engine's own forward plan
-        and match an eager re-decode of the stream."""
+        """Lane sessions decode through the engine's own forward plan,
+        compiled once for the rung served, and match an eager re-decode
+        of the stream."""
         _, _, engine = build_serving_stack(StackConfig())
         core = engine.streaming()
+        sessions = []
+        factory = core._decode_session
+        core._decode_session = lambda: sessions.append(factory()) or sessions[-1]
         gen_cfg = GenerationConfig(max_new_tokens=3, seed=7)
         core.submit_decode(InferenceRequest(req_id=0, tokens=[1, 2, 3],
                                             level_name="l2", arrival_s=0.0),
@@ -167,7 +171,11 @@ class TestServeDecode:
         result = core.report().results[0]
         assert list(result.output.tokens[:3]) == [1, 2, 3]
         assert len(result.output.generated) == 3
-        assert core._decode_session().plan is core._forward()
+        plan = core._forward()
+        assert [session.plan for session in sessions] == [plan]
+        # the plan is built after the rung is installed: no wasted compile
+        # for the provisioned masks
+        assert plan.compiles == 1
         want = solo_eager(0, [1, 2, 3], gen_cfg, result.sparsity)
         assert np.array_equal(result.output.tokens, want.tokens)
         assert result.output.logprobs == want.logprobs
