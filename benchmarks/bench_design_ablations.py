@@ -15,7 +15,7 @@ sweep them and check the direction of each trade-off:
 
 Besides the rendered sweep tables (informational,
 ``benchmarks/results/ablation_*.txt``), ``run_bench`` writes a
-machine-readable digest (``benchmarks/results/BENCH_ablations.json``)
+machine-readable digest (``benchmarks/results/BENCH_ablations.fresh.json``)
 with one section per sweep.  The pattern-size, governor and kernel-cost
 sections are deterministic functions of the models, so
 ``scripts/check_bench_regression.py`` gates their row sets by exact

@@ -21,7 +21,7 @@ two admission overload defenses (``--shed-policy reject`` vs
   penalty) and the shard rejoins within the recovery-lag budget set by
   the exponential-backoff probe chain.
 
-The digest lands in ``benchmarks/results/BENCH_faults.json``;
+The digest lands in ``benchmarks/results/BENCH_faults.fresh.json``;
 ``scripts/check_bench_regression.py`` replays the committed
 configuration and gates conservation, exactness, the shed counts of
 both policies, the strict reject/degrade separation and the failover

@@ -9,7 +9,7 @@
 
 Besides the rendered exploration report (informational,
 ``benchmarks/results/fig3_pareto_exploration.txt``), ``run_bench``
-writes a machine-readable digest (``benchmarks/results/BENCH_fig3.json``)
+writes a machine-readable digest (``benchmarks/results/BENCH_fig3.fresh.json``)
 per deadline: the feasible (Aw, #runs) points, the Pareto front, the
 best weighted accuracy/reward, the heuristic baseline and the per-level
 minimum sparsity candidates.  The search is seeded — the seed and

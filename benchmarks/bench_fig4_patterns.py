@@ -8,7 +8,7 @@ Regenerates the paper's qualitative observations:
 
 Besides the rendered side-by-side figure (informational,
 ``benchmarks/results/fig4_patterns.txt``), ``run_bench`` writes a
-machine-readable digest (``benchmarks/results/BENCH_fig4.json``): one
+machine-readable digest (``benchmarks/results/BENCH_fig4.fresh.json``): one
 row per V/F level — nominal sparsity, pattern count and the SHA-1
 digests of every searched pattern — plus the cross-level overlap
 statistics.  The search-space derivation is a deterministic function of

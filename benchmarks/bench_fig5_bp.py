@@ -6,7 +6,7 @@ up to 2x compression with small average score loss (paper: 1.74% average).
 
 Besides the rendered table (informational,
 ``benchmarks/results/fig5_block_pruning.txt``), ``run_bench`` writes a
-machine-readable digest (``benchmarks/results/BENCH_fig5.json``): one
+machine-readable digest (``benchmarks/results/BENCH_fig5.fresh.json``): one
 row per task — pruning rate, dense score, pruned score, score loss and
 compression ratio — plus the average loss.  Training is a deterministic
 function of the seeds and epoch counts recorded in the digest, so

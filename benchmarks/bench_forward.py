@@ -21,7 +21,7 @@ The gated acceptance case is the serve shape at batch 1 — the paper's
 per-inference on-device deadline config (and the single-request serving
 path) — with a ``MIN_SPEEDUP`` floor of 2x; the batched cases are
 reported alongside.  Machine-readable numbers land in
-``benchmarks/results/BENCH_forward.json``;
+``benchmarks/results/BENCH_forward.fresh.json``;
 ``scripts/check_bench_regression.py`` re-runs the bench at the committed
 configuration and fails on any exactness breach, node/alloc-count drift,
 a float32 tolerance breach, or the acceptance speedup dropping below the

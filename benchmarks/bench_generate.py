@@ -20,7 +20,7 @@ across model shapes × mask formats:
 
 The gated acceptance case is the serving stack's model shape with dense
 weights (``serve.dense``) with a ``MIN_SPEEDUP`` per-token floor of 2x.
-Machine-readable numbers land in ``benchmarks/results/BENCH_generate.json``;
+Machine-readable numbers land in ``benchmarks/results/BENCH_generate.fresh.json``;
 ``scripts/check_bench_regression.py`` re-runs the bench at the committed
 configuration and fails on any exactness breach, a ragged-schedule
 mismatch, or the acceptance speedup dropping below the committed floor.

@@ -16,7 +16,7 @@ sparsities, and records for each case:
 The headline number is the grouped pattern kernel's speedup over the
 loop reference on the 256x256, psize-4, 75%-sparse acceptance case; the
 bench asserts it stays >= ``MIN_PATTERN_SPEEDUP``.  A machine-readable
-digest lands in ``benchmarks/results/BENCH_kernels.json`` via
+digest lands in ``benchmarks/results/BENCH_kernels.fresh.json`` via
 :func:`benchmarks.common.write_json_result`;
 ``scripts/check_bench_regression.py`` regresses CI against the committed
 copy (op counts and exactness are gated exactly — they are deterministic

@@ -32,7 +32,7 @@ Gated invariants:
   quota, both arms record exactly the two scripted cancellations, and
   no tenant starves under fairness.
 
-The digest lands in ``benchmarks/results/BENCH_preempt.json``;
+The digest lands in ``benchmarks/results/BENCH_preempt.fresh.json``;
 ``scripts/check_bench_regression.py`` replays the committed
 configuration and gates the counters exactly (the simulation is
 deterministic) plus the invariants above.

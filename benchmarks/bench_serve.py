@@ -15,7 +15,7 @@ speedup, simulated throughput and p50/p95 latency against the SLO,
 cache hit rate, multi-device scaling, and the worst absolute deviation
 between batched/sharded and per-request outputs (must be exact to
 double precision).  Machine-readable numbers land in
-``benchmarks/results/BENCH_serve.json``; ``scripts/check_bench_regression.py``
+``benchmarks/results/BENCH_serve.fresh.json``; ``scripts/check_bench_regression.py``
 re-runs this bench at the committed configuration and gates CI on the
 *simulated* (deterministic) metrics.
 

@@ -20,7 +20,7 @@ The sweep exhibits the admission-time tradeoff monotonically: widening
 the window never hurts batching efficiency and never helps p50 (it
 trades latency for throughput), and the digest records the monotonicity
 flags so the CI gate can hold the shape, not just the endpoints.
-Machine-readable numbers land in ``benchmarks/results/BENCH_stream.json``;
+Machine-readable numbers land in ``benchmarks/results/BENCH_stream.fresh.json``;
 ``scripts/check_bench_regression.py`` re-runs this bench at the
 committed configuration and gates exactness, monotonicity, per-window
 batch sizes and endpoint drift.

@@ -5,7 +5,7 @@ not measurement) and benchmarks the DVFS governor lookup — the operation
 on the run-time critical path of every reconfiguration decision.
 
 Besides the rendered text table, the harness writes a machine-readable
-digest (``benchmarks/results/BENCH_table.json``) with one row per V/F
+digest (``benchmarks/results/BENCH_table.fresh.json``) with one row per V/F
 level — notation, frequency, voltage and the modelled power draw — plus
 the governor-lookup wall time.  ``scripts/check_bench_regression.py``
 gates the row *set* by exact equality (the paper's table is
@@ -87,7 +87,11 @@ def test_bench_governor_lookup(benchmark):
     assert len(levels) == 1000
 
 
-if __name__ == "__main__":
+def main() -> int:
     write_result("table1_dvfs_levels", render_table1())
     write_json_result("table", run_bench())
-    sys.exit(0)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

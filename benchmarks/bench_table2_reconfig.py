@@ -9,7 +9,7 @@ the deadline at low V/F levels; E3 runs the most and meets every deadline.
 Paper numbers: E1 1.53e6 runs; E2 +17.30%; E3 1.78x E1.
 
 Besides the rendered text table, ``run_bench`` writes a machine-readable
-digest (``benchmarks/results/BENCH_table2.json``): one row per
+digest (``benchmarks/results/BENCH_table2.fresh.json``): one row per
 (experiment, V/F level) with the modelled latency and deadline verdict,
 plus the three campaign run totals.  ``scripts/check_bench_regression.py``
 gates the row set and the run totals by exact equality — the discharge

@@ -12,7 +12,7 @@ Expected shape (paper):
 
 Besides the rendered table (informational,
 ``benchmarks/results/table3_automl.txt``), ``run_bench`` writes a
-machine-readable digest (``benchmarks/results/BENCH_table3.json``) per
+machine-readable digest (``benchmarks/results/BENCH_table3.fresh.json``) per
 experiment: per-level sparsity/latency/UB/RT3 scores and deadline
 verdicts, the running-best reward trajectory, and the modelled
 UB-reload vs RT3-switch interrupt costs.  The search is seeded — seed

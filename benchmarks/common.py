@@ -4,9 +4,11 @@ Each ``bench_*`` module reproduces one table or figure of the paper at
 laptop scale: it builds the experiment, prints the same rows/series the
 paper reports (plus the paper's own numbers for comparison), writes the
 rendered table under ``benchmarks/results/`` (human-readable,
-informational — never gated) and a machine-readable ``BENCH_<name>.json``
-digest that ``scripts/check_bench_regression.py`` diffs against the
-committed baseline on every CI run.
+informational — never gated) and a machine-readable
+``BENCH_<name>.fresh.json`` digest.  The committed baseline
+``BENCH_<name>.json`` is never written by a bench run:
+``scripts/check_bench_regression.py`` replays each bench against it on
+every CI run, and only its ``--update-baseline`` rewrites it.
 
 Absolute numbers are not expected to match the authors' testbed; the
 *shape* (who wins, by roughly what factor) is asserted in the tests and
@@ -44,14 +46,14 @@ def write_result(name: str, text: str) -> None:
 
 
 def write_json_result(name: str, payload: Dict) -> pathlib.Path:
-    """Persist a machine-readable bench result as ``BENCH_<name>.json``.
+    """Persist a machine-readable bench result as ``BENCH_<name>.fresh.json``.
 
-    These files give later PRs a perf trajectory to regress against:
-    CI archives them, and a future bench can diff its numbers against
-    the committed history.
+    The gitignored ``.fresh`` name keeps a standalone run (``--smoke`` or
+    not) from overwriting the committed ``BENCH_<name>.json`` baseline,
+    which the regression gate alone writes (``--update-baseline``).
     """
     RESULTS_DIR.mkdir(exist_ok=True)
-    path = RESULTS_DIR / f"BENCH_{name}.json"
+    path = RESULTS_DIR / f"BENCH_{name}.fresh.json"
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     print(f"[bench] machine-readable result -> {path}")
     return path

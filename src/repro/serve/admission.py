@@ -3,7 +3,7 @@
 :class:`AdmissionControl` decides queue-full, tenant-quota and deadline
 shed/degrade before a request touches the admission queue, reading two
 backlog counters that the waiting stages (admission queue, device queues
-and decode lanes, the engine's parked work) move as work enters and
+and decode lanes, the parked-work holder) move as work enters and
 leaves them — a decision costs O(1) however deep the backlog is.
 """
 

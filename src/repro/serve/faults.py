@@ -23,6 +23,8 @@ tick-granularity independent as a healthy one.  Two pieces:
   half: what the engine records when it refuses a request instead of
   silently losing it.  Conservation (``completed + shed == submitted``)
   is the invariant every chaos test and the faults bench gate.
+- :class:`ParkedWork` — the work a total outage left with nowhere to
+  run, held (and counted as waiting) until a shard rejoins.
 
 Health states are plain strings so they serialize straight into shard
 digests: ``healthy`` → ``degraded`` (stalled / slowed but serving) →
@@ -33,7 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from repro.serve.batcher import InferenceRequest
 from repro.utils.config import ConfigError, require
@@ -46,6 +48,7 @@ __all__ = [
     "FaultPlan",
     "HEALTHY",
     "PREEMPT_POLICIES",
+    "ParkedWork",
     "SHED_POLICIES",
     "ShardFault",
     "ShedRecord",
@@ -212,3 +215,55 @@ class CancelRecord:
     request: InferenceRequest
     time_s: float
     where: str
+
+
+class ParkedWork:
+    """Batches and decode jobs routed while no shard is up, held until
+    one rejoins (or shed when no recovery is coming).  ``ledger`` (an
+    :class:`~repro.serve.admission.AdmissionControl`) counts them as live
+    for the tenant quotas, never toward the queue-full backlog."""
+
+    def __init__(self, ledger) -> None:
+        self.batches: List = []  # QueuedBatch, in parking order
+        self.jobs: List = []  # DecodeJob, in parking order
+        self.ledger = ledger
+
+    def __bool__(self) -> bool:
+        return bool(self.batches or self.jobs)
+
+    def park(self, batches, jobs) -> None:
+        for batch in batches:
+            self.batches.append(batch)
+            self.ledger.hold_batch(batch, 0)
+        for job in jobs:
+            self.jobs.append(job)
+            self.ledger.hold({job.request.tenant: 1})
+
+    def unpark(self, now_s: float) -> Tuple[List, List]:
+        """Hand back (and stop counting) everything parked, in parking
+        order; batches become ready no earlier than ``now_s``."""
+        batches, self.batches = self.batches, []
+        jobs, self.jobs = self.jobs, []
+        for batch in batches:
+            self.ledger.release_batch(batch, 0)
+            batch.ready_s = max(batch.ready_s, now_s)
+        for job in jobs:
+            self.ledger.release({job.request.tenant: 1})
+        return batches, jobs
+
+    def cancel(self, req_id: int, now_s: float) -> Optional[CancelRecord]:
+        """Withdraw ``req_id`` if parked (a batch left with no live member
+        is dropped); ``None`` otherwise."""
+        for batch in self.batches:
+            req = batch.cancel_member(req_id, self.ledger)
+            if req is not None:
+                if len(batch.done_ids) == len(batch):
+                    self.batches.remove(batch)
+                    self.ledger.release_batch(batch, 0)
+                return CancelRecord(req, now_s, "parked")
+        for job in self.jobs:
+            if job.request.req_id == req_id:
+                self.jobs.remove(job)
+                self.ledger.release({job.request.tenant: 1})
+                return CancelRecord(job.request, now_s, "decode_pending")
+        return None

@@ -51,9 +51,9 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.serve.batcher import InferenceRequest
+from repro.serve.batcher import InferenceRequest, RequestResult
 from repro.serve.decode import DecodeJob, DecodeLane
-from repro.serve.faults import DEGRADED, DOWN, HEALTHY
+from repro.serve.faults import DEGRADED, DOWN, HEALTHY, CancelRecord
 
 POLICIES = ("round-robin", "least-loaded", "switch-aware")
 DRAIN_POLICIES = ("fifo", "level-affinity", "adaptive")
@@ -86,6 +86,33 @@ class QueuedBatch:
 
     def __len__(self) -> int:
         return len(self.requests)
+
+    def cancel_member(self, req_id: int, ledger) -> Optional[InferenceRequest]:
+        """Mark the live member ``req_id`` done (and retire it from
+        ``ledger``); ``None`` when no live member has that id.  The
+        membership is kept, so a later execution computes the same bits
+        for the survivors; the cancelled member just never emits."""
+        if req_id in self.done_ids:
+            return None
+        req = next((r for r in self.requests if r.req_id == req_id), None)
+        if req is not None:
+            self.done_ids = tuple(sorted(set(self.done_ids) | {req_id}))
+            if ledger is not None:
+                ledger.retire(self, req)
+        return req
+
+
+@dataclass
+class InFlight:
+    """The last batch (``batch``) or decode boundary (``jobs`` of its
+    finished streams, by request id) a device executed, and the results
+    it emitted.  Events process in time order, so it is the only
+    executed work a later event can still catch before it completes."""
+
+    end_s: float
+    results: List[RequestResult]
+    batch: Optional[QueuedBatch] = None
+    jobs: Dict[int, DecodeJob] = field(default_factory=dict)
 
 
 @dataclass
@@ -197,6 +224,9 @@ class DeviceShard:
     batch entering or leaving the queues and of every decode job
     entering or leaving the lane's pending heap.
 
+    ``inflight`` is the last executed work (:class:`InFlight`) and
+    ``completed`` counts the live results this device emitted.
+
     The shard's installed-pattern state (``active_sparsity``) is updated
     by the engine as it executes, because a pattern swap happens on
     *this* device no matter what the other shards run.
@@ -240,6 +270,8 @@ class DeviceShard:
         # rolling decode batch resident on this device (continuous
         # batching: streams join/leave at token boundaries)
         self.decode = DecodeLane(ledger)
+        self.inflight: Optional[InFlight] = None
+        self.completed = 0
         self.stats = ShardStats(shard_id, drain_policy=self._base_policy())
         # persistent drain-policy state (level-affinity run tracking)
         self._current_level: Optional[str] = None
@@ -369,35 +401,39 @@ class DeviceShard:
 
     def fail(self, now_s: float, down_until_s: float
              ) -> Tuple[List[QueuedBatch], List[DecodeJob]]:
-        """Crash: go down and hand back every piece of queued work.
+        """Crash: go down and hand back every piece of this device's work.
 
-        Returns ``(batches, decode_jobs)`` in deterministic order
-        (batches by flush seq, decode jobs pending-then-active) for the
-        engine to fail over to healthy shards.  The in-flight batch — at
-        most one can straddle the crash instant, since the fault event
-        sorts ahead of the shard's next ready event — is the *engine's*
-        to retract; by the time ``fail`` runs the clock is already
-        clamped back to the crash instant.
+        Returns ``(batches, decode_jobs)`` in deterministic order for the
+        engine to fail over to healthy shards: the retracted tail of the
+        in-flight batch or decode boundary first (see
+        :meth:`retract_running`), then the queued batches by flush seq
+        and the lane's jobs pending-then-active.  Every batch is charged
+        one requeue and is ready no earlier than the crash.
         """
         if self.health == DOWN:
             # overlapping crash: extend the outage, nothing new to evict
             self.down_until = max(self.down_until or 0.0, down_until_s)
             return [], []
+        retry, jobs = self.retract_running(now_s)
         self.health = DOWN
         self.down_until = down_until_s
         self.clock_s = min(self.clock_s, now_s)
         self.stats.failures += 1
         self.stats.health = DOWN
-        batches = sorted((b for q in self.queues.values() for b in q),
-                         key=lambda b: b.seq)
+        queued = sorted((b for q in self.queues.values() for b in q),
+                        key=lambda b: b.seq)
         self.queues.clear()
-        for batch in batches:
+        for batch in queued:
             self._left(batch)
         self.pending_s = 0.0
-        self.stats.requeued_batches += len(batches)
         self._current_level = None
         self._run = 0
-        return batches, self.decode.evacuate()
+        batches = ([retry] if retry is not None else []) + queued
+        for batch in batches:
+            batch.requeues += 1  # every failover is charged like a switch
+            batch.ready_s = max(batch.ready_s, now_s)
+        self.stats.requeued_batches += len(batches)
+        return batches, jobs + self.decode.evacuate()
 
     def rejoin(self, now_s: float) -> None:
         """A re-probe found the shard back up: rejoin the fleet."""
@@ -439,46 +475,110 @@ class DeviceShard:
         self.health = HEALTHY if self.slowdown == 1.0 else DEGRADED
         self.stats.health = self.health
 
-    def rollback_inflight(self, now_s: float, lost_members: int,
-                          batch_end_s: float, lost_batch: bool) -> None:
-        """Retract the accounting tail of a batch killed mid-execution.
+    # -- taking work back (crash, preemption, cancellation) -------------
+    def retract_inflight(self, now_s: float, req_id: Optional[int] = None
+                         ) -> List[RequestResult]:
+        """The one path that takes emitted results back: those still due
+        after ``now_s`` and not already retracted (a retraction is
+        terminal).  A cancel names ``req_id`` and refunds no device time.
+        A crash or running preemption names none; when that takes work
+        off the device (results still due, or a decode boundary, whose
+        streams the crash evacuates) the record is cleared and the
+        device's accounting rolls back to ``now_s``."""
+        run = self.inflight
+        if run is None or run.end_s <= now_s:
+            return []
+        lost = [r for r in run.results
+                if r.completion_s > now_s and not r.canceled
+                and req_id in (None, r.request.req_id)]
+        for result in lost:
+            result.canceled = True
+        self.completed -= len(lost)
+        stats = self.stats
+        if run.batch is None:
+            stats.decode_streams -= len(lost)
+        if req_id is None and (lost or run.batch is None):
+            self.inflight = None
+            stats.busy_s = max(0.0, stats.busy_s - (run.end_s - now_s))
+            stats.last_completion_s = min(stats.last_completion_s, now_s)
+            self.clock_s = min(self.clock_s, now_s)
+            if run.batch is not None:
+                stats.requests -= len(lost)
+                if all(r.completion_s > now_s for r in run.results):
+                    stats.batches -= 1
+        return lost
 
-        The batch occupied this device from its begin to ``batch_end_s``;
-        a crash at ``now_s`` inside that window means the tail never
-        happened — the surviving members' results (completions at or
-        before the crash) stand, the rest re-execute elsewhere.
+    def retract_running(self, now_s: float
+                        ) -> Tuple[Optional[QueuedBatch], List[DecodeJob]]:
+        """Retract the in-flight tail at ``now_s``; return what reruns.
+
+        A batch comes back ready at ``now_s`` on its *full original
+        membership* (identical bits), only its retracted members left
+        live; a decode boundary's retracted streams come back as jobs.
         """
-        self.stats.busy_s = max(0.0,
-                                self.stats.busy_s - max(0.0, batch_end_s - now_s))
-        self.stats.requests -= lost_members
-        if lost_batch:
-            self.stats.batches -= 1
-        self.stats.last_completion_s = min(self.stats.last_completion_s, now_s)
-        self.clock_s = min(self.clock_s, now_s)
+        run = self.inflight
+        lost = self.retract_inflight(now_s)
+        if run is None or not lost:
+            return None, []
+        if run.batch is None:
+            return None, [run.jobs[r.request.req_id] for r in lost]
+        lost_ids = {r.request.req_id for r in lost}
+        qb = run.batch
+        qb.done_ids = tuple(sorted(r.req_id for r in qb.requests
+                                   if r.req_id not in lost_ids))
+        qb.ready_s = now_s
+        return qb, []
+
+    def cancel(self, req_id: int, now_s: float) -> Optional[CancelRecord]:
+        """Withdraw ``req_id`` from a queued batch (dropping a batch left
+        with no live member), the lane's pending jobs or the in-flight
+        record; ``None`` when this device does not hold it."""
+        for batch in self.queued_batches():
+            req = batch.cancel_member(req_id, self.ledger)
+            if req is not None:
+                if len(batch.done_ids) == len(batch):
+                    self.retract(batch.seq)
+                return CancelRecord(req, now_s, "queued")
+        job = self.decode.remove_pending(req_id)
+        if job is not None:
+            return CancelRecord(job.request, now_s, "decode_pending")
+        lost = self.retract_inflight(now_s, req_id)
+        if lost:
+            return CancelRecord(lost[0].request, now_s, "inflight")
+        return None
 
     # -- execution accounting (called by the engine) -------------------
     def record_decode(self, service_s: float, completion_s: float,
-                      tokens: int, finished: int, switches: int) -> None:
+                      tokens: int, switches: int,
+                      results: List[RequestResult],
+                      jobs: Dict[int, DecodeJob]) -> None:
         """Account one decode token boundary (all lane groups advanced).
 
         Decode boundaries move the device clock and busy time like a
         batch does, but stay out of the drain-policy switch history —
         the adaptive drain reasons about queued batch traffic only.
+        ``results`` (finished streams) and ``jobs`` become the record.
         """
         self.clock_s = completion_s
         self.stats.busy_s += service_s
         self.stats.last_completion_s = completion_s
         self.stats.decode_tokens += tokens
-        self.stats.decode_streams += finished
+        self.stats.decode_streams += len(results)
         self.stats.switches += switches
+        self.completed += len(results)
+        self.inflight = InFlight(completion_s, results, jobs=jobs)
 
     def record(self, batch: QueuedBatch, service_s: float, completion_s: float,
-               switched: bool, members: Optional[int] = None) -> None:
-        # ``members`` overrides the request count for failover re-executions:
-        # the full batch recomputes (identical membership keeps the bits
-        # identical) but only not-yet-done members complete here
+               switched: bool,
+               results: Optional[List[RequestResult]] = None) -> None:
+        """Account one executed batch; ``results`` (only not-yet-done
+        members emit after a failover) become the in-flight record."""
         self.clock_s = completion_s
-        self.stats.requests += len(batch) if members is None else members
+        served = len(batch) if results is None else len(results)
+        self.stats.requests += served
+        self.completed += served
+        if results is not None:
+            self.inflight = InFlight(completion_s, results, batch=batch)
         self.stats.batches += 1
         self.stats.busy_s += service_s
         self.stats.last_completion_s = completion_s

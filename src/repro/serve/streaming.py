@@ -78,6 +78,16 @@ Three scheduler-side defenses ride the same heap:
   admission control while every other tenant keeps admitting (every
   share is at least one slot).
 
+Fault and cancellation state lives with the work it touches; the engine
+keeps the heap, dispatch, fault events and the preemption decision.
+Each :class:`~repro.serve.sharding.DeviceShard` keeps its last executed
+batch or decode boundary (:class:`~repro.serve.sharding.InFlight`) and
+takes results back through one method for a crash, a running preemption
+or a cancel; outage-parked work waits in one
+:class:`~repro.serve.faults.ParkedWork`; each holder (admission queue,
+device, parked work) withdraws a cancelled request from its own stage
+and reports its own work to the admission-control counters.
+
 Every knob named above is a field of the engine's
 :class:`~repro.serve.config.ServeConfig`, validated once when that
 config is built.
@@ -89,7 +99,7 @@ import heapq
 import itertools
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, List, Optional, Tuple
+from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -109,7 +119,7 @@ from repro.serve.batcher import (
 from repro.serve.cache import ArtifactCache, CacheStats
 from repro.serve.config import ServeConfig
 from repro.serve.decode import DecodeJob, DecodeOptions
-from repro.serve.faults import CancelRecord, ShardFault, ShedRecord
+from repro.serve.faults import CancelRecord, ParkedWork, ShardFault, ShedRecord
 from repro.serve.sharding import (
     DeviceShard,
     Dispatcher,
@@ -486,15 +496,9 @@ class StreamingEngine:
         self._arrived: set = set()
         self._shed: List[ShedRecord] = []
         self._submitted = 0
-        self._completed = 0
         # work that had nowhere to go during a total outage, held until
         # a shard rejoins (or shed if the last recovery is cancelled)
-        self._parked: List[QueuedBatch] = []
-        self._parked_decode: List[DecodeJob] = []
-        # per shard: the last executed batch/boundary, the only work that
-        # can straddle a later crash instant (events process in time
-        # order, so everything earlier finished before this one began)
-        self._inflight: Dict[int, tuple] = {}
+        self.parked = ParkedWork(self.admission_control)
         for f in config.faults.ordered() if config.faults is not None else ():
             heapq.heappush(self._heap, (f.at_s, _FAULT, next(self._tiebreak),
                                         ("fault", f)))
@@ -562,15 +566,7 @@ class StreamingEngine:
         already ticked past — the loop cannot rewrite history.
         """
         start = time.perf_counter()
-        if arrival_s is not None:
-            request.arrival_s = arrival_s
-        if request.arrival_s < self.now_s:
-            raise ValueError(
-                f"request {request.req_id} arrives at {request.arrival_s:.6f}s "
-                f"but the loop already advanced to {self.now_s:.6f}s")
-        self._submitted += 1
-        heapq.heappush(self._heap, (request.arrival_s, _ARRIVAL,
-                                    next(self._tiebreak), request))
+        self._file(request, request, arrival_s)
         self._wall += time.perf_counter() - start
 
     def submit_decode(self, request: InferenceRequest,
@@ -586,19 +582,23 @@ class StreamingEngine:
         ``output`` a :class:`~repro.nn.generation.GenerationResult`.
         """
         start = time.perf_counter()
+        cfg = (config if config is not None
+               else self.decode_options.generation_config()).validate()
+        self._file(request, DecodeJob(request=request, config=cfg), arrival_s)
+        self._wall += time.perf_counter() - start
+
+    def _file(self, request: InferenceRequest, payload,
+              arrival_s: Optional[float]) -> None:
+        """Restamp, check and push one arrival (a request or decode job)."""
         if arrival_s is not None:
             request.arrival_s = arrival_s
         if request.arrival_s < self.now_s:
             raise ValueError(
                 f"request {request.req_id} arrives at {request.arrival_s:.6f}s "
                 f"but the loop already advanced to {self.now_s:.6f}s")
-        cfg = (config if config is not None
-               else self.decode_options.generation_config()).validate()
-        job = DecodeJob(request=request, config=cfg)
         self._submitted += 1
         heapq.heappush(self._heap, (request.arrival_s, _ARRIVAL,
-                                    next(self._tiebreak), job))
-        self._wall += time.perf_counter() - start
+                                    next(self._tiebreak), payload))
 
     def cancel(self, request_id: int,
                at_s: Optional[float] = None) -> None:
@@ -693,7 +693,7 @@ class StreamingEngine:
         report.shed = list(self._shed)
         report.cancelled = list(self._cancelled)
         report.submitted = self._submitted
-        report.completed = self._completed
+        report.completed = sum(s.completed for s in self.shards)
         report.wall_seconds = max(0.0, self._wall - self._verify_wall)
         if self.cache is not None:
             # delta over this session only: each report describes its own
@@ -731,26 +731,36 @@ class StreamingEngine:
                     self._admit(group)
             else:  # _SHARD_READY
                 self._on_shard_ready(payload, when)
-        if horizon_s is None and (self._parked or self._parked_decode):
+        if horizon_s is None and self.parked:
             # drain must never hang: if the heap is exhausted with work
             # still parked, no recovery is coming (the probe chain was
             # abandoned by a permanent outage) — shed, don't lose
-            batches, jobs = self._unpark()
-            for qb in batches:
-                self._shed_batch(qb, self.now_s, "no_device")
-            for job in jobs:
-                self._shed_request(job.request, self.now_s, "no_device")
+            self._shed_unroutable(*self.parked.unpark(self.now_s))
 
     # ------------------------------------------------------------------
     # fault handling (crash / failover / probe / stall / slow)
     # ------------------------------------------------------------------
-    def _available_shards(self) -> List[DeviceShard]:
-        return [s for s in self.shards if s.available]
+    def _shards_or_park(self, batches: Sequence[QueuedBatch] = (),
+                        jobs: Sequence[DecodeJob] = ()) -> List[DeviceShard]:
+        """The shards up now.  With none, the work that needs one is
+        parked while a recovery is scheduled, else shed."""
+        avail = [s for s in self.shards if s.available]
+        if avail:
+            return avail
+        if any(s.down_until is not None and np.isfinite(s.down_until)
+               for s in self.shards):
+            self.parked.park(batches, jobs)
+        else:
+            self._shed_unroutable(batches, jobs)
+        return avail
 
-    def _recovery_pending(self) -> bool:
-        """Is any downed shard scheduled to come back (finite outage)?"""
-        return any(not s.available and s.down_until is not None
-                   and np.isfinite(s.down_until) for s in self.shards)
+    def _shed_unroutable(self, batches: Sequence[QueuedBatch],
+                         jobs: Sequence[DecodeJob]) -> None:
+        """No shard is up and none is coming back: shed, don't lose."""
+        reqs = [r for qb in batches for r in qb.requests
+                if r.req_id not in qb.done_ids]
+        self._shed.extend(ShedRecord(r, self.now_s, "no_device")
+                          for r in reqs + [job.request for job in jobs])
 
     def _push_fault(self, when: float, payload: tuple) -> None:
         heapq.heappush(self._heap,
@@ -794,107 +804,30 @@ class StreamingEngine:
     def _crash_shard(self, shard: DeviceShard, now: float,
                      duration_s: float) -> None:
         went_down = shard.available
-        retry: Optional[QueuedBatch] = None
-        retry_jobs: List[DecodeJob] = []
-        if went_down:
-            entry = self._inflight.pop(shard.shard_id, None)
-            if entry is not None and entry[-1] > now:
-                # the last executed batch/boundary straddles the crash:
-                # members already streamed out (completion <= now) keep
-                # their results, the rest are retracted and re-execute —
-                # on the *full original membership*, so the recomputed
-                # bits are identical and only not-yet-done members emit
-                if entry[0] == "batch":
-                    _, qb, emitted, end = entry
-                    retry = self._retract_inflight_batch(shard, qb,
-                                                         emitted, end, now)
-                    if retry is not None:
-                        shard.stats.requeued_batches += 1
-                else:  # decode boundary: streams finished past the crash
-                    _, pairs, _ = entry
-                    for result, job in pairs:
-                        if result.completion_s > now and not result.canceled:
-                            # a member already cancel-retracted is
-                            # terminal — it neither refunds again nor
-                            # restarts its stream
-                            result.canceled = True
-                            self._completed -= 1
-                            shard.stats.decode_streams -= 1
-                            retry_jobs.append(job)
         batches, jobs = shard.fail(now, now + duration_s)
         if not went_down:
             return  # overlapping crash: the outage was extended, that's all
         if np.isfinite(duration_s):
             backoff = self.config.probe_backoff_s
             self._push_fault(now + backoff, ("probe", shard.shard_id, backoff))
-        for qb in batches:
-            qb.requeues += 1  # every failover is charged like a switch
-        for qb in ([retry] if retry is not None else []) + batches:
-            qb.ready_s = max(qb.ready_s, now)
-            self._dispatch_batch(qb)
-        for job in retry_jobs + jobs:
-            self._dispatch_decode(job)
-
-    def _retract_inflight_batch(self, shard: DeviceShard, qb: QueuedBatch,
-                                emitted: List[RequestResult], end: float,
-                                now: float,
-                                new_seq: Optional[int] = None
-                                ) -> Optional[QueuedBatch]:
-        """Retract the not-yet-completed members of an in-flight batch.
-
-        Crash failover and running-batch preemption share this path:
-        members whose completion already streamed out (or were cancel-
-        retracted — terminal either way) stay done, the rest have their
-        results suppressed and re-execute on the full original
-        membership.  Returns the retry batch to re-dispatch, or ``None``
-        when every member is already accounted for.
-        """
-        lost = [r for r in emitted if r.completion_s > now and not r.canceled]
-        if not lost:
-            return None
-        done_now = {r.request.req_id for r in emitted
-                    if r.completion_s <= now or r.canceled}
-        done = tuple(sorted(set(qb.done_ids) | done_now))
-        for r in lost:
-            r.canceled = True
-        self._completed -= len(lost)
-        shard.rollback_inflight(
-            now, len(lost), end,
-            lost_batch=not any(r.completion_s <= now for r in emitted))
-        return QueuedBatch(qb.seq if new_seq is None else new_seq,
-                           qb.requests, qb.level_name, now, qb.est_service_s,
-                           sparsity=qb.sparsity, requeues=qb.requeues + 1,
-                           done_ids=done)
+        self._redispatch(batches, jobs)
 
     def _rejoin_shard(self, shard: DeviceShard, now: float) -> None:
         shard.rejoin(now)
-        batches, jobs = self._unpark()
+        self._redispatch(*self.parked.unpark(now))
+        self._schedule_shard(shard)
+
+    def _redispatch(self, batches: List[QueuedBatch],
+                    jobs: List[DecodeJob]) -> None:
         for qb in batches:
-            qb.ready_s = max(qb.ready_s, now)
             self._dispatch_batch(qb)
         for job in jobs:
             self._dispatch_decode(job)
-        self._schedule_shard(shard)
-
-    def _unpark(self) -> Tuple[List[QueuedBatch], List[DecodeJob]]:
-        """Hand back (and stop counting) all work parked by an outage."""
-        batches, self._parked = self._parked, []
-        jobs, self._parked_decode = self._parked_decode, []
-        for qb in batches:
-            self.admission_control.release_batch(qb, 0)
-        for job in jobs:
-            self.admission_control.release({job.request.tenant: 1})
-        return batches, jobs
 
     def _dispatch_batch(self, qb: QueuedBatch) -> Optional[DeviceShard]:
         """Route a batch over the *available* shards (park/shed if none)."""
-        avail = self._available_shards()
+        avail = self._shards_or_park(batches=[qb])
         if not avail:
-            if self._recovery_pending():
-                self._parked.append(qb)
-                self.admission_control.hold_batch(qb, 0)
-            else:
-                self._shed_batch(qb, self.now_s, "no_device")
             return None
         shard = self.dispatcher.route(qb, avail)
         self._schedule_shard(shard)
@@ -902,13 +835,8 @@ class StreamingEngine:
 
     def _dispatch_decode(self, job: DecodeJob) -> None:
         """Route a decode job to an available shard's lane (park/shed)."""
-        avail = self._available_shards()
+        avail = self._shards_or_park(jobs=[job])
         if not avail:
-            if self._recovery_pending():
-                self._parked_decode.append(job)
-                self.admission_control.hold({job.request.tenant: 1})
-            else:
-                self._shed_request(job.request, self.now_s, "no_device")
             return
         sparsity = job.compat_key[1]
         probe = QueuedBatch(-1, [job.request], job.request.level_name,
@@ -922,108 +850,33 @@ class StreamingEngine:
         shard.decode.add_pending(job)
         self._schedule_shard(shard)
 
-    def _shed_request(self, request: InferenceRequest, now: float,
-                      reason: str) -> None:
-        self._shed.append(ShedRecord(request, now, reason))
-
-    def _shed_batch(self, qb: QueuedBatch, now: float, reason: str) -> None:
-        done = set(qb.done_ids)
-        for req in qb.requests:
-            if req.req_id not in done:
-                self._shed_request(req, now, reason)
-
     # ------------------------------------------------------------------
     # cancellation (explicit client withdrawal — a terminal state)
     # ------------------------------------------------------------------
-    def _record_cancel(self, request: InferenceRequest, now: float,
-                       where: str) -> None:
-        self._cancelled.append(CancelRecord(request, now, where))
-
-    @staticmethod
-    def _batch_member(qb: QueuedBatch, req_id: int
-                      ) -> Optional[InferenceRequest]:
-        """The live (not-done) member with ``req_id``, if any."""
-        if req_id in qb.done_ids:
-            return None
-        return next((r for r in qb.requests if r.req_id == req_id), None)
-
-    def _cancel_from_batch(self, qb: QueuedBatch, req: InferenceRequest,
-                           now: float, shard: Optional[DeviceShard] = None,
-                           parked: bool = False) -> None:
-        """Suppress one member of a queued/parked batch.
-
-        The membership itself is preserved — a later execution still
-        computes the full batch, so the surviving members' bits are
-        untouched — the cancelled member just joins ``done_ids`` and
-        never emits.  A batch left with no live members is dropped
-        outright (a clean serve of the survivors would never have
-        executed it).
-        """
-        done = set(qb.done_ids) | {req.req_id}
-        qb.done_ids = tuple(sorted(done))
-        self.admission_control.retire(qb, req)
-        if len(done) == len(qb.requests):
-            if parked:
-                self._parked.remove(qb)
-                self.admission_control.release_batch(qb, 0)
-            elif shard is not None:
-                shard.retract(qb.seq)
-        self._record_cancel(req, now, "parked" if parked else "queued")
-
     def _on_cancel(self, req_id: int, now: float) -> None:
         """Retract ``req_id`` from wherever it currently lives.
 
-        At most one stage can hold a request at any instant, so the
-        search order only affects speed, not outcome.  A request found
-        nowhere already reached a terminal state (completed, shed,
-        previously cancelled, or an active decode stream — which holds
-        live session state and runs to completion): the cancel is a
-        deterministic no-op.
+        Each holder — the admission queue, every device (queued batches,
+        pending decode jobs, in-flight results) and the parked work —
+        answers for its own stage.  At most one stage holds a request at
+        any instant, so the search order only affects speed, not
+        outcome.  A request found nowhere already reached a terminal
+        state (completed, shed, previously cancelled, or an active decode
+        stream — which holds live session state and runs to completion):
+        the cancel is a deterministic no-op.
         """
         if req_id not in self._arrived:
             self._cancel_pending.add(req_id)
             return
         req = self.admission.remove(req_id)
         if req is not None:
-            self._record_cancel(req, now, "admission")
+            self._cancelled.append(CancelRecord(req, now, "admission"))
             return
-        for shard in self.shards:
-            for qb in shard.queued_batches():
-                member = self._batch_member(qb, req_id)
-                if member is not None:
-                    self._cancel_from_batch(qb, member, now, shard=shard)
-                    return
-        for qb in self._parked:
-            member = self._batch_member(qb, req_id)
-            if member is not None:
-                self._cancel_from_batch(qb, member, now, parked=True)
+        for holder in (*self.shards, self.parked):
+            record = holder.cancel(req_id, now)
+            if record is not None:
+                self._cancelled.append(record)
                 return
-        for shard in self.shards:
-            job = shard.decode.remove_pending(req_id)
-            if job is not None:
-                self._record_cancel(job.request, now, "decode_pending")
-                return
-        for job in self._parked_decode:
-            if job.request.req_id == req_id:
-                self._parked_decode.remove(job)
-                self.admission_control.release({job.request.tenant: 1})
-                self._record_cancel(job.request, now, "decode_pending")
-                return
-        for shard_id in sorted(self._inflight):
-            entry = self._inflight[shard_id]
-            results = (entry[2] if entry[0] == "batch"
-                       else [r for r, _ in entry[1]])
-            for result in results:
-                if (result.request.req_id == req_id and not result.canceled
-                        and result.completion_s > now):
-                    # retract the result before its completion instant;
-                    # the device time already spent is not refunded
-                    result.canceled = True
-                    self._completed -= 1
-                    if entry[0] == "decode":
-                        self.shards[shard_id].stats.decode_streams -= 1
-                    self._record_cancel(result.request, now, "inflight")
-                    return
 
     def _on_arrival(self, request: InferenceRequest, now: float) -> None:
         req = request.request if isinstance(request, DecodeJob) else request
@@ -1033,7 +886,7 @@ class StreamingEngine:
             # never touches admission, exactly like a fault-free serve
             # of the survivors
             self._cancel_pending.discard(req.req_id)
-            self._record_cancel(req, now, "pre_admission")
+            self._cancelled.append(CancelRecord(req, now, "pre_admission"))
             return
         cancel_after_s = self.config.cancel_after_s
         if cancel_after_s is not None:
@@ -1141,38 +994,30 @@ class StreamingEngine:
             victims = [v for v in shard.queued_batches()
                        if v.seq != qb.seq and v.seq not in moved
                        and self._batch_budget(v) > budget]
+            run = shard.inflight
+            victim = None
             if victims:
                 victim = max(victims,
                              key=lambda v: (v.est_service_s, -v.seq))
                 shard.retract(victim.seq)
-                # a fresh seq orders the victim behind the preemptor under
-                # fifo drain wherever it re-lands
-                victim.seq = self._seq
-                self._seq += 1
-                victim.requeues += 1
-                victim.ready_s = max(victim.ready_s, now)
-                shard.stats.preempted_batches += 1
-                moved.add(victim.seq)
-                self._dispatch_batch(victim)
-                continue
-            if self.config.preempt_policy == "running":
-                entry = self._inflight.get(shard.shard_id)
-                if (entry is not None and entry[0] == "batch"
-                        and entry[-1] > now
-                        and self._batch_budget(entry[1]) > budget):
-                    _, vqb, emitted, end = entry
-                    retry = self._retract_inflight_batch(
-                        shard, vqb, emitted, end, now, new_seq=self._seq)
-                    if retry is not None:
-                        self._seq += 1
-                        del self._inflight[shard.shard_id]
-                        shard.stats.preempted_batches += 1
-                        moved.add(retry.seq)
-                        self._dispatch_batch(retry)
-                        # the rollback freed the device at now; re-arm it
-                        self._schedule_shard(shard)
-                        continue
-            return  # nothing (left) worth preempting
+            elif (self.config.preempt_policy == "running"
+                    and run is not None and run.batch is not None
+                    and self._batch_budget(run.batch) > budget):
+                victim, _ = shard.retract_running(now)
+            if victim is None:
+                return  # nothing (left) worth preempting
+            # a fresh seq orders the victim behind the preemptor under
+            # fifo drain wherever it re-lands
+            victim.seq = self._seq
+            self._seq += 1
+            victim.requeues += 1
+            victim.ready_s = max(victim.ready_s, now)
+            shard.stats.preempted_batches += 1
+            moved.add(victim.seq)
+            self._dispatch_batch(victim)
+            if not victims:
+                # the rollback freed the device at now; re-arm it
+                self._schedule_shard(shard)
 
     def _schedule_shard(self, shard: DeviceShard) -> None:
         when = shard.next_event_s()
@@ -1293,9 +1138,6 @@ class StreamingEngine:
             offsets = [o * shard.slowdown for o in offsets]
         service = switch_s + offsets[-1]
         begin = max(shard.clock_s, qb.ready_s)
-        completion = begin + service
-        shard.record(qb, service, completion, installed,
-                     members=(len(group) - len(done)) if done else None)
         time_sliced = self.config.time_sliced
         emitted: List[RequestResult] = []
         for i, (req, out) in enumerate(zip(group, outputs)):
@@ -1312,16 +1154,19 @@ class StreamingEngine:
                 service_s=member_service,
                 completion_s=begin + member_service,
                 sparsity=effective, shard_id=shard.shard_id)
-            if self.retain_results:
-                # kept for report(); long-lived sessions opt out and
-                # consume completions from tick()/drain() instead
-                self._results.append(result)
-            heapq.heappush(self._pending_done,
-                           (result.completion_s, next(self._tiebreak), result))
+            self._emit(result)
             emitted.append(result)
-            self._completed += 1
-        self._inflight[shard.shard_id] = ("batch", qb, emitted, completion)
+        shard.record(qb, service, begin + service, installed, emitted)
         self._events.append((qb.seq, event))
+
+    def _emit(self, result: RequestResult) -> None:
+        """Schedule ``result``'s release at its completion instant."""
+        if self.retain_results:
+            # kept for report(); long-lived sessions opt out and consume
+            # completions from tick()/drain() instead
+            self._results.append(result)
+        heapq.heappush(self._pending_done,
+                       (result.completion_s, next(self._tiebreak), result))
 
     # ------------------------------------------------------------------
     # decode lane (one token boundary on one device)
@@ -1343,9 +1188,9 @@ class StreamingEngine:
         lane.admit(begin, self._decode_session)
         clock = begin
         tokens = 0
-        finished = 0
         switches = 0
-        pairs: List[tuple] = []
+        finished: List[RequestResult] = []
+        jobs: Dict[int, DecodeJob] = {}
         for key in lane.group_keys():
             group = lane.groups[key]
             session = group.session
@@ -1380,7 +1225,6 @@ class StreamingEngine:
             for stream in active:
                 if not session.finished(stream.sid):
                     continue
-                finished += 1
                 del group.streams[stream.sid]
                 result = RequestResult(
                     request=stream.job.request,
@@ -1390,25 +1234,21 @@ class StreamingEngine:
                     service_s=clock - stream.join_s,
                     completion_s=clock,
                     sparsity=effective, shard_id=shard.shard_id)
-                if self.retain_results:
-                    self._results.append(result)
-                heapq.heappush(
-                    self._pending_done,
-                    (result.completion_s, next(self._tiebreak), result))
-                pairs.append((result, stream.job))
-                self._completed += 1
+                self._emit(result)
+                finished.append(result)
+                jobs[stream.job.request.req_id] = stream.job
         lane.prune()
         if clock > begin or tokens:
-            self._inflight[shard.shard_id] = ("decode", pairs, clock)
-            shard.record_decode(clock - begin, clock, tokens, finished,
-                                switches)
+            shard.record_decode(clock - begin, clock, tokens, switches,
+                                finished, jobs)
 
     def _release(self, until_s: float) -> List[RequestResult]:
         out = []
         while self._pending_done and self._pending_done[0][0] <= until_s:
             result = heapq.heappop(self._pending_done)[2]
             if not result.canceled:
-                # a canceled result was retracted by a crash before its
-                # completion instant; its request re-executes elsewhere
+                # retracted before its completion instant (crash,
+                # preemption or cancel); a crashed or preempted request
+                # re-executes elsewhere
                 out.append(result)
         return out

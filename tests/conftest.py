@@ -62,13 +62,13 @@ def tenant_backlog_oracle(engine, tenant):
     groups, queued batches, parked batches and pending decode jobs."""
     count = sum(1 for r in engine.admission.waiting() if r.tenant == tenant)
     batches = [qb for s in engine.shards for qb in s.queued_batches()]
-    batches.extend(engine._parked)
+    batches.extend(engine.parked.batches)
     for qb in batches:
         done = set(qb.done_ids)
         count += sum(1 for r in qb.requests
                      if r.req_id not in done and r.tenant == tenant)
     jobs = [job for s in engine.shards for _, _, job in s.decode.pending]
-    jobs.extend(engine._parked_decode)
+    jobs.extend(engine.parked.jobs)
     count += sum(1 for job in jobs if job.request.tenant == tenant)
     return count
 
@@ -102,8 +102,8 @@ def backlog_oracle_check(monkeypatch):
                     == tenant_backlog_oracle(engine, tenant)), tenant
         seen.checks += 1
         seen.pending_decode += any(s.decode.pending for s in engine.shards)
-        seen.parked_decode += bool(engine._parked_decode)
-        seen.parked += bool(engine._parked)
+        seen.parked_decode += bool(engine.parked.jobs)
+        seen.parked += bool(engine.parked.batches)
         return on_arrival(engine, request, now)
 
     monkeypatch.setattr(StreamingEngine, "_on_arrival", checked)

@@ -1085,6 +1085,19 @@ class TestMainEntry:
         assert json.loads(baseline.read_text()) == json.loads(fresh.read_text())
         assert gate.main(argv) == 0
 
+    def test_standalone_bench_leaves_baseline_untouched(self, tmp_path,
+                                                        monkeypatch):
+        # a bench run on its own writes the gitignored .fresh digest; the
+        # committed baseline is written only by --update-baseline
+        common = importlib.import_module("benchmarks.common")
+        bench = importlib.import_module("benchmarks.bench_table1_dvfs")
+        shutil.copy(gate.RESULTS / "BENCH_table.json", tmp_path)
+        before = (tmp_path / "BENCH_table.json").read_bytes()
+        monkeypatch.setattr(common, "RESULTS_DIR", tmp_path)
+        assert bench.main() == 0
+        assert (tmp_path / "BENCH_table.json").read_bytes() == before
+        assert (tmp_path / "BENCH_table.fresh.json").exists()
+
     def test_end_to_end_pass_and_report(self, tmp_path, capsys):
         # the two cheapest deterministic benches through main(); the full
         # fifteen-bench replay is CI's gate step

@@ -368,19 +368,50 @@ class TestDecodeUnderFaults:
                                          arrival_s=spacing * i))
         return reqs
 
-    def test_crash_mid_decode_stream(self):
+    def serve_crash(self, at_s):
+        """Eight alternating-level streams on two devices; shard 1 down
+        from ``at_s`` for 0.2 s (no fault when ``at_s`` is None)."""
         cfg = GenerationConfig(max_new_tokens=6, seed=11)
         opts = DecodeOptions(max_new_tokens=6, seed=11)
-        plan = FaultPlan.outage(1, 0.015, 0.2)
+        plan = None if at_s is None else FaultPlan.outage(1, at_s, 0.2)
         _, _, engine = make_stack(seed=3, devices=2, faults=plan,
                                   decode=opts)
         trace = self.decode_trace(StackConfig().vocab_size, 8)
         report = engine.serve_decode(trace, config=cfg)
         assert report.conserved
         assert report.completed == len(trace)
-        assert report.failures == 1
         assert_exact(report, seed=3, devices=2, decode_cfg=cfg,
                      decode=opts)
+        return report
+
+    def test_crash_mid_decode_stream(self):
+        assert self.serve_crash(0.015).failures == 1
+
+    def test_crash_retracts_stream_finished_past_the_crash(self):
+        # stream 1 is the first on shard 1; the crash lands inside the
+        # boundary it finishes in, so its already-emitted result is
+        # retracted and the stream restarts on shard 0
+        clean = self.serve_crash(None)
+        done_s = next(r.completion_s for r in clean.results
+                      if r.request.req_id == 1)
+        assert next(r.shard_id for r in clean.results
+                    if r.request.req_id == 1) == 1
+        report = self.serve_crash(done_s - 1e-6)
+        assert report.failures == 1
+        assert next(r.shard_id for r in report.results
+                    if r.request.req_id == 1) == 0
+        assert report.shard_stats[1].decode_streams == 0
+
+    def test_crash_mid_boundary_rolls_device_time_back(self):
+        # shard 1's first boundary runs 10.0 -> ~15.3 ms (it pays the
+        # cold pattern install); a crash at 10.42 ms cuts it, and the
+        # shard does no later work, so its busy time and last completion
+        # must stop at the crash instant
+        crash_s = 0.01042
+        report = self.serve_crash(crash_s)
+        stats = report.shard_stats[1]
+        assert stats.last_completion_s == crash_s
+        assert stats.busy_s == pytest.approx(crash_s - 0.010)
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,7 @@ import numpy as np
 import pytest
 
 from repro.cli import main as cli_main
+from repro.nn.generation import GenerationConfig
 from repro.serve import (
     AdmissionQueue,
     DecodeOptions,
@@ -91,16 +92,48 @@ def serve(trace, cancels=(), seed=0, devices=1, **kw):
     return core.report()
 
 
-def assert_exact(report, seed=0, devices=1):
+def assert_exact(report, seed=0, devices=1, decode_cfg=None):
     """Completed outputs must match a clean serve of the survivors."""
     survivors = [replace(r.request) for r in report.results]
     _, _, ref_engine = make_stack(seed, devices=devices)
-    reference = ref_engine.serve(survivors)
+    if decode_cfg is not None:
+        reference = ref_engine.serve_decode(survivors, config=decode_cfg)
+    else:
+        reference = ref_engine.serve(survivors)
     got = {r.request.req_id: r.output for r in report.results}
     want = {r.request.req_id: r.output for r in reference.results}
     assert set(got) == set(want)
     for rid, out in got.items():
-        assert np.array_equal(out, want[rid])
+        if decode_cfg is not None:
+            assert np.array_equal(out.tokens, want[rid].tokens)
+            assert out.logprobs == want[rid].logprobs
+        else:
+            assert np.array_equal(out, want[rid])
+
+
+# decode streams for the cancellation stages of the decode lane: two
+# streams race onto one device, a third arrives after every scripted
+# cancel so the backlog oracle checks the counters once the cancel landed
+DECODE_CFG = GenerationConfig(max_new_tokens=4, seed=5)
+DECODE_ARRIVALS = (0.0, 1e-3, 10e-3)
+
+
+def decode_trace():
+    return [InferenceRequest(
+        req_id=rid, tokens=np.random.default_rng(rid).integers(
+            1, 60, size=4).tolist(), arrival_s=at, level_name=LEVEL)
+        for rid, at in enumerate(DECODE_ARRIVALS)]
+
+
+def serve_decode(cancels=()):
+    _, _, engine = make_stack()
+    core = engine.streaming()
+    for rid, at in cancels:
+        core.cancel(rid, at_s=at)
+    for req in decode_trace():
+        core.submit_decode(req, config=DECODE_CFG)
+    core.drain()
+    return core.report()
 
 
 def latency_of(report, rid):
@@ -112,6 +145,7 @@ def latency_of(report, rid):
 # cancellation: one test per stage of the search order
 # ---------------------------------------------------------------------------
 
+@pytest.mark.usefixtures("backlog_oracle_check")
 class TestCancellation:
     def where(self, report, rid):
         return next(c.where for c in report.cancelled
@@ -147,6 +181,28 @@ class TestCancellation:
         assert 0 not in {r.request.req_id for r in report.results}
         assert report.completed == LOOSE - 1 and report.conserved
         assert_exact(report)
+
+    def test_cancel_pending_decode_stream_lands_decode_pending(self):
+        # stream 1 arrives at 1 ms while stream 0's first boundary (it
+        # pays the cold pattern install) holds the device until ~5 ms, so
+        # it waits on the lane's pending heap when the cancel lands
+        report = serve_decode(cancels=[(1, 2e-3)])
+        assert self.where(report, 1) == "decode_pending"
+        assert report.completed == 2 and report.conserved
+        assert_exact(report, decode_cfg=DECODE_CFG)
+
+    def test_cancel_finished_decode_stream_lands_inflight(self):
+        # the cancel lands inside the boundary stream 1 finishes in: its
+        # result is retracted before its completion instant
+        clean = serve_decode()
+        done_s = next(r.completion_s for r in clean.results
+                      if r.request.req_id == 1)
+        report = serve_decode(cancels=[(1, done_s - 1e-6)])
+        assert self.where(report, 1) == "inflight"
+        assert report.shard_stats[0].decode_streams == (
+            clean.shard_stats[0].decode_streams - 1)
+        assert report.completed == 2 and report.conserved
+        assert_exact(report, decode_cfg=DECODE_CFG)
 
     def test_cancel_after_completion_is_noop(self):
         _, _, engine = make_stack()
