@@ -299,9 +299,8 @@ class MaskManager:
     def invalidate_cache(self) -> int:
         """Drop this manager's cached masks (weights changed).
 
-        Scoped to this manager's owner key: content-keyed format
-        conversions and other managers' masks in a shared cache stay
-        valid.  Returns the number of entries removed.
+        Scoped to this manager's owner key: other managers' masks in a
+        shared cache stay valid.  Returns the number of entries removed.
         """
         self._combined.clear()
         if self.cache is None:

@@ -33,11 +33,12 @@ module tree **once** and emits a flat program of ndarray steps that
   :class:`ScratchPool` through one arena per shape, reused across the
   layers of a binding and shared by every program bound to that shape;
 - memoizes causal masks per ``seqlen``; a padded batch's combined
-  causal | key-padding mask is one bound ``np.logical_or`` step;
-- optionally executes masked prunable layers straight through the sparse
-  kernels (:func:`~repro.sparse.kernels.pattern_matmul` /
-  :func:`~repro.sparse.kernels.block_matmul`) on raw ndarrays with no
-  Tensor wrapping, via :meth:`repro.sparse.executor.SparseExecutor.layer_matmul`.
+  causal | key-padding mask is one bound ``np.logical_or`` step.
+
+Pattern masks are folded into the dense weight snapshots: every layer,
+masked or not, is one BLAS ``matmul``.  The sparse kernels of
+:mod:`repro.sparse` are cost models, not an execution path — on every
+serving layer shape (at most 64 wide) a dense product beats them.
 
 ``dtype="float32"`` is an opt-in reduced-precision execution mode: the
 weight snapshots are cast once at compile time and the whole forward runs
@@ -65,7 +66,7 @@ import numpy as np
 
 from repro.nn.attention import NEG_INF, MultiHeadAttention, causal_mask
 from repro.nn.distilbert import DistilBertForSequenceTask, DistilBertModel
-from repro.nn.layers import Dropout, LayerNorm, Linear, prunable_linears
+from repro.nn.layers import Dropout, LayerNorm, Linear
 from repro.nn.module import Module
 from repro.nn.transformer import (
     FeedForward,
@@ -216,11 +217,10 @@ class _Bound:
 class _Program:
     """One compiled weight signature and the shapes bound to it."""
 
-    __slots__ = ("bind", "names", "bound")
+    __slots__ = ("bind", "bound")
 
-    def __init__(self, bind: Callable, names: List[str]) -> None:
+    def __init__(self, bind: Callable) -> None:
         self.bind = bind
-        self.names = names
         self.bound: Dict[tuple, _Bound] = {}
 
 
@@ -248,20 +248,6 @@ def _run_head(head: tuple) -> np.ndarray:
     if bias is not None:
         out += bias
     return out if shape is None else out.reshape(shape)
-
-
-def _sparse_matmul(executor, name: str, layer: Linear, x: np.ndarray,
-                   w_eff: np.ndarray,
-                   out: Optional[np.ndarray] = None) -> np.ndarray:
-    """``x @ W_eff.T`` through ``executor``'s sparse kernel, written into
-    ``out`` (a fresh array when ``out`` is None)."""
-    flat = x.reshape(-1, x.shape[-1])
-    y = executor.layer_matmul(name, layer, flat.T, w_eff=w_eff).T
-    y = y.reshape(x.shape[:-1] + (layer.out_features,))
-    if out is None:
-        return y
-    np.copyto(out, y)
-    return out
 
 
 def _bind_attend(b: _Arena, q: np.ndarray, k: np.ndarray, v: np.ndarray,
@@ -324,30 +310,18 @@ class CompiledForward:
     of a shape live in one arena shared by every program's binding of
     it, since only one program runs at a time.  ``binds`` counts real
     bindings; at most ``_BIND_CACHE_CAP`` shapes stay bound.
-
-    ``sparse`` (a :class:`~repro.sparse.executor.SparseExecutor`)
-    dispatches masked prunable layers through that executor's sparse
-    kernel on raw ndarrays — format conversions are memoized by cache
-    token exactly like the audit path.  Kernel outputs agree with the
-    dense snapshot to ~1e-13, so the sparse plan is *not* bit-identical
-    (like ``float32``, it is an opt-in mode with a documented tolerance).
     """
 
-    def __init__(self, model: Module, dtype: str = "float64",
-                 sparse=None) -> None:
+    def __init__(self, model: Module, dtype: str = "float64") -> None:
         if str(dtype) not in DTYPES:
             raise ValueError(f"dtype must be one of {DTYPES}, got {dtype!r}")
         self.model = model
         self.dtype = np.dtype(dtype)
-        if sparse is not None and self.dtype != np.float64:
-            raise ValueError("sparse kernel dispatch requires dtype='float64'")
-        self.sparse = sparse
         self.pool = ScratchPool(self.dtype)
         self.binds = 0
         self.compiles = 0
         self._programs: Dict[tuple, _Program] = {}
         self._arenas: Dict[tuple, _Arena] = {}
-        self.program: List[str] = []
         self._mask_cache: Dict = {}
         # signature sources, collected once: Linears carry cache_token
         # (weight version + mask install counter); everything else
@@ -359,18 +333,10 @@ class CompiledForward:
                               if id(p) not in owned]
         self._dropouts = [m for m in model.modules()
                           if isinstance(m, Dropout) and m.p > 0.0]
-        self._names = {id(m): name for name, m in model.named_modules()}
-        self._sparse_names = (set(prunable_linears(model))
-                              if sparse is not None else set())
         self._signature: Optional[tuple] = None
         self._refresh(self.signature())
 
     # ------------------------------------------------------------------
-    @property
-    def recompiles(self) -> int:
-        """Compilations beyond the first (0 = weights never changed)."""
-        return self.compiles - 1
-
     @staticmethod
     def _weight_versions(sig: tuple) -> tuple:
         """The weight/bias/loose-parameter versions inside a signature.
@@ -459,7 +425,6 @@ class CompiledForward:
         eager path materializes it, and applied through the same
         transposed view, so the BLAS call — and its bit pattern — match.
         """
-        name = self._names.get(id(layer), "")
         w_eff = layer.weight.data
         if layer.mask is not None:
             w_eff = w_eff * layer.mask
@@ -467,23 +432,6 @@ class CompiledForward:
         w_t = w_eff.T
         bias = None if layer.bias is None else self._cast(layer.bias.data)
         out_features = layer.out_features
-        if (self.sparse is not None and name in self._sparse_names
-                and layer.mask is not None):
-            executor = self.sparse
-
-            def bind_sparse(b: _Arena, x: np.ndarray,
-                            final: bool = False) -> Optional[np.ndarray]:
-                if final:
-                    b.head = (_sparse_matmul,
-                              (executor, name, layer, x, w_eff), bias, None)
-                    return None
-                out = b.take(x.shape[:-1] + (out_features,))
-                b.add(_sparse_matmul, executor, name, layer, x, w_eff, out)
-                if bias is not None:
-                    b.add(np.add, out, bias, out)
-                return out
-
-            return bind_sparse
 
         def bind(b: _Arena, x: np.ndarray,
                  final: bool = False) -> Optional[np.ndarray]:
@@ -692,11 +640,6 @@ class CompiledForward:
                     for layer in model.decoder]
         final_norm = self._compile_norm(model.final_norm)
         lm_head = self._compile_linear(model.lm_head)
-        names = (["embed.src"]
-                 + [f"encoder.{i}" for i in range(len(model.encoder))]
-                 + ["embed.tgt"]
-                 + [f"decoder.{i}" for i in range(len(decoders))]
-                 + ["final_norm", "lm_head"])
 
         def bind(b: _Arena, tokens: np.ndarray,
                  attn_mask: Optional[np.ndarray]) -> None:
@@ -720,7 +663,7 @@ class CompiledForward:
                 y = z
             lm_head(b, final_norm(b, y), final=True)
 
-        return _Program(bind, names)
+        return _Program(bind)
 
     def _compile_distilbert_layer(self, layer) -> Callable:
         attn = self._compile_attention(layer.attention)
@@ -750,7 +693,6 @@ class CompiledForward:
         max_len = model.cfg.max_len
         layers = [self._compile_distilbert_layer(layer)
                   for layer in model.layers]
-        names = ["embed"] + [f"layer.{i}" for i in range(len(layers))]
 
         def bind(b: _Arena, tokens: np.ndarray,
                  attn_mask: Optional[np.ndarray],
@@ -770,7 +712,7 @@ class CompiledForward:
                 x = y
             return x
 
-        return _Program(bind, names)
+        return _Program(bind)
 
     def _compile_distilbert_task(self,
                                  model: DistilBertForSequenceTask) -> _Program:
@@ -791,7 +733,7 @@ class CompiledForward:
             if is_regression:
                 b.head = b.head[:3] + ((tokens.shape[0],),)
 
-        return _Program(bind, bert.names + ["pooler", "classifier"])
+        return _Program(bind)
 
     # ------------------------------------------------------------------
     def _refresh(self, sig: tuple) -> None:
@@ -801,7 +743,6 @@ class CompiledForward:
         # the plan silently keep eval (dropout-free) semantics
         require_eval(self._dropouts)
         self._program = self._lookup(sig)
-        self.program = self._program.names
         self._signature = sig
 
     def _compile(self) -> _Program:
@@ -856,15 +797,12 @@ def compile_decode(model: Module, dtype: str = "float64",
     return plan if plan is not None else CompiledForward(model, dtype=dtype)
 
 
-def compile_inference(model: Module, dtype: str = "float64",
-                      sparse=None) -> CompiledForward:
+def compile_inference(model: Module, dtype: str = "float64") -> CompiledForward:
     """Compile ``model``'s eval-mode forward into a pure-ndarray plan.
 
     ``dtype`` selects the execution precision: ``"float64"`` (default)
     is bit-identical to the eager Tensor forward; ``"float32"`` runs the
     snapshots in single precision (opt-in, ~1e-5 relative deviation).
-    ``sparse`` is an optional :class:`~repro.sparse.executor.SparseExecutor`
-    whose kernel executes masked prunable layers on raw ndarrays.
     Raises :class:`UnsupportedModel` for unknown architectures.
     """
-    return CompiledForward(model, dtype=dtype, sparse=sparse)
+    return CompiledForward(model, dtype=dtype)

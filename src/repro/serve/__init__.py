@@ -6,8 +6,8 @@ time, compatible requests (same V/F level + feasible pattern sparsity)
 form padded micro-batches under a configurable batching window, and
 batches are routed at admission time across ``N`` simulated devices
 whose clocks are advanced by a global event heap (arrivals, batch-window
-closes, device executions).  Masks and sparse-format conversions are
-memoized in an LRU artifact cache, and scenario generators stream the
+closes, device executions).  Pattern masks are memoized in an LRU
+artifact cache, and scenario generators stream the
 paper's deployment stories as lazy arrival iterators.
 
 Layout
@@ -87,10 +87,12 @@ Layout
   (explicit request withdrawal as a terminal state, extending
   conservation to ``completed + shed + cancelled == submitted``);
 - :mod:`~repro.serve.cache`     — the byte-budgeted LRU
-  :class:`ArtifactCache`: artifacts are charged their honest device
-  footprint (masks bit-packed, one bit per position) and evicted
-  size-aware LRU past the budget, modelling the slice of device memory
-  reserved for resident reconfiguration state.
+  :class:`ArtifactCache` of pattern masks: each mask is charged its
+  honest device footprint (bit-packed, one bit per position, plus its
+  tile pattern ids) and evicted size-aware LRU past the budget,
+  modelling the slice of device memory reserved for resident
+  reconfiguration state.  Serving folds the masks into dense weights;
+  the sparse kernels of :mod:`repro.sparse` are cost models.
 
 CLI and benchmarking
 --------------------
@@ -119,8 +121,8 @@ and the multi-device scaling (``BENCH_serve.json``);
 ``benchmarks/bench_stream.py`` sweeps the admission window on bursty
 traffic — throughput/efficiency vs p50/p95, exactness against the
 per-request oracle (``BENCH_stream.json``);
-``benchmarks/bench_kernels.py`` measures the sparse kernels
-(``BENCH_kernels.json``); ``benchmarks/bench_forward.py`` measures the
+``benchmarks/bench_kernels.py`` measures the sparse kernels, which are
+cost models, not the serving path (``BENCH_kernels.json``); ``benchmarks/bench_forward.py`` measures the
 compiled forward plane against the eager Tensor path — wall clock,
 autograd node counts, scratch allocations, bit-exactness
 (``BENCH_forward.json``).  CI regresses every PR against the committed
@@ -145,7 +147,7 @@ from repro.serve.batcher import (
     pad_batch,
     run_padded,
 )
-from repro.serve.cache import ArtifactCache, CacheStats, LRUCache, artifact_nbytes
+from repro.serve.cache import ArtifactCache, CacheStats
 from repro.serve.config import ServeConfig
 from repro.serve.decode import DecodeJob, DecodeLane, DecodeOptions
 from repro.serve.engine import ServeEngine
@@ -202,9 +204,7 @@ __all__ = [
     "FaultPlan",
     "FlushedGroup",
     "HEALTHY",
-    "artifact_nbytes",
     "InferenceRequest",
-    "LRUCache",
     "POLICIES",
     "PREEMPT_POLICIES",
     "QueuedBatch",

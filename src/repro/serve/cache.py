@@ -1,73 +1,38 @@
-"""LRU artifact cache for run-time reconfiguration, with a byte budget.
+"""LRU mask cache for run-time reconfiguration, with a byte budget.
 
-Serving traffic re-installs masks and sparse-format conversions far more
-often than it changes them: a steady workload swaps pattern sets rarely,
-yet the single-request path re-derives every layer's pattern mask (an
-``einsum`` over all tiles) and re-packs sparse payloads on every call.
-This module caches those derived artifacts keyed by
-``(layer, pattern_set, format)`` so a reconfiguration swap back to a
-previously seen operating point costs a dictionary lookup instead of a
-recomputation — the software analogue of the paper's claim that a pattern
-switch moves only kilobytes.
+Serving traffic re-installs pattern masks far more often than it changes
+them: a steady workload swaps pattern sets rarely, yet deriving every
+layer's pattern mask is an ``einsum`` over all tiles.  This module caches
+the derived masks keyed by ``(layer, pattern_set, owner)`` so a
+reconfiguration swap back to a previously seen operating point costs a
+dictionary lookup instead of a recomputation — the software analogue of
+the paper's claim that a pattern switch moves only kilobytes.
 
 Because the cache stands in for *device-resident memory*, it is bounded
-by **bytes**, not entries: every stored artifact is charged its real
-footprint (:func:`artifact_nbytes` — ndarray ``nbytes``, a format's own
-``nbytes()`` accounting, bit-packed masks their packed size) and the
-least-recently-used artifacts are evicted until the total fits the
-budget.  A 1-bit-per-position packed mask therefore costs the cache 64x
-less than the float mask it reconstructs, exactly the paper's
-storage-format argument.
-
-The cache is deliberately small and generic:
-
-- :class:`LRUCache` — bounded mapping with least-recently-used eviction
-  (entry capacity and/or byte budget) and hit/miss/eviction accounting;
-- :class:`ArtifactCache` — namespaced keys for pattern masks
-  (``("mask", layer, set_digest)``) and format conversions
-  (``("fmt", layer, weight_token, fmt)``), plus targeted invalidation
-  when weights change or a pattern set is retired.
+by **bytes**, not entries: every stored mask is charged its real
+footprint (the bit-packed mask plus its tile pattern ids) and the
+least-recently-used masks are evicted until the total fits the budget.
+A 1-bit-per-position packed mask therefore costs the cache 64x less than
+the float mask it reconstructs, exactly the paper's storage-format
+argument.
 
 Cached masks assume the underlying weights are frozen (the deployment
-regime after Level-1 training); call :meth:`ArtifactCache.invalidate`
-after any weight update.
+regime after Level-1 training); call
+:meth:`~repro.core.patterns.MaskManager.invalidate_cache` after any
+weight update.
 """
 
 from __future__ import annotations
 
-import sys
 from collections import OrderedDict
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Hashable, Iterable, Optional, Tuple
+from dataclasses import dataclass
+from typing import Callable, Tuple
 
 import numpy as np
 
+from repro.core.patterns import PackedMask
 
-def artifact_nbytes(value: Any) -> int:
-    """Best-effort device-memory footprint of a cached artifact.
-
-    ndarrays report ``nbytes``; the sparse formats and
-    :class:`~repro.core.patterns.PackedMask` report their own exact byte
-    accounting (``nbytes`` attribute or method); containers sum their
-    members; everything else falls back to ``sys.getsizeof``.
-    """
-    if isinstance(value, np.ndarray):
-        return int(value.nbytes)
-    # a format's resident footprint (storage + materialized kernel tables)
-    # trumps its storage-only nbytes(): the cache holds the live object
-    resident = getattr(value, "resident_nbytes", None)
-    if callable(resident):
-        return int(resident())
-    nbytes = getattr(value, "nbytes", None)
-    if nbytes is not None:
-        return int(nbytes() if callable(nbytes) else nbytes)
-    if isinstance(value, (tuple, list, set, frozenset)):
-        return sum(artifact_nbytes(v) for v in value)
-    if isinstance(value, dict):
-        return sum(artifact_nbytes(v) for v in value.values())
-    if isinstance(value, (bytes, bytearray, memoryview)):
-        return len(value)
-    return int(sys.getsizeof(value))
+MaskArtifact = Tuple[PackedMask, np.ndarray]
 
 
 @dataclass
@@ -101,215 +66,63 @@ class CacheStats:
         }
 
 
-class LRUCache:
-    """Bounded mapping with least-recently-used eviction.
-
-    Two independent bounds, either or both active:
-
-    - ``capacity`` bounds the number of entries (``None`` = unbounded);
-    - ``budget_bytes`` bounds the summed :func:`artifact_nbytes` of the
-      stored values (``None`` = unbounded) — size-aware eviction, so one
-      huge artifact can displace many small ones and vice versa.
-
-    Setting either bound to 0 disables caching (every lookup misses,
-    nothing is stored), which lets callers keep one code path.  An
-    artifact larger than the whole byte budget is never stored — caching
-    it would evict everything else for a single entry.  Both ``get`` and
-    ``put`` refresh an entry's recency.
-    """
-
-    def __init__(self, capacity: Optional[int] = 128,
-                 budget_bytes: Optional[int] = None) -> None:
-        if capacity is not None and capacity < 0:
-            raise ValueError("capacity cannot be negative")
-        if budget_bytes is not None and budget_bytes < 0:
-            raise ValueError("budget_bytes cannot be negative")
-        self.capacity = capacity
-        self.budget_bytes = budget_bytes
-        self._data: "OrderedDict[Hashable, Any]" = OrderedDict()
-        self._sizes: Dict[Hashable, int] = {}
-        self.total_bytes = 0
-        self.stats = CacheStats()
-
-    def __len__(self) -> int:
-        return len(self._data)
-
-    def __contains__(self, key: Hashable) -> bool:
-        return key in self._data
-
-    def keys(self) -> Iterable[Hashable]:
-        return list(self._data.keys())
-
-    def entry_nbytes(self, key: Hashable) -> Optional[int]:
-        """Accounted size of one entry (None when absent)."""
-        return self._sizes.get(key)
-
-    # ------------------------------------------------------------------
-    def _drop(self, key: Hashable) -> None:
-        del self._data[key]
-        self.total_bytes -= self._sizes.pop(key, 0)
-
-    def get(self, key: Hashable, default: Any = None) -> Any:
-        """Look up ``key``, counting a hit or miss."""
-        if key in self._data:
-            self.stats.hits += 1
-            self._data.move_to_end(key)
-            return self._data[key]
-        self.stats.misses += 1
-        return default
-
-    def put(self, key: Hashable, value: Any,
-            nbytes: Optional[int] = None) -> None:
-        """Insert/refresh ``key``, evicting LRU entries past either bound.
-
-        ``nbytes`` overrides the :func:`artifact_nbytes` estimate when the
-        caller knows the artifact's real footprint.
-        """
-        if self.capacity == 0 or self.budget_bytes == 0:
-            return
-        # sizing walks containers recursively: skip it entirely when no
-        # byte bound would ever consult the result
-        if self.budget_bytes is None:
-            size = 0
-        else:
-            size = artifact_nbytes(value) if nbytes is None else int(nbytes)
-        if self.budget_bytes is not None and size > self.budget_bytes:
-            # oversized artifact: storing it would flush the whole cache
-            if key in self._data:
-                self._drop(key)
-            return
-        if key in self._data:
-            self.total_bytes -= self._sizes.get(key, 0)
-            self._data.move_to_end(key)
-        self._data[key] = value
-        self._sizes[key] = size
-        self.total_bytes += size
-        while ((self.capacity is not None and len(self._data) > self.capacity)
-               or (self.budget_bytes is not None
-                   and self.total_bytes > self.budget_bytes)):
-            lru_key = next(iter(self._data))
-            self._drop(lru_key)
-            self.stats.evictions += 1
-
-    def get_or_compute(self, key: Hashable, compute: Callable[[], Any]) -> Any:
-        """``get`` with a fallback producer; stores the computed value."""
-        sentinel = object()
-        value = self.get(key, sentinel)
-        if value is sentinel:
-            value = compute()
-            self.put(key, value)
-        return value
-
-    def invalidate(self, predicate: Optional[Callable[[Hashable], bool]] = None) -> int:
-        """Drop entries whose key satisfies ``predicate`` (None = all).
-
-        Returns the number of entries removed.
-        """
-        if predicate is None:
-            removed = len(self._data)
-            self._data.clear()
-            self._sizes.clear()
-            self.total_bytes = 0
-        else:
-            doomed = [k for k in self._data if predicate(k)]
-            for k in doomed:
-                self._drop(k)
-            removed = len(doomed)
-        self.stats.invalidations += removed
-        return removed
-
-
-@dataclass
 class ArtifactCache:
-    """Byte-budgeted cache for the two serving hot-path artifacts.
+    """Byte-budgeted LRU cache of ``(PackedMask, pattern_ids)`` masks.
 
-    - *masks*: ``(PackedMask, pattern_ids)`` pairs derived from
-      :func:`repro.core.patterns.pattern_mask_for_matrix` and bit-packed
-      by the :class:`~repro.core.patterns.MaskManager`, keyed by
-      ``(layer, pattern_set_digest)``;
-    - *formats*: packed sparse matrices from :mod:`repro.sparse.formats`,
-      keyed by ``(layer, weight_token, format)`` where the token is the
-      owning layer's O(1) version counter
-      (:attr:`repro.nn.layers.Linear.cache_token`).
-
-    One shared :class:`LRUCache` backs both namespaces, bounded by
-    ``budget_bytes`` (default 8 MiB) — the slice of device memory the
-    deployment reserves for resident reconfiguration artifacts.  Eviction
-    is size-aware LRU over :func:`artifact_nbytes`, so cache pressure
-    follows real artifact footprints instead of an entry count.
+    The masks are derived by :func:`repro.core.patterns.pattern_mask_for_matrix`
+    and bit-packed by the :class:`~repro.core.patterns.MaskManager`.
+    ``budget_bytes`` (default 8 MiB) is the slice of device memory the
+    deployment reserves for resident reconfiguration artifacts; each mask
+    is charged ``packed.nbytes + ids.nbytes``.  A budget of 0 disables
+    caching (every lookup misses, nothing is stored), which lets callers
+    keep one code path.  A mask larger than the whole budget is never
+    stored — caching it would evict everything else for a single entry.
+    A hit refreshes the mask's recency.
     """
 
-    budget_bytes: int = 8 << 20
-    store: LRUCache = field(init=False)
+    def __init__(self, budget_bytes: int = 8 << 20) -> None:
+        if budget_bytes < 0:
+            raise ValueError("budget_bytes cannot be negative")
+        self.budget_bytes = budget_bytes
+        self.stats = CacheStats()
+        self.bytes_in_use = 0
+        # key -> (artifact, accounted bytes), least recently used first
+        self._entries: "OrderedDict[tuple, Tuple[MaskArtifact, int]]" = OrderedDict()
 
-    def __post_init__(self) -> None:
-        self.store = LRUCache(capacity=None, budget_bytes=self.budget_bytes)
+    def get_mask(self, layer: str, set_digest: str,
+                 compute: Callable[[], MaskArtifact],
+                 owner: str = "") -> MaskArtifact:
+        """The cached mask of ``layer`` under a pattern set, or ``compute()``.
 
-    @property
-    def stats(self) -> CacheStats:
-        return self.store.stats
-
-    @property
-    def bytes_in_use(self) -> int:
-        """Accounted footprint of everything currently cached."""
-        return self.store.total_bytes
-
-    # -- key builders ---------------------------------------------------
-    @staticmethod
-    def mask_key(layer: str, set_digest: str, owner: str = "") -> Tuple[str, ...]:
-        """``owner`` isolates entries of distinct mask managers: masks are
-        derived from weights, so managers over different models must never
-        share entries even when layer names and set digests coincide."""
-        return ("mask", layer, set_digest, owner)
-
-    @staticmethod
-    def format_key(layer: str, weight_digest: str, fmt: str,
-                   config: str = "") -> Tuple[str, ...]:
-        """``config`` carries format parameters the payload depends on
-        beyond the weight content (pattern-set digest, block count)."""
-        return ("fmt", layer, weight_digest, fmt, config)
-
-    # -- mask namespace -------------------------------------------------
-    def get_mask(self, layer: str, set_digest: str, compute: Callable[[], Any],
-                 owner: str = "") -> Any:
-        return self.store.get_or_compute(self.mask_key(layer, set_digest, owner),
-                                         compute)
-
-    # -- format namespace -----------------------------------------------
-    def get_format(self, layer: str, weight_digest: str, fmt: str,
-                   compute: Callable[[], Any], config: str = "") -> Any:
-        return self.store.get_or_compute(
-            self.format_key(layer, weight_digest, fmt, config), compute)
-
-    # -- invalidation ---------------------------------------------------
-    def invalidate(self, layer: Optional[str] = None,
-                   set_digest: Optional[str] = None,
-                   owner: Optional[str] = None) -> int:
-        """Drop matching entries; all filters None clears everything.
-
-        ``layer`` matches either namespace.  ``set_digest`` retires a
-        pattern set from both namespaces: it matches the mask entries'
-        set digest and the format entries' config field (which carries
-        the pattern-set digest for pattern conversions).  ``owner``
-        drops one mask manager's entries — the weight-update path —
-        without touching format conversions, whose version-token keys
-        (layer uid + weight/mask update counters) already miss on any
-        declared weight or mask change.
+        ``owner`` isolates entries of distinct mask managers: masks are
+        derived from weights, so managers over different models must
+        never share entries even when layer names and set digests
+        coincide.
         """
-        if layer is None and set_digest is None and owner is None:
-            return self.store.invalidate()
+        key = (layer, set_digest, owner)
+        entry = self._entries.get(key)
+        if entry is not None:
+            self.stats.hits += 1
+            self._entries.move_to_end(key)
+            return entry[0]
+        self.stats.misses += 1
+        artifact = compute()
+        packed, ids = artifact
+        size = packed.nbytes + ids.nbytes
+        if self.budget_bytes and size <= self.budget_bytes:
+            self._entries[key] = (artifact, size)
+            self.bytes_in_use += size
+            while self.bytes_in_use > self.budget_bytes:
+                _, (_, lru_size) = self._entries.popitem(last=False)
+                self.bytes_in_use -= lru_size
+                self.stats.evictions += 1
+        return artifact
 
-        def doomed(key: Hashable) -> bool:
-            if not isinstance(key, tuple) or len(key) < 3:
-                return False
-            if layer is not None and key[1] != layer:
-                return False
-            if set_digest is not None:
-                digest_field = key[2] if key[0] == "mask" else key[4]
-                if digest_field != set_digest:
-                    return False
-            if owner is not None and (key[0] != "mask" or key[3] != owner):
-                return False
-            return True
-
-        return self.store.invalidate(doomed)
+    def invalidate(self, owner: str) -> int:
+        """Drop one mask manager's entries (its weights changed); returns
+        how many were removed."""
+        doomed = [k for k in self._entries if k[2] == owner]
+        for key in doomed:
+            self.bytes_in_use -= self._entries.pop(key)[1]
+        self.stats.invalidations += len(doomed)
+        return len(doomed)

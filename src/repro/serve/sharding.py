@@ -480,11 +480,12 @@ class DeviceShard:
                          ) -> List[RequestResult]:
         """The one path that takes emitted results back: those still due
         after ``now_s`` and not already retracted (a retraction is
-        terminal).  A cancel names ``req_id`` and refunds no device time.
-        A crash or running preemption names none; when that takes work
-        off the device (results still due, or a decode boundary, whose
-        streams the crash evacuates) the record is cleared and the
-        device's accounting rolls back to ``now_s``."""
+        terminal); each leaves the shard's request (or decode stream)
+        count.  A cancel names ``req_id`` and refunds no device time.  A
+        crash or running preemption names none: it stops the device at
+        ``now_s``, so the record is cleared and the device's accounting
+        rolls back to ``now_s`` even when every late member was already
+        cancelled."""
         run = self.inflight
         if run is None or run.end_s <= now_s:
             return []
@@ -497,15 +498,16 @@ class DeviceShard:
         stats = self.stats
         if run.batch is None:
             stats.decode_streams -= len(lost)
-        if req_id is None and (lost or run.batch is None):
+        else:
+            stats.requests -= len(lost)
+        if req_id is None:
             self.inflight = None
             stats.busy_s = max(0.0, stats.busy_s - (run.end_s - now_s))
             stats.last_completion_s = min(stats.last_completion_s, now_s)
             self.clock_s = min(self.clock_s, now_s)
-            if run.batch is not None:
-                stats.requests -= len(lost)
-                if all(r.completion_s > now_s for r in run.results):
-                    stats.batches -= 1
+            if (run.batch is not None
+                    and all(r.completion_s > now_s for r in run.results)):
+                stats.batches -= 1
         return lost
 
     def retract_running(self, now_s: float

@@ -33,8 +33,8 @@ class StackConfig(ServeConfig):
     tiny Transformer's shape and seed, the pattern ladder
     (``pattern_size`` × ``patterns_per_set`` patterns per sparsity rung),
     the artifact cache (``use_cache``, with ``cache_budget_bytes`` of
-    device memory reserved for resident masks and format conversions,
-    evicted size-aware LRU past it), and ``streaming`` — hand out the
+    device memory reserved for resident masks, evicted size-aware LRU
+    past it), and ``streaming`` — hand out the
     online :class:`StreamingEngine` (submit/tick/drain) instead of the
     offline trace wrapper.
     """

@@ -406,8 +406,7 @@ class StreamingEngine:
     ``adapter`` supplies the sparsity ladder, latency model and (via its
     ``manager``) the mask installation path; ``config`` holds every knob
     (:class:`~repro.serve.config.ServeConfig`, kept as given, never
-    copied); ``cache`` memoizes mask derivation and sparse-format
-    conversion across batches.
+    copied); ``cache`` memoizes mask derivation across batches.
 
     ``initial_device_state`` maps shard id → installed sparsity for
     devices provisioned before this session (a device that served an
@@ -1004,6 +1003,11 @@ class StreamingEngine:
                     and run is not None and run.batch is not None
                     and self._batch_budget(run.batch) > budget):
                 victim, _ = shard.retract_running(now)
+                if victim is None:
+                    # every late member was already cancelled: the
+                    # rollback still freed the device at now; re-arm it
+                    self._schedule_shard(shard)
+                    return
             if victim is None:
                 return  # nothing (left) worth preempting
             # a fresh seq orders the victim behind the preemptor under

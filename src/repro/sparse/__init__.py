@@ -15,7 +15,14 @@ strategies concrete and testable:
   ``pattern_matmul`` runs one gather + one batched ``einsum`` per
   *pattern* (≥10x over the scalar per-tile loop, kept as
   :func:`pattern_matmul_loop` for the microbench), ``block_matmul`` one
-  batched GEMM per block group.
+  batched GEMM per block group;
+- :mod:`repro.sparse.executor` — the model cost audit: every masked layer
+  through one format's kernel, checked against the dense product.
+
+The kernels are cost models, not the serving path.  Serving folds the
+masks into dense weights, and on every serving layer shape (at most 64
+wide) a dense ``x @ W.T`` beats them; ``docs/benchmarks.md`` has the
+timings.
 """
 
 from repro.sparse.formats import (

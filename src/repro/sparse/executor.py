@@ -12,6 +12,10 @@ The total weighted op count is an *executable* cost for the model, which
 tests and benches compare against the analytic
 :class:`~repro.hardware.latency.LatencyModel` prediction — the same
 validation the paper delegates to the PatDNN compiler's predictor.
+
+The audit is a cost model, not an execution path: serving folds the
+masks into dense weights (:mod:`repro.nn.inference`), because on every
+serving layer shape a dense product beats the sparse kernels.
 """
 
 from __future__ import annotations
@@ -88,7 +92,7 @@ class SparseExecutor:
 
     def __init__(self, fmt: str = "dense", num_blocks: int = 4,
                  pattern_set: Optional[PatternSet] = None,
-                 batch: int = 4, seed: int = 0, cache=None) -> None:
+                 batch: int = 4, seed: int = 0) -> None:
         if fmt not in ("dense", "coo", "block", "pattern"):
             raise ValueError(f"unknown format {fmt!r}")
         if fmt == "pattern" and pattern_set is None:
@@ -98,98 +102,33 @@ class SparseExecutor:
         self.pattern_set = pattern_set
         self.batch = batch
         self._rng = np.random.default_rng(seed)
-        # Optional repro.serve.cache.ArtifactCache: memoizes the
-        # dense->sparse conversion, which dominates repeated audits of an
-        # unchanged operating point.  Keyed by the layer's O(1)
-        # ``cache_token`` (unique layer id + weight/mask update counters),
-        # so weight or mask changes miss naturally without paying to hash
-        # the weight bytes — SHA-1 hashing dominated small-layer lookups.
-        self.cache = cache
 
     # ------------------------------------------------------------------
-    def _convert(self, name: str, w: np.ndarray, token: str):
-        """Dense -> self.fmt conversion, via the artifact cache when present.
-
-        The cache key covers everything the payload depends on: the
-        effective weight's identity (``token``, the owning layer's O(1)
-        version counter — see :attr:`repro.nn.layers.Linear.cache_token`)
-        plus the format's own configuration (block count, the pattern
-        set) so executors with different settings can share one cache
-        without serving each other stale conversions.
-        """
+    def _convert(self, w: np.ndarray):
+        """Dense -> ``self.fmt`` conversion of an effective weight; the
+        pattern format also returns the re-derived mask, bit-packed."""
         if self.fmt == "coo":
-            config = ""
-            compute = lambda: from_dense_coo(w)  # noqa: E731
-        elif self.fmt == "block":
-            blocks = min(self.num_blocks, w.shape[0])
-            config = f"blocks={blocks}"
-
-            def compute():
-                converted = from_dense_block(w, blocks)
-                converted.matmul_groups()  # materialize before accounting
-                return converted
-        else:  # pattern
-            config = self.pattern_set.digest()
-
-            def compute():
-                masked, ids = pattern_mask_for_matrix(w, self.pattern_set)
-                packed = from_dense_pattern(
-                    w * masked, [p.mask for p in self.pattern_set], ids)
-                # materialize the kernel tables *before* the artifact is
-                # sized: the cache holds the live object, so its byte
-                # budget must see the tables, not just the storage format
-                packed.pattern_groups()
-                # the mask rides along bit-packed: 1 bit per position
-                return packed, PackedMask(masked)
-        if self.cache is None:
-            return compute()
-        return self.cache.get_format(name, token, self.fmt, compute,
-                                     config=config)
-
-    def layer_matmul(self, name: str, layer: Linear, x: np.ndarray,
-                     w_eff: Optional[np.ndarray] = None) -> np.ndarray:
-        """Masked-layer forward ``W_eff @ x`` through this executor's kernel.
-
-        Pure ndarray in, ndarray out — no :class:`~repro.tensor.Tensor`
-        wrapping anywhere — which is what lets the compiled inference
-        plan (:mod:`repro.nn.inference`) route sparse layers straight to
-        :func:`~repro.sparse.kernels.pattern_matmul` /
-        :func:`~repro.sparse.kernels.block_matmul`.  ``x`` is
-        ``(in_features, batch)``; ``w_eff`` (optional) is the caller's
-        already-materialized effective weight, saving the mask multiply.
-        Format conversions are memoized by the layer's O(1)
-        ``cache_token`` exactly like :meth:`audit_layer`; for the pattern
-        format the tile patterns are re-derived from the effective
-        weight (the audit-path semantics), so outputs agree with the
-        dense product to kernel precision (~1e-13), not bit-exactly.
-        """
-        if w_eff is None:
-            w_eff = layer.weight.data * (layer.mask if layer.mask is not None
-                                         else 1.0)
-        token = layer.cache_token
-        if self.fmt == "dense":
-            return dense_matmul(w_eff, x)[0]
-        if self.fmt == "coo":
-            return coo_matmul(self._convert(name, w_eff, token), x)[0]
+            return from_dense_coo(w)
         if self.fmt == "block":
-            return block_matmul(self._convert(name, w_eff, token), x)[0]
-        packed, _ = self._convert(name, w_eff, token)
-        return pattern_matmul(packed, x)[0]
+            return from_dense_block(w, min(self.num_blocks, w.shape[0]))
+        masked, ids = pattern_mask_for_matrix(w, self.pattern_set)
+        packed = from_dense_pattern(
+            w * masked, [p.mask for p in self.pattern_set], ids)
+        return packed, PackedMask(masked)
 
     def audit_layer(self, name: str, layer: Linear) -> LayerAudit:
         w = layer.weight.data * (layer.mask if layer.mask is not None else 1.0)
-        token = layer.cache_token
         x = self._rng.normal(size=(w.shape[1], self.batch))
         expected, _ = dense_matmul(w, x)
 
         if self.fmt == "dense":
             got, counter = dense_matmul(w, x)
         elif self.fmt == "coo":
-            got, counter = coo_matmul(self._convert(name, w, token), x)
+            got, counter = coo_matmul(self._convert(w), x)
         elif self.fmt == "block":
-            got, counter = block_matmul(self._convert(name, w, token), x)
+            got, counter = block_matmul(self._convert(w), x)
         else:  # pattern
-            packed, packed_mask = self._convert(name, w, token)
+            packed, packed_mask = self._convert(w)
             got, counter = pattern_matmul(packed, x)
             expected, _ = dense_matmul(w * packed_mask.unpack(), x)
 
@@ -208,7 +147,7 @@ class SparseExecutor:
 
 def compare_formats(model: Module, num_blocks: int = 4,
                     pattern_set: Optional[PatternSet] = None,
-                    batch: int = 4, seed: int = 0, cache=None) -> Dict[str, ModelAudit]:
+                    batch: int = 4, seed: int = 0) -> Dict[str, ModelAudit]:
     """Audit the same model under every applicable format."""
     formats = ["dense", "coo", "block"]
     if pattern_set is not None:
@@ -216,7 +155,6 @@ def compare_formats(model: Module, num_blocks: int = 4,
     out = {}
     for fmt in formats:
         executor = SparseExecutor(fmt, num_blocks=num_blocks,
-                                  pattern_set=pattern_set, batch=batch, seed=seed,
-                                  cache=cache)
+                                  pattern_set=pattern_set, batch=batch, seed=seed)
         out[fmt] = executor.audit(model)
     return out

@@ -144,20 +144,6 @@ class BlockCompressedMatrix:
             self._groups = groups
         return self._groups
 
-    def resident_nbytes(self) -> int:
-        """Storage bytes plus any materialized execution tables.
-
-        ``nbytes()`` is the on-device storage format (the paper's memory
-        argument); the batched matmul groups duplicate the payloads into
-        stacked form, and a byte-budgeted cache must account for that
-        extra resident memory once the tables exist.
-        """
-        total = self.nbytes()
-        if self._groups is not None:
-            total += sum(g.payloads.nbytes + g.cols.nbytes + g.rows.nbytes
-                         for g in self._groups)
-        return total
-
     def to_dense(self) -> np.ndarray:
         out = np.zeros(self.shape)
         for (lo, hi), cols, payload in zip(self.block_bounds, self.kept_cols,
@@ -256,23 +242,6 @@ class PatternIndexedMatrix:
                     int(pid), tidx // n_col, tidx % n_col, tiles, nnz))
             self._groups = groups
         return self._groups
-
-    def resident_nbytes(self) -> int:
-        """Storage bytes plus any materialized execution tables.
-
-        ``nbytes()`` is the on-device storage format; the cached
-        kernel tables (kept-position lists and the per-pattern dense tile
-        stacks, which together approach the dense matrix's footprint) are
-        extra resident memory a byte-budgeted cache must see once they
-        exist.
-        """
-        total = self.nbytes()
-        if self._kept_positions is not None:
-            total += sum(k.nbytes for k in self._kept_positions)
-        if self._groups is not None:
-            total += sum(g.tiles.nbytes + g.tile_rows.nbytes
-                         + g.tile_cols.nbytes for g in self._groups)
-        return total
 
     def to_dense(self) -> np.ndarray:
         psize = self.pattern_size

@@ -124,27 +124,6 @@ class TestDecodeExactness:
             assert np.array_equal(session.result(sid).tokens, ref_tokens)
             assert session.result(sid).logprobs == ref_logprobs
 
-    def test_sparse_plan_decode_equals_the_plan(self):
-        from repro.nn.inference import compile_inference
-        from repro.sparse.executor import SparseExecutor
-
-        model = make_model("lm")
-        pset = random_pattern_set(8, 0.5, 3, np.random.default_rng(0))
-        MaskManager(model).apply(pset)
-        plan = compile_inference(model,
-                                 sparse=SparseExecutor("pattern",
-                                                       pattern_set=pset))
-        assert compile_decode(model, plan=plan) is plan
-        # a session over a sparse-dispatch plan takes each step's token
-        # from that plan's last row, exactly
-        toks = np.random.default_rng(0).integers(0, 60, size=(2, 5))
-        session = DecodeSession(model, GenerationConfig(max_new_tokens=1),
-                                plan=plan)
-        sids = [session.submit_prompt(row) for row in toks]
-        emitted = session.step()
-        want = plan(toks)[:, -1].argmax(axis=1)
-        assert [emitted[sid] for sid in sids] == want.tolist()
-
     def test_non_lm_model_rejected(self):
         from repro.nn.distilbert import DistilBertConfig, DistilBertModel
         from repro.nn.inference import UnsupportedModel

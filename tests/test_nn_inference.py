@@ -26,7 +26,6 @@ from repro.serve import (
     run_padded,
 )
 from repro.serve.streaming import StreamingEngine
-from repro.sparse.executor import SparseExecutor
 from repro.tensor.tensor import Tensor, no_grad
 
 LM_CFG = TransformerConfig(vocab_size=60, dim=32, num_heads=2, ffn_dim=64,
@@ -523,63 +522,6 @@ class TestScratchAndMasks:
             plan(toks, attn_mask=mask)
         from repro.nn.inference import _MASK_CACHE_CAP
         assert len(plan._mask_cache) <= _MASK_CACHE_CAP
-
-
-# ---------------------------------------------------------------------------
-# sparse-kernel dispatch (no Tensor wrapping anywhere)
-# ---------------------------------------------------------------------------
-
-class TestSparseDispatch:
-    def test_pattern_kernel_plan_matches_dense(self):
-        model = make_model("lm")
-        pset = random_pattern_set(8, 0.5, 3, np.random.default_rng(0))
-        MaskManager(model).apply(pset)
-        dense_plan = compile_inference(model)
-        executor = SparseExecutor("pattern", pattern_set=pset,
-                                  cache=ArtifactCache())
-        sparse_plan = compile_inference(model, sparse=executor)
-        toks, mask = tokens_for(model, 4, True)
-        ref = dense_plan(toks, attn_mask=mask)
-        got = sparse_plan(toks, attn_mask=mask)
-        np.testing.assert_allclose(got, ref, atol=1e-9, rtol=0)
-
-    def test_block_kernel_plan_matches_dense(self):
-        model = make_model("lm")
-        install_masks(model, "block")
-        dense_plan = compile_inference(model)
-        executor = SparseExecutor("block", num_blocks=4, cache=ArtifactCache())
-        sparse_plan = compile_inference(model, sparse=executor)
-        toks, _ = tokens_for(model, 4, False)
-        np.testing.assert_allclose(sparse_plan(toks), dense_plan(toks),
-                                   atol=1e-9, rtol=0)
-
-    def test_layer_matmul_is_pure_ndarray(self):
-        model = make_model("lm")
-        install_masks(model, "block")
-        executor = SparseExecutor("block", num_blocks=4)
-        name, layer = next(iter(prunable_linears(model).items()))
-        x = np.random.default_rng(0).normal(size=(layer.in_features, 3))
-        created = []
-        orig = Tensor.__init__
-
-        def spy(self, *args, **kwargs):
-            created.append(self)
-            orig(self, *args, **kwargs)
-
-        Tensor.__init__ = spy
-        try:
-            out = executor.layer_matmul(name, layer, x)
-        finally:
-            Tensor.__init__ = orig
-        assert created == []
-        w_eff = layer.weight.data * layer.mask
-        np.testing.assert_allclose(out, w_eff @ x, atol=1e-9, rtol=0)
-
-    def test_sparse_requires_float64(self):
-        model = make_model("lm")
-        with pytest.raises(ValueError, match="float64"):
-            compile_inference(model, dtype="float32",
-                              sparse=SparseExecutor("block"))
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Artifact cache: LRU mechanics, byte budget, and mask/format wiring."""
+"""Artifact cache: LRU mechanics, byte budget, and mask wiring."""
 
 import numpy as np
 import pytest
@@ -11,8 +11,8 @@ from repro.core.patterns import (
     random_pattern_set,
 )
 from repro.nn.transformer import TransformerConfig, TransformerLM
-from repro.serve.cache import ArtifactCache, CacheStats, LRUCache, artifact_nbytes
-from repro.sparse.executor import SparseExecutor
+from repro.serve import ScenarioConfig, StackConfig, build_scenario, build_serving_stack
+from repro.serve.cache import ArtifactCache, CacheStats
 
 TINY = TransformerConfig(vocab_size=40, dim=16, num_heads=2, ffn_dim=32,
                          num_encoder_layers=1, num_decoder_layers=1,
@@ -29,62 +29,43 @@ def rng():
     return np.random.default_rng(0)
 
 
+def artifact(nbytes):
+    """A mask artifact the cache charges exactly ``nbytes``."""
+    return PackedMask(np.ones(8 * nbytes)), np.zeros(0, dtype=np.int64)
+
+
+def lookup(cache, layer, nbytes=10, owner=""):
+    return cache.get_mask(layer, "d", lambda: artifact(nbytes), owner=owner)
+
+
+def resident(cache):
+    return {key[0] for key in cache._entries}
+
+
 class TestLRUCache:
     def test_get_miss_then_hit(self):
-        cache = LRUCache(4)
-        assert cache.get("a") is None
-        cache.put("a", 1)
-        assert cache.get("a") == 1
-        assert cache.stats.misses == 1
-        assert cache.stats.hits == 1
+        cache = ArtifactCache(budget_bytes=100)
+        first = lookup(cache, "a")
+        assert cache.stats.misses == 1 and cache.stats.hits == 0
+        assert lookup(cache, "a") is first
+        assert cache.stats.misses == 1 and cache.stats.hits == 1
 
     def test_eviction_is_least_recently_used(self):
-        cache = LRUCache(2)
-        cache.put("a", 1)
-        cache.put("b", 2)
-        cache.get("a")  # refresh a; b becomes LRU
-        cache.put("c", 3)
-        assert "a" in cache and "c" in cache
-        assert "b" not in cache
+        cache = ArtifactCache(budget_bytes=20)
+        lookup(cache, "a")
+        lookup(cache, "b")
+        lookup(cache, "a")  # refresh a; b becomes LRU
+        lookup(cache, "c")
+        assert resident(cache) == {"a", "c"}
         assert cache.stats.evictions == 1
 
-    def test_put_refreshes_recency(self):
-        cache = LRUCache(2)
-        cache.put("a", 1)
-        cache.put("b", 2)
-        cache.put("a", 10)  # rewrite refreshes a
-        cache.put("c", 3)
-        assert cache.get("a") == 10
-        assert "b" not in cache
-
-    def test_zero_capacity_disables(self):
-        cache = LRUCache(0)
-        cache.put("a", 1)
-        assert cache.get("a") is None
-        assert len(cache) == 0
-
-    def test_negative_capacity_rejected(self):
-        with pytest.raises(ValueError):
-            LRUCache(-1)
-
     def test_get_or_compute_runs_once(self):
-        cache = LRUCache(4)
+        cache = ArtifactCache()
         calls = []
         for _ in range(3):
-            value = cache.get_or_compute("k", lambda: calls.append(1) or 42)
-        assert value == 42
+            cache.get_mask("k", "d", lambda: calls.append(1) or artifact(4))
         assert len(calls) == 1
         assert cache.stats.hits == 2 and cache.stats.misses == 1
-
-    def test_invalidate_all_and_predicate(self):
-        cache = LRUCache(8)
-        for i in range(4):
-            cache.put(("x", i), i)
-        assert cache.invalidate(lambda k: k[1] % 2 == 0) == 2
-        assert len(cache) == 2
-        assert cache.invalidate() == 2
-        assert len(cache) == 0
-        assert cache.stats.invalidations == 4
 
 
 class TestCacheStats:
@@ -101,45 +82,31 @@ class TestCacheStats:
 
 class TestArtifactCache:
     def test_mask_namespace_computes_once(self):
+        # the key is (layer, set digest, owner): each distinct key
+        # computes once, and no two keys share an entry
         cache = ArtifactCache()
+        keys = [("l0", "d1", ""), ("l1", "d1", ""), ("l0", "d2", ""),
+                ("l0", "d1", "m1")]
         calls = []
         for _ in range(2):
-            out = cache.get_mask("layer0", "digestA", lambda: calls.append(1) or "mask")
-        assert out == "mask" and len(calls) == 1
+            for layer, digest, owner in keys:
+                cache.get_mask(layer, digest,
+                               lambda: calls.append(1) or artifact(4),
+                               owner=owner)
+        assert len(calls) == len(keys)
+        assert cache.stats.misses == len(keys)
+        assert cache.stats.hits == len(keys)
 
-    def test_format_namespace_is_distinct(self):
+    def test_invalidate_by_owner(self):
         cache = ArtifactCache()
-        cache.get_mask("l", "d", lambda: "mask-artifact")
-        fmt = cache.get_format("l", "d", "coo", lambda: "coo-artifact")
-        assert fmt == "coo-artifact"
-        assert cache.stats.misses == 2  # no cross-namespace collision
-
-    def test_invalidate_by_layer(self):
-        cache = ArtifactCache()
-        cache.get_mask("a", "d1", lambda: 1)
-        cache.get_mask("b", "d1", lambda: 2)
-        assert cache.invalidate(layer="a") == 1
-        assert cache.get_mask("b", "d1", lambda: 99) == 2  # still cached
-
-    def test_invalidate_by_set_digest_spans_namespaces(self):
-        cache = ArtifactCache()
-        cache.get_mask("a", "d1", lambda: 1)
-        cache.get_mask("a", "d2", lambda: 2)
-        # pattern conversions carry the set digest in the config field
-        cache.get_format("a", "w-hash", "pattern", lambda: 3, config="d1")
-        cache.get_format("a", "w-hash", "coo", lambda: 4)
-        assert cache.invalidate(set_digest="d1") == 2
-        assert cache.get_mask("a", "d2", lambda: 99) == 2
-        assert cache.get_format("a", "w-hash", "coo", lambda: 99) == 4
-
-    def test_invalidate_by_owner_keeps_formats(self):
-        cache = ArtifactCache()
-        cache.get_mask("a", "d1", lambda: 1, owner="m0")
-        cache.get_mask("a", "d1", lambda: 2, owner="m1")
-        cache.get_format("a", "w-hash", "coo", lambda: 3)
-        assert cache.invalidate(owner="m0") == 1
-        assert cache.get_mask("a", "d1", lambda: 99, owner="m1") == 2
-        assert cache.get_format("a", "w-hash", "coo", lambda: 99) == 3
+        lookup(cache, "a", nbytes=10, owner="m0")
+        lookup(cache, "b", nbytes=10, owner="m0")
+        kept = lookup(cache, "a", nbytes=30, owner="m1")
+        assert cache.invalidate(owner="m0") == 2
+        assert cache.bytes_in_use == 30
+        assert cache.stats.invalidations == 2
+        assert lookup(cache, "a", owner="m1") is kept
+        assert cache.invalidate(owner="m0") == 0
 
 
 class TestPatternSetDigest:
@@ -244,79 +211,6 @@ class TestMaskManagerCache:
         assert cache.stats.hits == len(manager.layers)
 
 
-class TestExecutorCache:
-    @pytest.mark.parametrize("fmt", ["coo", "block", "pattern"])
-    def test_repeat_audit_hits_cache(self, model, rng, fmt):
-        pset = random_pattern_set(4, 0.5, 2, rng)
-        MaskManager(model).apply(pset)
-        cache = ArtifactCache()
-        executor = SparseExecutor(fmt, pattern_set=pset, cache=cache)
-        first = executor.audit(model)
-        assert cache.stats.hits == 0
-        second = executor.audit(model)
-        assert cache.stats.hits == len(first.layers)
-        assert first.all_correct and second.all_correct
-        assert second.total.macs == first.total.macs
-
-    def test_weight_change_misses_naturally(self, model, rng):
-        pset = random_pattern_set(4, 0.5, 2, rng)
-        MaskManager(model).apply(pset)
-        cache = ArtifactCache()
-        executor = SparseExecutor("coo", pattern_set=pset, cache=cache)
-        executor.audit(model)
-        name, layer = next(iter(MaskManager(model).layers.items()))
-        layer.weight.data[:] = rng.normal(size=layer.weight.shape)
-        # version-counter keys: raw in-place writes must declare themselves
-        # (optimizers and load_state_dict do this automatically)
-        layer.weight.bump_version()
-        executor.audit(model)  # bumped version: changed layer misses
-        assert cache.stats.misses > len(executor.audit(model).layers)
-
-    def test_mask_change_misses_naturally(self, model, rng):
-        # set_mask bumps the layer's mask version, so a swapped pattern set
-        # can never be served a stale conversion
-        set_a = random_pattern_set(4, 0.3, 2, rng)
-        cache = ArtifactCache()
-        executor = SparseExecutor("coo", pattern_set=set_a, cache=cache)
-        manager = MaskManager(model)
-        manager.apply(set_a)
-        first = executor.audit(model)
-        manager.apply(random_pattern_set(4, 0.9, 2, rng))
-        second = executor.audit(model)  # every layer misses, none stale
-        assert cache.stats.hits == 0
-        assert cache.stats.misses == 2 * len(first.layers)
-        assert second.all_correct
-        assert second.total.macs < first.total.macs
-
-    def test_shared_cache_distinguishes_pattern_sets(self, model, rng):
-        # same weights, different pattern sets: payloads must not collide
-        cache = ArtifactCache()
-        set_a = random_pattern_set(4, 0.3, 2, rng)
-        set_b = random_pattern_set(4, 0.9, 2, rng)
-        exec_a = SparseExecutor("pattern", pattern_set=set_a, cache=cache)
-        exec_b = SparseExecutor("pattern", pattern_set=set_b, cache=cache)
-        audit_a = exec_a.audit(model)
-        audit_b = exec_b.audit(model)
-        truth_b = SparseExecutor("pattern", pattern_set=set_b).audit(model)
-        assert audit_b.total.macs == truth_b.total.macs
-        assert audit_b.total.macs != audit_a.total.macs
-        assert audit_b.all_correct
-
-    def test_shared_cache_distinguishes_block_counts(self, model, rng):
-        cache = ArtifactCache()
-        audit_2 = SparseExecutor("block", num_blocks=2, cache=cache).audit(model)
-        audit_8 = SparseExecutor("block", num_blocks=8, cache=cache).audit(model)
-        truth_8 = SparseExecutor("block", num_blocks=8).audit(model)
-        assert audit_8.total.index_ops == truth_8.total.index_ops
-        assert audit_8.total.index_ops != audit_2.total.index_ops
-
-    def test_uncached_executor_still_works(self, model, rng):
-        pset = random_pattern_set(4, 0.5, 2, rng)
-        MaskManager(model).apply(pset)
-        audit = SparseExecutor("pattern", pattern_set=pset).audit(model)
-        assert audit.all_correct
-
-
 class TestPackedMask:
     def test_round_trip_exact(self, rng):
         mask = (rng.random((13, 7)) > 0.5).astype(np.float64)
@@ -345,83 +239,47 @@ class TestPackedMask:
 
 
 class TestArtifactNbytes:
-    def test_ndarray_uses_nbytes(self):
-        assert artifact_nbytes(np.zeros((4, 4))) == 128
-
-    def test_formats_use_own_accounting(self):
-        from repro.sparse import from_dense_coo
-        w = np.eye(4)
-        coo = from_dense_coo(w)
-        assert artifact_nbytes(coo) == coo.nbytes()
-
-    def test_packed_mask_counts_packed_bits(self):
-        packed = PackedMask(np.ones((64, 64)))
-        assert artifact_nbytes(packed) == packed.nbytes
-
-    def test_containers_sum_members(self):
-        pair = (np.zeros(8), np.zeros(4))
-        assert artifact_nbytes(pair) == 64 + 32
-        assert artifact_nbytes([pair, np.zeros(2)]) == 96 + 16
-
-    def test_fallback_is_positive(self):
-        assert artifact_nbytes("some string") > 0
+    def test_packed_mask_counts_packed_bits(self, rng):
+        # a mask artifact is charged its packed bits plus its tile ids
+        pset = random_pattern_set(4, 0.5, 2, rng)
+        mask, ids = pattern_mask_for_matrix(rng.normal(size=(16, 16)), pset)
+        packed = PackedMask(mask)
+        cache = ArtifactCache()
+        cache.get_mask("l", "d", lambda: (packed, ids))
+        assert cache.bytes_in_use == packed.nbytes + ids.nbytes
+        assert packed.nbytes * 64 == mask.nbytes
 
 
 class TestByteBudgetLRU:
     def test_eviction_is_size_aware_lru(self):
-        cache = LRUCache(capacity=None, budget_bytes=3 * 80)
+        cache = ArtifactCache(budget_bytes=3 * 80)
         for name in ("a", "b", "c"):
-            cache.put(name, np.zeros(10))  # 80 bytes each
-        cache.get("a")  # refresh a; b becomes LRU
-        cache.put("d", np.zeros(20))  # 160 bytes: must evict b AND c
-        assert "a" in cache and "d" in cache
-        assert "b" not in cache and "c" not in cache
+            lookup(cache, name, nbytes=80)
+        lookup(cache, "a")  # refresh a; b becomes LRU
+        lookup(cache, "d", nbytes=160)  # must evict b AND c
+        assert resident(cache) == {"a", "d"}
         assert cache.stats.evictions == 2
-        assert cache.total_bytes == 80 + 160
-
-    def test_total_bytes_tracks_replacement(self):
-        cache = LRUCache(capacity=None, budget_bytes=1000)
-        cache.put("k", np.zeros(10))
-        assert cache.total_bytes == 80
-        cache.put("k", np.zeros(50))  # replace: old size released
-        assert cache.total_bytes == 400
-        cache.invalidate()
-        assert cache.total_bytes == 0
+        assert cache.bytes_in_use == 80 + 160
 
     def test_oversized_artifact_never_stored(self):
-        cache = LRUCache(capacity=None, budget_bytes=100)
-        cache.put("small", np.zeros(4))
-        cache.put("huge", np.zeros(1000))  # would flush the whole cache
-        assert "huge" not in cache
-        assert "small" in cache  # untouched by the rejected insert
+        cache = ArtifactCache(budget_bytes=100)
+        lookup(cache, "small", nbytes=32)
+        huge = lookup(cache, "huge", nbytes=1000)  # would flush the cache
+        assert huge[0].nbytes == 1000  # still handed to the caller
+        assert resident(cache) == {"small"}  # untouched by the rejection
+        assert cache.bytes_in_use == 32
 
     def test_zero_budget_disables(self):
-        cache = LRUCache(capacity=None, budget_bytes=0)
-        cache.put("a", np.zeros(2))
-        assert cache.get("a") is None
-        assert len(cache) == 0
+        cache = ArtifactCache(budget_bytes=0)
+        lookup(cache, "a", nbytes=16)
+        lookup(cache, "a", nbytes=16)
+        assert cache.stats.misses == 2 and cache.stats.hits == 0
+        assert resident(cache) == set()
+        assert cache.bytes_in_use == 0
 
     def test_negative_budget_rejected(self):
-        with pytest.raises(ValueError):
-            LRUCache(budget_bytes=-1)
-
-    def test_entry_nbytes_reported(self):
-        cache = LRUCache(capacity=None, budget_bytes=1000)
-        cache.put("k", np.zeros(10))
-        assert cache.entry_nbytes("k") == 80
-        assert cache.entry_nbytes("missing") is None
-
-    def test_explicit_nbytes_overrides_estimate(self):
-        cache = LRUCache(capacity=None, budget_bytes=100)
-        cache.put("k", np.zeros(1000), nbytes=10)  # caller-declared size
-        assert "k" in cache
-        assert cache.total_bytes == 10
-
-    def test_capacity_and_budget_compose(self):
-        cache = LRUCache(capacity=2, budget_bytes=10_000)
-        for name in ("a", "b", "c"):
-            cache.put(name, np.zeros(1))
-        assert len(cache) == 2  # entry bound still enforced
+        with pytest.raises(ValueError, match="budget_bytes"):
+            ArtifactCache(budget_bytes=-1)
 
 
 class TestArtifactCacheByteBudget:
@@ -477,19 +335,6 @@ class TestIdenticalMaskReinstall:
         layer.set_mask(changed)
         assert layer.cache_token != token
 
-    def test_reinstall_keeps_format_conversions_hot(self, model, rng):
-        # the ROADMAP open item: re-installing the same masks used to bump
-        # every cache_token, turning warm format conversions into misses
-        pset = random_pattern_set(4, 0.5, 2, rng)
-        manager = MaskManager(model)
-        manager.apply(pset)
-        cache = ArtifactCache()
-        executor = SparseExecutor("pattern", pattern_set=pset, cache=cache)
-        first = executor.audit(model)
-        manager.apply(pset)  # identical reinstall (the per-batch path)
-        executor.audit(model)
-        assert cache.stats.hits == len(first.layers)  # all hot
-
     def test_engine_reinstall_path_hits(self, rng):
         # end to end: the serving loop re-applies masks every batch;
         # with the content fast path the executor-style token never moves
@@ -503,37 +348,33 @@ class TestIdenticalMaskReinstall:
         assert {n: l.cache_token for n, l in manager.layers.items()} == tokens
 
 
-class TestResidentAccounting:
-    def test_resident_nbytes_grows_with_tables(self, rng):
-        from repro.sparse import from_dense_pattern
-        pset = random_pattern_set(4, 0.5, 2, rng)
-        w = rng.normal(size=(16, 16))
-        mask, ids = pattern_mask_for_matrix(w, pset)
-        pm = from_dense_pattern(w * mask, [p.mask for p in pset], ids)
-        storage = pm.nbytes()
-        assert pm.resident_nbytes() == storage  # nothing materialized yet
-        pm.pattern_groups()
-        assert pm.resident_nbytes() > storage  # tables now resident
+class TestServeAccounting:
+    """Byte and miss accounting after a serve that visits every rung."""
 
-    def test_cached_pattern_artifact_accounts_for_tables(self, model, rng):
-        # the executor materializes kernel tables before the artifact is
-        # sized, so the cache's byte budget sees the live footprint, not
-        # just the storage format
-        pset = random_pattern_set(4, 0.5, 2, rng)
-        MaskManager(model).apply(pset)
-        cache = ArtifactCache()
-        executor = SparseExecutor("pattern", pattern_set=pset, cache=cache)
-        executor.audit(model)
-        for key in cache.store.keys():
-            packed, _ = cache.store.get(key)
-            assert cache.store.entry_nbytes(key) >= packed.resident_nbytes()
-            assert packed.resident_nbytes() > packed.nbytes()
+    @pytest.fixture(scope="class")
+    def served(self):
+        _, workload, engine = build_serving_stack(StackConfig())
+        trace = build_scenario("bandwidth", workload,
+                               ScenarioConfig(num_requests=48, seed=0))
+        return engine, engine.serve(trace)
 
-    def test_block_resident_nbytes_counts_groups(self, rng):
-        from repro.sparse import from_dense_block
-        w = rng.normal(size=(16, 12))
-        bc = from_dense_block(w, 4)
-        storage = bc.nbytes()
-        assert bc.resident_nbytes() == storage
-        bc.matmul_groups()
-        assert bc.resident_nbytes() > storage
+    def test_bytes_in_use_sums_resident_masks(self, served):
+        engine, _ = served
+        manager = engine.adapter.manager
+        expected = 0
+        for _, pset in engine.adapter.candidates:
+            for name, layer in manager.layers.items():
+                mask, ids = pattern_mask_for_matrix(
+                    layer.weight.data * manager.backbone_masks[name], pset)
+                expected += PackedMask(mask).nbytes + ids.nbytes
+        assert engine.cache.stats.evictions == 0  # every mask is resident
+        assert engine.cache.bytes_in_use == expected
+
+    def test_misses_equal_distinct_layer_set_pairs(self, served):
+        engine, report = served
+        rungs = {sparsity for sparsity, _ in engine.adapter.candidates}
+        assert {r.sparsity for r in report.results} == rungs
+        pairs = (len(engine.adapter.candidates)
+                 * len(engine.adapter.manager.layers))
+        assert engine.cache.stats.misses == pairs
+        assert report.cache_stats.misses == pairs

@@ -182,6 +182,25 @@ class TestCancellation:
         assert report.completed == LOOSE - 1 and report.conserved
         assert_exact(report)
 
+    def test_cancel_inflight_leaves_shard_request_count(self):
+        # a member cancelled in flight never completes, so the shard
+        # stops counting it, as a decode stream cancelled in flight does
+        trace = head_of_line_trace()[:LOOSE]
+        report = serve(trace, cancels=[(0, 1e-5)])
+        assert report.shard_stats[0].requests == report.completed
+
+    def test_crash_rolls_back_batch_cancelled_in_flight(self):
+        # the whole batch is cancelled while it runs, then the device
+        # crashes: nothing was due any more, yet the device stopped at
+        # the crash, so the batch leaves its time and counts behind
+        trace = [request(i, 0.0, 10.0) for i in range(8)]
+        report = serve(trace, cancels=[(i, 2e-6) for i in range(8)],
+                       faults=FaultPlan.outage(0, 4e-6, 0.1))
+        stats = report.shard_stats[0]
+        assert stats.busy_s == pytest.approx(4e-6)
+        assert (stats.batches, stats.requests) == (0, 0)
+        assert report.completed == 0 and report.conserved
+
     def test_cancel_pending_decode_stream_lands_decode_pending(self):
         # stream 1 arrives at 1 ms while stream 0's first boundary (it
         # pays the cold pattern install) holds the device until ~5 ms, so
@@ -289,6 +308,23 @@ class TestPreemption:
         running = serve(head_of_line_trace(), preempt_policy="running")
         assert latency_of(base, LOOSE) > TIGHT_SLO_S  # adversarial
         assert latency_of(running, LOOSE) <= TIGHT_SLO_S  # rescued
+
+    def test_running_preemption_frees_device_of_cancelled_batch(self):
+        # every member of the running batch is cancelled in flight; a
+        # tight request then preempts it: the device is free at once, and
+        # the tight result is released by the tick that covers it
+        _, _, engine = make_stack(preempt_policy="running")
+        core = engine.streaming()
+        for rid in range(8):
+            core.cancel(rid, at_s=1e-5)
+        for req in [request(i, 0.0, 10.0) for i in range(8)]:
+            core.submit(req)
+        core.submit(request(8, 5e-4, TIGHT_SLO_S, tenant="tight"))
+        released = core.tick(2e-3)
+        assert [r.request.req_id for r in released] == [8]
+        assert released[0].completion_s <= 2e-3
+        core.drain()
+        assert core.report().conserved
 
     def test_preemption_charges_switch_penalty(self):
         running = serve(head_of_line_trace(), preempt_policy="running")
