@@ -9,13 +9,16 @@ the per-inference timing constraint T.
 The public surface is :class:`GenerationConfig` (the sampling knobs as one
 value object) plus :class:`DecodeSession` (``submit_prompt`` / ``step`` /
 ``finished``): a session owns a set of decode streams, advances every
-unfinished stream by one token per ``step`` and batches equal-length
-contexts through the compiled full-sequence plan
-(:class:`~repro.nn.inference.CompiledForward`), taking the last row of
-its output as the next-token logits.  Streams may be submitted at any
-point — they join the rolling batch at the next token boundary — and
-each stream's float64 output is bit-identical (``==``) to running it
-alone through the eager Tensor forward.
+unfinished stream by one token per ``step`` and runs their contexts,
+right-padded, through the compiled full-sequence plan
+(:class:`~repro.nn.inference.CompiledForward`) by true lengths, taking
+row ``L - 1`` of each stream's output as its next-token logits.  One
+plan call covers every stream whose context length falls in one GEMM
+regime class (on the serve shape under OpenBLAS: every length above
+1).  Streams may be submitted at any point — they join the rolling
+batch at the next token boundary — and each stream's float64 output is
+bit-identical (``==``) to running it alone through the eager Tensor
+forward.
 """
 
 from __future__ import annotations
@@ -117,20 +120,23 @@ class DecodeSession:
 
     ``submit_prompt`` opens a stream (joining at the next token
     boundary), ``step`` advances every unfinished stream by exactly one
-    token, ``finished``/``result`` read a stream out.  Streams are
-    grouped by context length each step — no padding — so every stream's
-    tokens and logprobs are bit-identical to a solo run regardless of
-    what joins or leaves the batch around it.
+    token, ``finished``/``result`` read a stream out.  Each step groups
+    the streams by the GEMM regime class of their context length
+    (:meth:`~repro.nn.inference.CompiledForward.length_classes`) and
+    makes one plan call per class over the right-padded contexts, with
+    attention run per true length — so every stream's tokens and
+    logprobs are bit-identical to a solo run regardless of what joins or
+    leaves the batch around it.
 
-    ``compiled=True`` (default) runs each group's ``(G, L)`` contexts
-    through the model's compiled
-    :class:`~repro.nn.inference.CompiledForward` plan and keeps the last
-    row (pass ``plan=`` to share one plan across sessions, as the
-    serving engine does); ``compiled=False`` keeps the eager per-stream
-    Tensor forward under ``no_grad`` — same bits, no plan, the reference
-    the compiled path is checked against.  The session puts the model in
-    eval mode and leaves it there; callers that need train mode back
-    restore it themselves.
+    ``compiled=True`` (default) runs each class's ``(G, L_max)``
+    contexts through the model's compiled
+    :class:`~repro.nn.inference.CompiledForward` plan and keeps row
+    ``L - 1`` of each stream (pass ``plan=`` to share one plan across
+    sessions, as the serving engine does); ``compiled=False`` keeps the
+    eager per-stream Tensor forward under ``no_grad`` — same bits, no
+    plan, the reference the compiled path is checked against.  The
+    session puts the model in eval mode and leaves it there; callers
+    that need train mode back restore it themselves.
     """
 
     def __init__(self, model: TransformerLM,
@@ -184,14 +190,19 @@ class DecodeSession:
                     logits = self.model(Tensor(context[None, :])).data[0, -1]
                 self._emit(s, logits, emitted)
             return emitted
-        groups: Dict[int, List[_Stream]] = {}
-        for s in active:
-            groups.setdefault(min(len(s.tokens), self._max_len),
-                              []).append(s)
-        for length in sorted(groups):
-            members = groups[length]
-            contexts = np.stack([s.tokens[-self._max_len:] for s in members])
-            logits = np.ascontiguousarray(self.plan(contexts)[:, -1])
+        max_len = self._max_len
+        tops = self.plan.length_classes()
+        classes: Dict[int, List[_Stream]] = {}
+        for s in sorted(active, key=lambda s: len(s.tokens)):
+            classes.setdefault(tops[min(len(s.tokens), max_len)],
+                               []).append(s)
+        for members in classes.values():
+            lengths = [min(len(s.tokens), max_len) for s in members]
+            contexts = np.zeros((len(members), lengths[-1]), dtype=np.int64)
+            for row, s, length in zip(contexts, members, lengths):
+                row[:length] = s.tokens[-max_len:]
+            out = self.plan(contexts, lengths=lengths)
+            logits = out[np.arange(len(members)), np.subtract(lengths, 1)]
             for i, s in enumerate(members):
                 self._emit(s, logits[i], emitted)
         return emitted

@@ -33,7 +33,16 @@ module tree **once** and emits a flat program of ndarray steps that
   :class:`ScratchPool` through one arena per shape, reused across the
   layers of a binding and shared by every program bound to that shape;
 - memoizes causal masks per ``seqlen``; a padded batch's combined
-  causal | key-padding mask is one bound ``np.logical_or`` step.
+  causal | key-padding mask is one bound ``np.logical_or`` step;
+- runs a right-padded batch *by true lengths* (``plan(tokens,
+  lengths=...)``): the row-wise steps — embedding, every Linear,
+  LayerNorm, ReLU, residual adds, head — run once over the whole
+  ``(batch, max_len)`` batch, and attention runs once per run of
+  equal-length rows on slices of the bound q/k/v buffers (Orca's
+  selective batching).  Rows stay ``==`` their solo forward as long as
+  the lengths share a GEMM regime class (:meth:`CompiledForward.
+  length_classes`), which is how decode batches streams of different
+  context lengths into one call.
 
 Pattern masks are folded into the dense weight snapshots: every layer,
 masked or not, is one BLAS ``matmul``.  The sparse kernels of
@@ -59,8 +68,9 @@ row of this plan over the stream's context (:func:`compile_decode`).
 
 from __future__ import annotations
 
+import itertools
 import math
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -95,6 +105,10 @@ _PROGRAM_CACHE_CAP = 8
 # back to the pool
 _BIND_CACHE_CAP = 64
 
+# attention runs bound per attention block of a binding by true lengths,
+# keyed on (row offset, count, length)
+_RUN_CACHE_CAP = 256
+
 
 class UnsupportedModel(TypeError):
     """``compile_inference`` does not know this architecture's forward."""
@@ -123,6 +137,7 @@ class ScratchPool:
         self.dtype = np.dtype(dtype)
         self.per_shape_cap = per_shape_cap
         self._free: Dict[Tuple[Tuple[int, ...], np.dtype], List[np.ndarray]] = {}
+        self._shared: Dict[tuple, np.ndarray] = {}
         self.hits = 0
         self.misses = 0
 
@@ -141,8 +156,26 @@ class ScratchPool:
         if len(stack) < self.per_shape_cap:
             stack.append(arr)
 
-    def clear(self) -> None:
-        self._free.clear()
+    def shared(self, slot, shape: Tuple[int, ...],
+               dtype: Optional[np.dtype] = None) -> np.ndarray:
+        """A ``shape`` view over the memory of shared ``slot``.
+
+        Every caller naming the same slot gets the same memory, so it
+        suits only steps that never run at the same time — the bindings
+        by true lengths of one plan and their attention runs, which fully
+        write a buffer before reading it.  A slot too small for ``shape``
+        is replaced by a zero-filled one (at least twice as large); views
+        handed out earlier keep the old memory.  So slot memory only ever
+        holds zeros or values some step computed.
+        """
+        dtype = self.dtype if dtype is None else np.dtype(dtype)
+        size = math.prod(shape)
+        flat = self._shared.get((slot, dtype))
+        if flat is None or flat.size < size:
+            self.misses += 1
+            grown = size if flat is None else max(size, 2 * flat.size)
+            flat = self._shared[(slot, dtype)] = np.zeros(grown, dtype)
+        return flat[:size].reshape(shape)
 
 
 class _Arena:
@@ -158,19 +191,31 @@ class _Arena:
     allocated, never a bound buffer.  Owned buffers never sit on a pool
     free list, so nothing else can take one while a binding still runs
     over it; :meth:`release` hands them back once no binding does.
+
+    ``segments`` is ``None`` for a plain binding.  For a binding by true
+    lengths it holds the current call's runs of equal-length rows as
+    ``(offset, count, length)`` triples, set before every replay and
+    read by the binding's attention blocks (:class:`_Attend`).  Such a
+    binding owns no buffers: its n-th new buffer is a view over the
+    pool's shared slot n (:meth:`ScratchPool.shared`), so every binding
+    by true lengths of a plan runs over one set of memory, however many
+    ``(batch, max_len)`` shapes a decode visits.
     """
 
-    __slots__ = ("pool", "owned", "steps", "head", "_free")
+    __slots__ = ("pool", "owned", "steps", "head", "segments", "_free",
+                 "_slots")
 
-    def __init__(self, pool: ScratchPool) -> None:
+    def __init__(self, pool: ScratchPool, by_length: bool = False) -> None:
         self.pool = pool
         self.owned: List[np.ndarray] = []
+        self.segments: Optional[tuple] = () if by_length else None
         self.reset()
 
     def reset(self) -> None:
         self.steps: List[tuple] = []
         self.head: Optional[tuple] = None
         self._free: Dict[tuple, List[np.ndarray]] = {}
+        self._slots = 0
         self.give(*self.owned)
 
     def take(self, shape: Tuple[int, ...],
@@ -180,6 +225,9 @@ class _Arena:
         if stack:
             self.pool.hits += 1
             return stack.pop()
+        if self.segments is not None:
+            self._slots += 1
+            return self.pool.shared(("bind", self._slots), shape, dtype)
         arr = self.pool.take(shape, dtype)
         self.owned.append(arr)
         return arr
@@ -203,15 +251,17 @@ class _Bound:
 
     ``inputs`` are the buffers a call copies its arguments into,
     ``steps`` the prebuilt calls, ``head`` the ``(f, args, bias, shape)``
-    call producing the fresh result.
+    call producing the fresh result, ``arena`` the shape's arena (whose
+    ``segments`` a call by true lengths sets).
     """
 
-    __slots__ = ("inputs", "steps", "head")
+    __slots__ = ("inputs", "steps", "head", "arena")
 
-    def __init__(self, inputs: tuple, steps: list, head: tuple) -> None:
+    def __init__(self, inputs: tuple, arena: _Arena) -> None:
         self.inputs = inputs
-        self.steps = steps
-        self.head = head
+        self.steps = arena.steps
+        self.head = arena.head
+        self.arena = arena
 
 
 class _Program:
@@ -250,35 +300,108 @@ def _run_head(head: tuple) -> np.ndarray:
     return out if shape is None else out.reshape(shape)
 
 
-def _bind_attend(b: _Arena, q: np.ndarray, k: np.ndarray, v: np.ndarray,
-                 heads: int, head_dim: int, scale: float,
-                 mask: Optional[np.ndarray]) -> np.ndarray:
-    """Scaled dot-product attention over bound ``(batch, len, dim)``
-    projections; the softmax runs in place on the score buffer (same
-    elementwise arithmetic as the eager shift/exp/normalize).  Returns
-    the merged-heads context buffer."""
+def _attend_steps(add: Callable, take: Callable, q: np.ndarray,
+                  k: np.ndarray, v: np.ndarray, merged: np.ndarray,
+                  heads: int, head_dim: int, scale: float,
+                  mask: Optional[np.ndarray]) -> tuple:
+    """Scaled dot-product attention of ``(batch, len, dim)`` projections
+    into ``merged``; the softmax runs in place on the score buffer (same
+    elementwise arithmetic as the eager shift/exp/normalize).  ``add``
+    appends a step, ``take`` hands out a scratch buffer; returns the
+    scratch buffers taken."""
     batch, len_q, dim = q.shape
     len_k = k.shape[1]
     qh = q.reshape(batch, len_q, heads, head_dim).transpose(0, 2, 1, 3)
     kh = k.reshape(batch, len_k, heads, head_dim).transpose(0, 2, 1, 3)
     vh = v.reshape(batch, len_k, heads, head_dim).transpose(0, 2, 1, 3)
-    scores = b.take((batch, heads, len_q, len_k))
-    red = b.take((batch, heads, len_q, 1))
-    context = b.take((batch, heads, len_q, head_dim))
-    merged = b.take((batch, len_q, dim))
-    b.add(np.matmul, qh, kh.transpose(0, 1, 3, 2), scores)
-    b.add(np.multiply, scores, scale, scores)
+    scores = take((batch, heads, len_q, len_k))
+    red = take((batch, heads, len_q, 1))
+    context = take((batch, heads, len_q, head_dim))
+    add(np.matmul, qh, kh.transpose(0, 1, 3, 2), scores)
+    add(np.multiply, scores, scale, scores)
     if mask is not None:
-        b.add(np.copyto, scores, NEG_INF, "same_kind", mask)
-    b.add(np.maximum.reduce, scores, -1, None, red, True)
-    b.add(np.subtract, scores, red, scores)
-    b.add(np.exp, scores, scores)
-    b.add(np.add.reduce, scores, -1, None, red, True)
-    b.add(np.true_divide, scores, red, scores)
-    b.add(np.matmul, scores, vh, context)
-    b.add(np.copyto, merged.reshape(batch, len_q, heads, head_dim),
-          context.transpose(0, 2, 1, 3))
-    b.give(scores, red, context)
+        add(np.copyto, scores, NEG_INF, "same_kind", mask)
+    add(np.maximum.reduce, scores, -1, None, red, True)
+    add(np.subtract, scores, red, scores)
+    add(np.exp, scores, scores)
+    add(np.add.reduce, scores, -1, None, red, True)
+    add(np.true_divide, scores, red, scores)
+    add(np.matmul, scores, vh, context)
+    add(np.copyto, merged.reshape(batch, len_q, heads, head_dim),
+        context.transpose(0, 2, 1, 3))
+    return scores, red, context
+
+
+class _Attend:
+    """One attention block of a binding by true lengths.
+
+    The q/k/v projections and the merged-heads output are bound over the
+    whole right-padded ``(batch, max_len, dim)`` batch; attention runs
+    once per run of equal-length rows, on slices of those buffers, with
+    the shapes of a solo forward of that length — so every real row is
+    bit-identical to its solo forward.  A run's steps are bound on first
+    use and cached per ``(offset, count, length)``; their scratch
+    buffers are views over the pool's shared ``run`` slots, since runs
+    execute one at a time.
+    ``mask`` is the 2-D causal mask of ``max_len`` (its top-left corner
+    is the causal mask of every shorter length) or ``None``.
+    """
+
+    __slots__ = ("arena", "q", "k", "v", "merged", "heads", "head_dim",
+                 "scale", "mask", "runs")
+
+    def __init__(self, arena: _Arena, q: np.ndarray, k: np.ndarray,
+                 v: np.ndarray, merged: np.ndarray, heads: int,
+                 head_dim: int, scale: float,
+                 mask: Optional[np.ndarray]) -> None:
+        self.arena = arena
+        self.q, self.k, self.v, self.merged = q, k, v, merged
+        self.heads, self.head_dim, self.scale = heads, head_dim, scale
+        self.mask = mask
+        self.runs: Dict[tuple, list] = {}
+
+    def __call__(self) -> None:
+        runs = self.runs
+        for segment in self.arena.segments:
+            steps = runs.get(segment)
+            if steps is None:
+                steps = self._bind(segment)
+            _run(steps)
+
+    def _bind(self, segment: tuple) -> list:
+        off, count, length = segment
+        rows = slice(off, off + count)
+        steps: list = []
+        pool = self.arena.pool
+        slots = itertools.count()
+        _attend_steps(lambda f, *args: steps.append((f, args)),
+                      lambda shape: pool.shared(("run", next(slots)), shape),
+                      self.q[rows, :length], self.k[rows, :length],
+                      self.v[rows, :length], self.merged[rows, :length],
+                      self.heads, self.head_dim, self.scale,
+                      None if self.mask is None
+                      else self.mask[:length, :length])
+        if len(self.runs) >= _RUN_CACHE_CAP:
+            self.runs.clear()
+        self.runs[segment] = steps
+        return steps
+
+
+def _bind_attend(b: _Arena, q: np.ndarray, k: np.ndarray, v: np.ndarray,
+                 heads: int, head_dim: int, scale: float,
+                 mask: Optional[np.ndarray]) -> np.ndarray:
+    """Attention over bound projections; returns the merged-heads
+    context buffer.  A plain binding appends the steps; a binding by
+    true lengths appends one :class:`_Attend` block."""
+    merged = b.take(q.shape)
+    if b.segments is None:
+        b.give(*_attend_steps(b.add, b.take, q, k, v, merged, heads,
+                              head_dim, scale, mask))
+    else:
+        # no run writes a padded row: those keep whatever the slot held,
+        # zeros or a computed value, so the row-wise steps after
+        # attention only ever see finite values there
+        b.add(_Attend(b, q, k, v, merged, heads, head_dim, scale, mask))
     return merged
 
 
@@ -310,6 +433,16 @@ class CompiledForward:
     of a shape live in one arena shared by every program's binding of
     it, since only one program runs at a time.  ``binds`` counts real
     bindings; at most ``_BIND_CACHE_CAP`` shapes stay bound.
+
+    ``plan(tokens, lengths=...)`` runs a right-padded batch by true
+    lengths: row ``i`` holds ``lengths[i]`` real tokens, attention runs
+    per run of equal consecutive lengths, and each row's first
+    ``lengths[i]`` outputs equal a solo forward of that row whenever the
+    lengths share a class of :meth:`length_classes` (later rows are
+    padding: finite, meaningless).  Such a call binds per ``(batch,
+    max_len)`` shape like any other; each attention block caches its
+    per-run steps beside the binding, so a new mix of lengths costs a
+    few dictionary lookups, not a bind.
     """
 
     def __init__(self, model: Module, dtype: str = "float64") -> None:
@@ -334,6 +467,7 @@ class CompiledForward:
         self._dropouts = [m for m in model.modules()
                           if isinstance(m, Dropout) and m.p > 0.0]
         self._signature: Optional[tuple] = None
+        self._length_tops: Optional[Tuple[int, ...]] = None
         self._refresh(self.signature())
 
     # ------------------------------------------------------------------
@@ -361,25 +495,24 @@ class CompiledForward:
         return entry
 
     def _bind(self, key: tuple) -> _Bound:
-        """Bind the current program to ``(tokens shape, mask shape)`` over
-        that shape's arena."""
+        """Bind the current program to ``(tokens shape, mask shape, by
+        length)`` over that key's arena."""
         arenas = self._arenas
         arena = arenas.pop(key, None)
+        tokens_shape, mask_shape, by_length = key
         if arena is None:
             if len(arenas) >= _BIND_CACHE_CAP:
                 old = next(iter(arenas))
                 for prog in self._programs.values():
                     prog.bound.pop(old, None)
                 arenas.pop(old).release()
-            arena = _Arena(self.pool)
+            arena = _Arena(self.pool, by_length)
         arenas[key] = arena
         arena.reset()
-        tokens_shape, mask_shape = key
         tok = arena.take(tokens_shape, np.intp)
         mask = None if mask_shape is None else arena.take(mask_shape, np.bool_)
         self._program.bind(arena, tok, mask)
-        bound = self._program.bound[key] = _Bound((tok, mask), arena.steps,
-                                                  arena.head)
+        bound = self._program.bound[key] = _Bound((tok, mask), arena)
         self.binds += 1
         return bound
 
@@ -760,8 +893,23 @@ class CompiledForward:
         self.compiles += 1
         return program
 
-    def __call__(self, tokens, attn_mask: Optional[np.ndarray] = None
-                 ) -> np.ndarray:
+    def length_classes(self) -> Tuple[int, ...]:
+        """The padding classes of a forward by true lengths.
+
+        ``tops[L]`` is the longest length ``L`` may be right-padded to,
+        within one call, with every weight GEMM row staying ``==``: two
+        lengths with the same top may share a call.  Probed lazily, once
+        per process per plan geometry (:func:`_regime_classes`).
+        """
+        if self._length_tops is None:
+            shapes = tuple(sorted({(lin.in_features, lin.out_features)
+                                   for lin in self._linears}))
+            self._length_tops = _regime_classes(
+                shapes, self.model.cfg.max_len, self.dtype)
+        return self._length_tops
+
+    def __call__(self, tokens, attn_mask: Optional[np.ndarray] = None,
+                 lengths: Optional[Sequence[int]] = None) -> np.ndarray:
         sig = self.signature()
         if sig != self._signature:
             # a parameter or mask changed since the last call
@@ -769,16 +917,85 @@ class CompiledForward:
         tokens = np.asarray(tokens.data if hasattr(tokens, "data") else tokens)
         if tokens.ndim != 2:
             raise ValueError("compiled forward expects (batch, length) tokens")
-        key = (tokens.shape, None if attn_mask is None else attn_mask.shape)
+        if lengths is None:
+            key = (tokens.shape,
+                   None if attn_mask is None else attn_mask.shape, False)
+        else:
+            if attn_mask is not None:
+                raise ValueError("lengths and attn_mask are exclusive: a "
+                                 "forward by true lengths needs no padding "
+                                 "mask")
+            segments = _length_runs(lengths, *tokens.shape)
+            key = (tokens.shape, None, True)
         bound = self._program.bound.get(key)
         if bound is None:
             bound = self._bind(key)
+        if lengths is not None:
+            bound.arena.segments = segments
         tok, mask = bound.inputs
         np.copyto(tok, tokens)
         if mask is not None:
             np.copyto(mask, attn_mask)
         _run(bound.steps)
         return _run_head(bound.head)
+
+
+def _length_runs(lengths: Sequence[int], batch: int, max_len: int) -> tuple:
+    """Runs of equal consecutive ``lengths`` as ``(offset, count,
+    length)`` triples, one length per row, each in ``1..max_len``."""
+    lengths = [int(n) for n in lengths]
+    if len(lengths) != batch:
+        raise ValueError(f"lengths has {len(lengths)} entries for a batch "
+                         f"of {batch}")
+    runs = []
+    start = 0
+    for length, rows in itertools.groupby(lengths):
+        if not 1 <= length <= max_len:
+            raise ValueError(f"length {length} outside 1..{max_len}")
+        count = sum(1 for _ in rows)
+        runs.append((start, count, length))
+        start += count
+    return tuple(runs)
+
+
+# GEMM regime classes probed in this process, keyed on plan geometry
+_REGIME_CLASSES: Dict[tuple, Tuple[int, ...]] = {}
+
+
+def _regime_classes(shapes: tuple, max_len: int,
+                    dtype: np.dtype) -> Tuple[int, ...]:
+    """Class tops of lengths ``1..max_len`` for weight GEMMs ``shapes``.
+
+    ``np.matmul`` runs one GEMM per batch item, so a row's bits depend on
+    its item's row count M only through the BLAS kernel chosen for M.
+    For each ``(in, out)`` shape the probe runs the plan's call form — a
+    contiguous ``(1, M, in)`` input against the transposed view of a
+    C-contiguous ``(out, in)`` weight — and, walking M down from
+    ``max_len``, keeps M in the current class while every row equals the
+    first M rows of the class top's output; otherwise M opens a class.
+    Length 1 (a GEMV, never ``==`` a GEMM row) is always its own class.
+    Returns ``tops`` with ``tops[M]`` the top of M's class.
+    """
+    key = (shapes, max_len, dtype.str)
+    tops = _REGIME_CLASSES.get(key)
+    if tops is not None:
+        return tops
+    rng = np.random.default_rng(0)
+    probes = []
+    for k, n in shapes:
+        x = rng.standard_normal((1, max_len, k)).astype(dtype)
+        w_t = rng.standard_normal((n, k)).astype(dtype).T
+        probes.append([np.matmul(np.ascontiguousarray(x[:, :m]), w_t)[0]
+                       for m in range(max_len + 1)])
+    found = [0] * (max_len + 1)
+    top = max_len
+    for m in range(max_len, 0, -1):
+        if m == 1 or not all(np.array_equal(rows[m], rows[top][:m])
+                             for rows in probes):
+            top = m
+        found[m] = top
+    tops = _REGIME_CLASSES[key] = tuple(found)
+    return tops
 
 
 def compile_decode(model: Module, dtype: str = "float64",

@@ -1180,9 +1180,10 @@ class StreamingEngine:
 
         Pending streams whose arrival has passed join first (continuous
         batching: membership changes only at boundaries), then each
-        operating-point group runs one stacked decode step — grouped by
-        context length inside the session, so nothing is padded and
-        every stream's bits match a solo run.  Switch costs are resolved
+        operating-point group runs one decode step — inside the session,
+        one plan call per GEMM regime class of the context lengths over
+        right-padded contexts, attention per true length, so every
+        stream's bits match a solo run.  Switch costs are resolved
         per group against this device's installed state, exactly like a
         batch execution, and each group's step is an
         :class:`AdaptationEvent` in the report.

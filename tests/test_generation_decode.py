@@ -30,6 +30,13 @@ LM_CFG = TransformerConfig(vocab_size=60, dim=32, num_heads=2, ffn_dim=64,
 DEEP_CFG = TransformerConfig(vocab_size=60, dim=32, num_heads=2, ffn_dim=64,
                              num_encoder_layers=1, num_decoder_layers=2,
                              max_len=16, dropout=0.0, seed=4)
+# 64 wide: its transposed-view GEMMs change BLAS kernel regime mid-range
+# (under OpenBLAS the length-class probe splits max_len 24 into 1, 2-9,
+# 10, 11-18 and 19-24)
+WIDE_CFG = TransformerConfig(vocab_size=120, dim=64, num_heads=4,
+                             ffn_dim=128, num_encoder_layers=2,
+                             num_decoder_layers=1, max_len=24,
+                             dropout=0.0, seed=9)
 
 
 def make_model(kind="lm"):
@@ -67,6 +74,30 @@ def run_session(model, prompt, cfg, **kw):
     sid = session.submit_prompt(prompt)
     session.run()
     return session.result(sid)
+
+
+def assert_matches_eager(model, session, sids, prompts, cfgs):
+    for sid, prompt, cfg in zip(sids, prompts, cfgs):
+        ref_tokens, ref_logprobs = eager_generate(model, prompt, cfg)
+        got = session.result(sid)
+        assert np.array_equal(got.tokens, ref_tokens)  # exact ==
+        assert got.logprobs == ref_logprobs
+
+
+class CountingPlan:
+    """Wraps a plan to record the ``(batch, max_len)`` shape and the
+    lengths of every call a session makes."""
+
+    def __init__(self, plan):
+        self.plan = plan
+        self.calls = []
+
+    def __call__(self, tokens, **kw):
+        self.calls.append((tokens.shape, kw.get("lengths")))
+        return self.plan(tokens, **kw)
+
+    def __getattr__(self, name):
+        return getattr(self.plan, name)
 
 
 # ---------------------------------------------------------------------------
@@ -220,6 +251,110 @@ class TestContinuousBatching:
 
 
 # ---------------------------------------------------------------------------
+# one plan call per regime class: rows padded to the class's longest live
+# length, attention per true length
+# ---------------------------------------------------------------------------
+
+class TestBatchingByLength:
+    def test_ragged_decode_across_regime_change(self):
+        """Live lengths on both sides of the wide shape's M == 10 regime
+        change at the same boundary: every stream stays bit-identical."""
+        model = TransformerLM(WIDE_CFG).eval()
+        rng = np.random.default_rng(4)
+        lens = (2, 6, 8, 9, 10, 11, 13, 20)
+        prompts = [rng.integers(0, 120, size=n) for n in lens]
+        cfgs = [GenerationConfig(max_new_tokens=6 + i % 3,
+                                 top_k=None if i % 2 else 9, seed=i)
+                for i in range(len(lens))]
+        session = DecodeSession(model)
+        sids = [session.submit_prompt(p, c) for p, c in zip(prompts, cfgs)]
+        session.run()
+        assert_matches_eager(model, session, sids, prompts, cfgs)
+
+    def test_length_one_prompt_beside_longer_streams(self):
+        """Length 1 is its own class (a GEMV row is never ``==`` a GEMM
+        row): a one-token prompt decodes exactly next to longer ones."""
+        model = make_model("lm")
+        rng = np.random.default_rng(6)
+        prompts = [rng.integers(0, 60, size=n) for n in (1, 1, 4, 7)]
+        cfgs = [GenerationConfig(max_new_tokens=5, seed=i, top_k=4)
+                for i in range(len(prompts))]
+        session = DecodeSession(model)
+        assert session.plan.length_classes()[1] == 1
+        sids = [session.submit_prompt(p, c) for p, c in zip(prompts, cfgs)]
+        session.run()
+        assert_matches_eager(model, session, sids, prompts, cfgs)
+
+    @pytest.mark.parametrize("kind", ["lm", "wide"])
+    def test_padded_rows_stay_finite(self, kind):
+        """A ragged join/leave schedule under raising floating-point
+        error states: padded rows never produce inf or NaN."""
+        model = (make_model("lm") if kind == "lm"
+                 else TransformerLM(WIDE_CFG).eval())
+        vocab = model.cfg.vocab_size
+        rng = np.random.default_rng(8)
+        prompts = [rng.integers(0, vocab, size=n) for n in (3, 9, 1, 12, 5)]
+        cfgs = [GenerationConfig(max_new_tokens=4 + i) for i in range(5)]
+        session = DecodeSession(model)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            sids = []
+            for prompt, cfg in zip(prompts, cfgs):
+                sids.append(session.submit_prompt(prompt, cfg))
+                session.step()
+            session.run()
+        assert_matches_eager(model, session, sids, prompts, cfgs)
+
+    def test_one_plan_call_per_boundary(self):
+        """A boundary whose live lengths share one regime class makes
+        exactly one plan call over the right-padded contexts."""
+        model = make_model("lm")
+        rng = np.random.default_rng(2)
+        lens = (3, 5, 5, 8, 11)
+        prompts = [rng.integers(0, 60, size=n) for n in lens]
+        session = DecodeSession(model)
+        counting = session.plan = CountingPlan(session.plan)
+        tops = counting.length_classes()
+        assert len({tops[n] for n in lens}) == 1  # one class on this shape
+        sids = [session.submit_prompt(p) for p in prompts]
+        session.step()
+        assert counting.calls == [((5, 11), [3, 5, 5, 8, 11])]
+        session.run()
+        assert_matches_eager(model, session, sids, prompts,
+                             [session.config] * len(prompts))
+
+    def test_binds_follow_shapes_not_compositions(self):
+        """Over a ragged schedule the plan binds once per ``(batch,
+        max_len)`` shape visited; a new mix of lengths at a bound shape
+        reuses the binding."""
+        model = make_model("lm")
+        rng = np.random.default_rng(7)
+        session = DecodeSession(model)
+        counting = session.plan = CountingPlan(compile_decode(model))
+        waves = [(4, 6, 8), (7, 7, 8), (2, 5, 8), (3, 9), (6, 9), (5, 5, 7)]
+        for i, wave in enumerate(waves):
+            for n in wave:
+                session.submit_prompt(rng.integers(0, 60, size=n),
+                                      GenerationConfig(max_new_tokens=1
+                                                       + i % 2))
+            session.run()
+        shapes = {shape for shape, _ in counting.calls}
+        compositions = {(shape, tuple(lengths))
+                        for shape, lengths in counting.calls}
+        assert len(compositions) > len(shapes)  # the schedule mixes lengths
+        assert counting.binds == len(shapes)
+
+    def test_lengths_call_validation(self):
+        plan = compile_decode(make_model("lm"))
+        toks = np.zeros((2, 5), dtype=np.int64)
+        with pytest.raises(ValueError, match="exclusive"):
+            plan(toks, np.zeros((2, 1, 1, 5), dtype=bool), lengths=[5, 5])
+        with pytest.raises(ValueError, match="2 entries for a batch of 3"):
+            plan(np.zeros((3, 5), dtype=np.int64), lengths=[5, 5])
+        with pytest.raises(ValueError, match="outside 1..5"):
+            plan(toks, lengths=[6, 5])
+
+
+# ---------------------------------------------------------------------------
 # edge cases: mask-cache churn, recompiles, dtype aliasing
 # ---------------------------------------------------------------------------
 
@@ -246,11 +381,7 @@ class TestDecodeEdgeCases:
         stays bit-identical across the boundary and past a sliding
         window: every step runs the same full-length GEMMs as the eager
         forward."""
-        cfg = TransformerConfig(vocab_size=120, dim=64, num_heads=4,
-                                ffn_dim=128, num_encoder_layers=2,
-                                num_decoder_layers=1, max_len=24,
-                                dropout=0.0, seed=9)
-        model = TransformerLM(cfg).eval()
+        model = TransformerLM(WIDE_CFG).eval()
         plan = compile_decode(model)
         prompt = np.random.default_rng(3).integers(0, 120, size=4)
         gen = GenerationConfig(max_new_tokens=24)  # slides past max_len
@@ -259,7 +390,7 @@ class TestDecodeEdgeCases:
         assert np.array_equal(got.tokens, ref_tokens)
         assert got.logprobs == ref_logprobs
 
-    def test_mask_install_mid_decode_invalidates_kv(self):
+    def test_mask_install_mid_decode_moves_plan(self):
         """Installing another pattern set mid-decode moves the plan to a
         freshly compiled program; outputs still match an eager run with
         the same install schedule."""
@@ -346,7 +477,7 @@ class TestDecodeEdgeCases:
         assert np.array_equal(got.tokens, tokens)
         assert got.logprobs == logprobs
 
-    def test_identical_reinstall_keeps_kv(self):
+    def test_identical_reinstall_keeps_binding(self):
         """Re-applying the already-installed set (the serving loop
         re-installs before every step) neither recompiles nor rebinds:
         the next step replays the bound program."""
