@@ -14,7 +14,7 @@ sweep them and check the direction of each trade-off:
   block ~ pattern << irregular ordering the latency model assumes.
 
 Besides the rendered sweep tables (informational,
-``benchmarks/results/ablation_*.txt``), ``run_bench`` writes a
+``benchmarks/results/ablation_*.fresh.txt``), ``run_bench`` writes a
 machine-readable digest (``benchmarks/results/BENCH_ablations.fresh.json``)
 with one section per sweep.  The pattern-size, governor and kernel-cost
 sections are deterministic functions of the models, so

@@ -8,7 +8,7 @@
     least as accurate as the heuristic at the same hardware budget.
 
 Besides the rendered exploration report (informational,
-``benchmarks/results/fig3_pareto_exploration.txt``), ``run_bench``
+``benchmarks/results/fig3_pareto_exploration.fresh.txt``), ``run_bench``
 writes a machine-readable digest (``benchmarks/results/BENCH_fig3.fresh.json``)
 per deadline: the feasible (Aw, #runs) points, the Pareto front, the
 best weighted accuracy/reward, the heuristic baseline and the per-level

@@ -7,7 +7,7 @@ Regenerates the paper's qualitative observations:
   sets derive from the same BP-guided importance maps.
 
 Besides the rendered side-by-side figure (informational,
-``benchmarks/results/fig4_patterns.txt``), ``run_bench`` writes a
+``benchmarks/results/fig4_patterns.fresh.txt``), ``run_bench`` writes a
 machine-readable digest (``benchmarks/results/BENCH_fig4.fresh.json``): one
 row per V/F level — nominal sparsity, pattern count and the SHA-1
 digests of every searched pattern — plus the cross-level overlap

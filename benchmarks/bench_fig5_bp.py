@@ -5,7 +5,7 @@ plus a short fine-tune, at a ~1.4x-2x compression ratio.  Paper shape:
 up to 2x compression with small average score loss (paper: 1.74% average).
 
 Besides the rendered table (informational,
-``benchmarks/results/fig5_block_pruning.txt``), ``run_bench`` writes a
+``benchmarks/results/fig5_block_pruning.fresh.txt``), ``run_bench`` writes a
 machine-readable digest (``benchmarks/results/BENCH_fig5.fresh.json``): one
 row per task — pruning rate, dense score, pruned score, score loss and
 compression ratio — plus the average loss.  Training is a deterministic

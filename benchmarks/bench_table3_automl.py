@@ -11,7 +11,7 @@ Expected shape (paper):
   (>1000x switch speedup).
 
 Besides the rendered table (informational,
-``benchmarks/results/table3_automl.txt``), ``run_bench`` writes a
+``benchmarks/results/table3_automl.fresh.txt``), ``run_bench`` writes a
 machine-readable digest (``benchmarks/results/BENCH_table3.fresh.json``) per
 experiment: per-level sparsity/latency/UB/RT3 scores and deadline
 verdicts, the running-best reward trajectory, and the modelled

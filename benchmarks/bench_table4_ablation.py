@@ -8,7 +8,7 @@ Expected shape (paper, WikiText-2 column):
   RT3 keeps the smallest multi-set loss.
 
 Besides the rendered tables (informational,
-``benchmarks/results/table4_ablation_*.txt``), ``run_bench`` writes a
+``benchmarks/results/table4_ablation_*.fresh.txt``), ``run_bench`` writes a
 machine-readable digest (``benchmarks/results/BENCH_table4.fresh.json``): one
 row per (task, method) with average sparsity, #runs, improvement factor,
 average score and score loss.  The study is a deterministic function of

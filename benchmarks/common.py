@@ -3,9 +3,11 @@
 Each ``bench_*`` module reproduces one table or figure of the paper at
 laptop scale: it builds the experiment, prints the same rows/series the
 paper reports (plus the paper's own numbers for comparison), writes the
-rendered table under ``benchmarks/results/`` (human-readable,
+rendered table to ``benchmarks/results/<name>.fresh.txt`` (human-readable,
 informational — never gated) and a machine-readable
-``BENCH_<name>.fresh.json`` digest.  The committed baseline
+``BENCH_<name>.fresh.json`` digest; both ``.fresh`` names are gitignored,
+so a bench run rewrites no tracked file.  The committed ``<name>.txt``
+snapshots are refreshed only by hand.  The committed baseline
 ``BENCH_<name>.json`` is never written by a bench run:
 ``scripts/check_bench_regression.py`` replays each bench against it on
 every CI run, and only its ``--update-baseline`` rewrites it.
@@ -38,9 +40,15 @@ RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
 
 def write_result(name: str, text: str) -> None:
-    """Persist a rendered table/figure and echo it to stdout."""
+    """Persist a rendered table/figure as ``<name>.fresh.txt`` and echo
+    it to stdout.
+
+    The gitignored ``.fresh`` name keeps a run from rewriting the
+    committed ``<name>.txt`` snapshot, which is refreshed by hand (copy
+    the fresh table over it).
+    """
     RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / f"{name}.txt").write_text(text + "\n")
+    (RESULTS_DIR / f"{name}.fresh.txt").write_text(text + "\n")
     print(f"\n===== {name} =====")
     print(text)
 

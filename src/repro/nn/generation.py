@@ -78,12 +78,14 @@ class GenerationConfig:
 
 
 def sample_token(logits: np.ndarray, cfg: GenerationConfig,
-                 rng: np.random.Generator) -> Tuple[int, float]:
+                 rng: Optional[np.random.Generator]) -> Tuple[int, float]:
     """One sampling step on float64 next-token ``logits``.
 
     Expression-for-expression the historical ``generate()`` arithmetic
     (shift-max softmax, top-k renormalize, one ``rng.choice`` draw), so
-    bit-identical logits yield identical tokens and logprobs.
+    bit-identical logits yield identical tokens and logprobs.  Greedy
+    decoding (``cfg.top_k is None``) never draws, so ``rng`` may be
+    ``None`` there.
     """
     logits = logits / cfg.temperature
     logits = logits - logits.max()
@@ -109,7 +111,9 @@ class _Stream:
         self.tokens = prompt.copy()
         self.prompt_len = len(prompt)
         self.cfg = cfg
-        self.rng = np.random.default_rng(cfg.seed)
+        # seeded at submission; greedy streams never draw
+        self.rng = (None if cfg.top_k is None
+                    else np.random.default_rng(cfg.seed))
         self.logprobs: List[float] = []
         self.emitted = 0
         self.done = False
@@ -151,6 +155,9 @@ class DecodeSession:
             else None)
         self._max_len = model.cfg.max_len
         self._streams: Dict[int, _Stream] = {}
+        # the unfinished subset of _streams, which keeps every stream
+        # for result()
+        self._active: Dict[int, _Stream] = {}
         self._next_sid = 0
 
     # ------------------------------------------------------------------
@@ -164,24 +171,21 @@ class DecodeSession:
             raise ValueError("prompt cannot be empty")
         sid = self._next_sid
         self._next_sid += 1
-        self._streams[sid] = _Stream(sid, prompt, cfg)
+        self._streams[sid] = self._active[sid] = _Stream(sid, prompt, cfg)
         return sid
-
-    @property
-    def active_ids(self) -> List[int]:
-        return [s.sid for s in self._streams.values() if not s.done]
 
     def finished(self, stream_id: Optional[int] = None) -> bool:
         """Whether one stream (or, with no argument, all of them) is done."""
         if stream_id is not None:
             return self._streams[stream_id].done
-        return not self.active_ids
+        return not self._active
 
     def step(self) -> Dict[int, int]:
         """Advance every unfinished stream one token; ``{sid: token}``."""
-        active = [s for s in self._streams.values() if not s.done]
-        if not active:
+        if not self._active:
             return {}
+        # a snapshot: _emit retires finished streams from _active
+        active = list(self._active.values())
         emitted: Dict[int, int] = {}
         if self.plan is None:
             for s in active:
@@ -217,6 +221,7 @@ class DecodeSession:
         if (s.emitted >= s.cfg.max_new_tokens
                 or (s.cfg.eos_id is not None and nxt == s.cfg.eos_id)):
             s.done = True
+            del self._active[s.sid]
 
     def run(self) -> None:
         """Step until every stream has finished."""

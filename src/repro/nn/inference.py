@@ -29,9 +29,10 @@ module tree **once** and emits a flat program of ndarray steps that
   call with that shape copies its tokens (and mask) in, replays the
   steps and returns a freshly allocated output — no per-call buffer
   lookups, view construction or closure hops, and zero steady-state
-  intermediate allocations per request batch.  Buffers come from a
-  :class:`ScratchPool` through one arena per shape, reused across the
-  layers of a binding and shared by every program bound to that shape;
+  intermediate allocations per request batch.  A binding's buffers are
+  reused across its layers and are views over the plan's shared
+  :class:`ScratchPool` slots, so every binding of every program and
+  shape runs over one set of scratch memory;
 - memoizes causal masks per ``seqlen``; a padded batch's combined
   causal | key-padding mask is one bound ``np.logical_or`` step;
 - runs a right-padded batch *by true lengths* (``plan(tokens,
@@ -99,10 +100,8 @@ _MASK_CACHE_CAP = 64
 # set of effective weights); programs of superseded weights are dropped
 _PROGRAM_CACHE_CAP = 8
 
-# input shapes bound per plan: each owns one scratch arena shared by
-# every program's binding of that shape; beyond the cap the least
-# recently bound shape is dropped from every program and its buffers go
-# back to the pool
+# input shapes bound per program; beyond the cap the least recently
+# bound shape is dropped
 _BIND_CACHE_CAP = 64
 
 # attention runs bound per attention block of a binding by true lengths,
@@ -115,46 +114,22 @@ class UnsupportedModel(TypeError):
 
 
 class ScratchPool:
-    """Shape-keyed free lists of scratch ndarrays.
+    """The shared scratch slots of one plan.
 
-    ``take`` hands out a buffer (popping a free one when available),
-    ``give`` returns it; nothing is zeroed — every consumer overwrites the
-    whole buffer (``np.matmul(..., out=)``, ``np.copyto``, ``np.subtract``
-    with ``out=``).  Bound executions draw their buffers through a
-    per-shape arena (:class:`_Arena`) that keeps them out of the free
-    lists for as long as a binding can run over them.  ``misses`` counts
-    real ``np.empty`` allocations, the number the forward bench reports:
-    once a shape is bound it stays flat.  ``hits`` counts buffers handed
-    out again instead — from a free list or, while binding, from the
-    arena.
+    :meth:`shared` hands out views over slot memory; every binding of the
+    plan draws its buffers from here (:class:`_Arena`).  ``misses``
+    counts real allocations, a slot made or grown, the number the
+    forward bench reports: once a shape is bound it stays flat.
 
-    Free lists are keyed on ``(shape, dtype)``: a plan's float, integer
-    token and boolean mask buffers share one pool without a same-shape
-    buffer of the wrong type ever being handed back out.
+    Slots are keyed on ``(slot, dtype)``: a plan's float, integer token
+    and boolean mask buffers share one pool without a view of one dtype
+    ever aliasing the memory of another.
     """
 
-    def __init__(self, dtype: np.dtype, per_shape_cap: int = 4) -> None:
+    def __init__(self, dtype: np.dtype) -> None:
         self.dtype = np.dtype(dtype)
-        self.per_shape_cap = per_shape_cap
-        self._free: Dict[Tuple[Tuple[int, ...], np.dtype], List[np.ndarray]] = {}
         self._shared: Dict[tuple, np.ndarray] = {}
-        self.hits = 0
         self.misses = 0
-
-    def take(self, shape: Tuple[int, ...],
-             dtype: Optional[np.dtype] = None) -> np.ndarray:
-        dtype = self.dtype if dtype is None else np.dtype(dtype)
-        stack = self._free.get((shape, dtype))
-        if stack:
-            self.hits += 1
-            return stack.pop()
-        self.misses += 1
-        return np.empty(shape, dtype=dtype)
-
-    def give(self, arr: np.ndarray) -> None:
-        stack = self._free.setdefault((arr.shape, arr.dtype), [])
-        if len(stack) < self.per_shape_cap:
-            stack.append(arr)
 
     def shared(self, slot, shape: Tuple[int, ...],
                dtype: Optional[np.dtype] = None) -> np.ndarray:
@@ -162,11 +137,11 @@ class ScratchPool:
 
         Every caller naming the same slot gets the same memory, so it
         suits only steps that never run at the same time — the bindings
-        by true lengths of one plan and their attention runs, which fully
-        write a buffer before reading it.  A slot too small for ``shape``
-        is replaced by a zero-filled one (at least twice as large); views
-        handed out earlier keep the old memory.  So slot memory only ever
-        holds zeros or values some step computed.
+        of one plan and their attention runs, which fully write a buffer
+        before reading it.  A slot too small for ``shape`` is replaced by
+        a zero-filled one (at least twice as large); views handed out
+        earlier keep the old memory.  So slot memory only ever holds
+        zeros or values some step computed.
         """
         dtype = self.dtype if dtype is None else np.dtype(dtype)
         size = math.prod(shape)
@@ -179,58 +154,50 @@ class ScratchPool:
 
 
 class _Arena:
-    """The scratch buffers of one input shape, and the binding in progress.
+    """One program bound to one input key ``(tokens shape, mask shape,
+    by length)``.
 
-    :meth:`reset` starts binding a program to the shape: only one program
-    runs at a time, so every owned buffer is free again.  The layer
-    binders then ``take``/``give`` buffers exactly as a per-call pool
-    would — a buffer given back is reused by a later layer of the same
-    binding, a miss draws a new buffer from the pool — and ``add`` their
-    ``(ufunc, args)`` steps.  ``head`` is the final ``(f, args, bias,
-    shape)`` call, run after the steps so the returned array is freshly
-    allocated, never a bound buffer.  Owned buffers never sit on a pool
-    free list, so nothing else can take one while a binding still runs
-    over it; :meth:`release` hands them back once no binding does.
+    ``inputs`` are the token (and key-padding mask) buffers a call
+    copies its arguments into.  The layer binders then ``take``/``give``
+    buffers — a buffer given back is reused by a later layer of the same
+    binding, and the n-th new buffer is a view over the pool's shared
+    slot ``("bind", n)`` — and ``add`` their ``(ufunc, args)`` steps.
+    ``head`` is the final ``(f, args, bias, shape)`` call, run after the
+    steps so the returned array is freshly allocated, never slot memory.
+    Every binding of a plan, whatever its program or shape, runs over
+    one set of slot memory: only one call of a plan runs at a time, and
+    every bound step writes a buffer before reading it.
 
     ``segments`` is ``None`` for a plain binding.  For a binding by true
     lengths it holds the current call's runs of equal-length rows as
     ``(offset, count, length)`` triples, set before every replay and
-    read by the binding's attention blocks (:class:`_Attend`).  Such a
-    binding owns no buffers: its n-th new buffer is a view over the
-    pool's shared slot n (:meth:`ScratchPool.shared`), so every binding
-    by true lengths of a plan runs over one set of memory, however many
-    ``(batch, max_len)`` shapes a decode visits.
+    read by the binding's attention blocks (:class:`_Attend`).
     """
 
-    __slots__ = ("pool", "owned", "steps", "head", "segments", "_free",
+    __slots__ = ("pool", "inputs", "steps", "head", "segments", "_free",
                  "_slots")
 
-    def __init__(self, pool: ScratchPool, by_length: bool = False) -> None:
+    def __init__(self, pool: ScratchPool, tokens_shape: Tuple[int, ...],
+                 mask_shape: Optional[Tuple[int, ...]],
+                 by_length: bool) -> None:
         self.pool = pool
-        self.owned: List[np.ndarray] = []
-        self.segments: Optional[tuple] = () if by_length else None
-        self.reset()
-
-    def reset(self) -> None:
         self.steps: List[tuple] = []
         self.head: Optional[tuple] = None
+        self.segments: Optional[tuple] = () if by_length else None
         self._free: Dict[tuple, List[np.ndarray]] = {}
         self._slots = 0
-        self.give(*self.owned)
+        self.inputs = (self.take(tokens_shape, np.intp),
+                       None if mask_shape is None
+                       else self.take(mask_shape, np.bool_))
 
     def take(self, shape: Tuple[int, ...],
              dtype: Optional[np.dtype] = None) -> np.ndarray:
         dtype = self.pool.dtype if dtype is None else np.dtype(dtype)
         stack = self._free.get((shape, dtype))
         if stack:
-            self.pool.hits += 1
             return stack.pop()
-        if self.segments is not None:
-            self._slots += 1
-            return self.pool.shared(("bind", self._slots), shape, dtype)
-        arr = self.pool.take(shape, dtype)
-        self.owned.append(arr)
-        return arr
+        self._slots += 1
+        return self.pool.shared(("bind", self._slots), shape, dtype)
 
     def give(self, *arrs: np.ndarray) -> None:
         for arr in arrs:
@@ -238,30 +205,6 @@ class _Arena:
 
     def add(self, f: Callable, *args) -> None:
         self.steps.append((f, args))
-
-    def release(self) -> None:
-        for arr in self.owned:
-            self.pool.give(arr)
-        self.owned = []
-        self._free = {}
-
-
-class _Bound:
-    """One program bound to one input shape.
-
-    ``inputs`` are the buffers a call copies its arguments into,
-    ``steps`` the prebuilt calls, ``head`` the ``(f, args, bias, shape)``
-    call producing the fresh result, ``arena`` the shape's arena (whose
-    ``segments`` a call by true lengths sets).
-    """
-
-    __slots__ = ("inputs", "steps", "head", "arena")
-
-    def __init__(self, inputs: tuple, arena: _Arena) -> None:
-        self.inputs = inputs
-        self.steps = arena.steps
-        self.head = arena.head
-        self.arena = arena
 
 
 class _Program:
@@ -271,7 +214,7 @@ class _Program:
 
     def __init__(self, bind: Callable) -> None:
         self.bind = bind
-        self.bound: Dict[tuple, _Bound] = {}
+        self.bound: Dict[tuple, _Arena] = {}
 
 
 def require_eval(modules) -> None:
@@ -429,10 +372,12 @@ class CompiledForward:
     a flat list of ``(ufunc, args)`` steps — and every later call with
     that shape copies its tokens (and mask) into the bound inputs, replays
     the steps and returns a freshly allocated output.  The effective
-    weight snapshots are shared by all shapes of a program; the buffers
-    of a shape live in one arena shared by every program's binding of
-    it, since only one program runs at a time.  ``binds`` counts real
-    bindings; at most ``_BIND_CACHE_CAP`` shapes stay bound.
+    weight snapshots are shared by all shapes of a program; every
+    binding's buffers are views over the plan's shared scratch slots
+    (:attr:`pool`), since only one call runs at a time, so a new binding
+    allocates only where it needs a slot larger than any before it.
+    ``binds`` counts real bindings; each program keeps at most
+    ``_BIND_CACHE_CAP`` shapes bound.
 
     ``plan(tokens, lengths=...)`` runs a right-padded batch by true
     lengths: row ``i`` holds ``lengths[i]`` real tokens, attention runs
@@ -454,7 +399,6 @@ class CompiledForward:
         self.binds = 0
         self.compiles = 0
         self._programs: Dict[tuple, _Program] = {}
-        self._arenas: Dict[tuple, _Arena] = {}
         self._mask_cache: Dict = {}
         # signature sources, collected once: Linears carry cache_token
         # (weight version + mask install counter); everything else
@@ -494,27 +438,17 @@ class CompiledForward:
             entry = cache[sig] = self._compile()
         return entry
 
-    def _bind(self, key: tuple) -> _Bound:
+    def _bind(self, key: tuple) -> _Arena:
         """Bind the current program to ``(tokens shape, mask shape, by
-        length)`` over that key's arena."""
-        arenas = self._arenas
-        arena = arenas.pop(key, None)
-        tokens_shape, mask_shape, by_length = key
-        if arena is None:
-            if len(arenas) >= _BIND_CACHE_CAP:
-                old = next(iter(arenas))
-                for prog in self._programs.values():
-                    prog.bound.pop(old, None)
-                arenas.pop(old).release()
-            arena = _Arena(self.pool, by_length)
-        arenas[key] = arena
-        arena.reset()
-        tok = arena.take(tokens_shape, np.intp)
-        mask = None if mask_shape is None else arena.take(mask_shape, np.bool_)
-        self._program.bind(arena, tok, mask)
-        bound = self._program.bound[key] = _Bound((tok, mask), arena)
+        length)``, dropping its least recently bound key beyond the cap."""
+        arena = _Arena(self.pool, *key)
+        self._program.bind(arena, *arena.inputs)
+        bound = self._program.bound
+        if len(bound) >= _BIND_CACHE_CAP:
+            del bound[next(iter(bound))]
+        bound[key] = arena
         self.binds += 1
-        return bound
+        return arena
 
     def signature(self) -> tuple:
         """O(1)-per-layer identity of everything the snapshots depend on.
@@ -927,17 +861,17 @@ class CompiledForward:
                                  "mask")
             segments = _length_runs(lengths, *tokens.shape)
             key = (tokens.shape, None, True)
-        bound = self._program.bound.get(key)
-        if bound is None:
-            bound = self._bind(key)
+        arena = self._program.bound.get(key)
+        if arena is None:
+            arena = self._bind(key)
         if lengths is not None:
-            bound.arena.segments = segments
-        tok, mask = bound.inputs
+            arena.segments = segments
+        tok, mask = arena.inputs
         np.copyto(tok, tokens)
         if mask is not None:
             np.copyto(mask, attn_mask)
-        _run(bound.steps)
-        return _run_head(bound.head)
+        _run(arena.steps)
+        return _run_head(arena.head)
 
 
 def _length_runs(lengths: Sequence[int], batch: int, max_len: int) -> tuple:

@@ -1087,16 +1087,21 @@ class TestMainEntry:
 
     def test_standalone_bench_leaves_baseline_untouched(self, tmp_path,
                                                         monkeypatch):
-        # a bench run on its own writes the gitignored .fresh digest; the
-        # committed baseline is written only by --update-baseline
+        # a bench run on its own writes the gitignored .fresh digest and
+        # table; the committed baseline is written only by
+        # --update-baseline, the committed table only by hand
         common = importlib.import_module("benchmarks.common")
         bench = importlib.import_module("benchmarks.bench_table1_dvfs")
-        shutil.copy(gate.RESULTS / "BENCH_table.json", tmp_path)
-        before = (tmp_path / "BENCH_table.json").read_bytes()
+        tracked = ["BENCH_table.json", "table1_dvfs_levels.txt"]
+        for name in tracked:
+            shutil.copy(gate.RESULTS / name, tmp_path)
+        before = {name: (tmp_path / name).read_bytes() for name in tracked}
         monkeypatch.setattr(common, "RESULTS_DIR", tmp_path)
         assert bench.main() == 0
-        assert (tmp_path / "BENCH_table.json").read_bytes() == before
+        assert {name: (tmp_path / name).read_bytes()
+                for name in tracked} == before
         assert (tmp_path / "BENCH_table.fresh.json").exists()
+        assert (tmp_path / "table1_dvfs_levels.fresh.txt").exists()
 
     def test_end_to_end_pass_and_report(self, tmp_path, capsys):
         # the two cheapest deterministic benches through main(); the full

@@ -130,9 +130,8 @@ class TestDecodeExactness:
         tokens = np.random.default_rng(0).integers(0, 60, size=(1, 6))
         first = plan(tokens)
         ref = first.copy()
-        bound = [buf for arena in plan._arenas.values()
-                 for buf in arena.owned]
-        assert not any(np.shares_memory(first, buf) for buf in bound)
+        slots = list(plan.pool._shared.values())
+        assert not any(np.shares_memory(first, flat) for flat in slots)
         first[...] = 0.0
         assert np.array_equal(plan(tokens), ref)
 
@@ -493,23 +492,45 @@ class TestDecodeEdgeCases:
         assert np.array_equal(plan(toks), ref)
         assert (plan.compiles, plan.binds) == (compiles, binds)
 
+    def test_only_unfinished_streams_are_stepped(self):
+        """A finished stream leaves the active set and stays readable;
+        greedy streams hold no generator, sampled ones are seeded at
+        submission."""
+        session = DecodeSession(make_model("lm"))
+        short = session.submit_prompt(np.arange(1, 4),
+                                      GenerationConfig(max_new_tokens=1))
+        long = session.submit_prompt(np.arange(1, 6), GenerationConfig(
+            max_new_tokens=3, top_k=5, seed=2))
+        assert session._streams[short].rng is None
+        assert session._streams[long].rng is not None
+        assert set(session.step()) == {short, long}
+        assert session.finished(short) and not session.finished()
+        assert list(session._active) == [long]
+        assert list(session.step()) == [long]
+        session.run()
+        assert session.finished() and not session._active
+        assert len(session.result(short).generated) == 1
+        assert len(session.result(long).generated) == 3
+
     def test_scratch_pool_dtype_keying(self):
-        """Same-shape buffers of different dtypes never alias (a plan's
+        """One slot in two dtypes gives views that never alias (a plan's
         float scratch shares the pool with its token and mask inputs)."""
         pool = ScratchPool(np.dtype(np.float32))
-        a32 = pool.take((4, 4))
-        a64 = pool.take((4, 4), np.dtype(np.float64))
+        a32 = pool.shared("slot", (4, 4))
+        a64 = pool.shared("slot", (4, 4), np.dtype(np.float64))
         assert a32.dtype == np.float32 and a64.dtype == np.float64
+        assert not np.shares_memory(a32, a64)
         a32[:] = 1.0
         a64[:] = 2.0
         assert float(a32[0, 0]) == 1.0 and float(a64[0, 0]) == 2.0
-        pool.give(a32)
-        pool.give(a64)
-        # reuse honours the dtype key: both live again, still distinct
-        b64 = pool.take((4, 4), np.dtype(np.float64))
-        b32 = pool.take((4, 4))
-        assert b64 is a64 and b32 is a32
-        assert b64.dtype == np.float64 and b32.dtype == np.float32
+        # the same slot and dtype again is the same memory, still apart
+        # from the other dtype's
+        b64 = pool.shared("slot", (2, 8), np.dtype(np.float64))
+        b32 = pool.shared("slot", (16,))
+        assert np.shares_memory(b64, a64) and np.shares_memory(b32, a32)
+        assert not np.shares_memory(b64, b32)
+        assert float(b64[0, 0]) == 2.0 and float(b32[0]) == 1.0
+        assert pool.misses == 2
 
 
 # ---------------------------------------------------------------------------
