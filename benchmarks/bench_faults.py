@@ -36,10 +36,7 @@ import argparse
 import pathlib
 import sys
 import time
-from dataclasses import replace
 from typing import List, Optional
-
-import numpy as np
 
 if __package__ in (None, ""):  # run as a script
     sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent))
@@ -51,8 +48,9 @@ from repro.serve import (
     build_scenario,
     build_serving_stack,
 )
+from repro.serve.invariants import check_exact, check_run
 
-from benchmarks.common import write_json_result, write_result
+from benchmarks.common import holds, write_json_result, write_result
 
 DEVICES = 4
 FAULT_SHARD = 1
@@ -104,18 +102,13 @@ def _fault_plan(trace) -> FaultPlan:
 def _serve_policy(trace, plan: FaultPlan, policy: str, seed: int) -> dict:
     """One faulted serve plus its fault-free exactness reference."""
     _, _, engine = _stack(seed, faults=plan, shed_policy=policy)
-    report = engine.serve(trace)
-
-    # fault-free reference over the surviving set: fresh same-seed stack,
-    # no faults, no shedding; degraded survivors replay at their
-    # restamped deadlines so they resolve to the same sparsity rung
-    survivors = [replace(r.request) for r in report.results]
-    _, _, ref_engine = _stack(seed)
-    reference = ref_engine.serve(survivors)
-    faulted = {r.request.req_id: r.output for r in report.results}
-    ref_out = {r.request.req_id: r.output for r in reference.results}
-    exact = (set(faulted) == set(ref_out)
-             and all(np.array_equal(faulted[i], ref_out[i]) for i in faulted))
+    core = engine.streaming()
+    core.play(sorted(trace, key=lambda r: (r.arrival_s, r.req_id)))
+    report = core.report()
+    # the reference is a fresh same-seed stack with no faults and no
+    # shedding; degraded survivors replay at their restamped deadlines
+    # so they resolve to the same sparsity rung
+    reference = _stack(seed)[2].streaming()
 
     reasons: dict = {}
     for record in report.shed:
@@ -126,8 +119,8 @@ def _serve_policy(trace, plan: FaultPlan, policy: str, seed: int) -> dict:
         "shed": report.num_shed,
         "shed_rate": report.shed_rate,
         "shed_reasons": reasons,
-        "conserved": float(report.conserved),
-        "exact": float(exact),
+        "conserved": holds(check_run, core),
+        "exact": holds(check_exact, core, reference=reference),
         "degraded": report.degraded_requests,
         "failures": report.failures,
         "recoveries": report.recoveries,

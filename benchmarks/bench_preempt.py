@@ -46,7 +46,6 @@ import argparse
 import pathlib
 import sys
 import time
-from dataclasses import replace
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -55,8 +54,9 @@ if __package__ in (None, ""):  # run as a script
     sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent))
 
 from repro.serve import InferenceRequest, StackConfig, build_serving_stack
+from repro.serve.invariants import check_exact, check_run
 
-from benchmarks.common import write_json_result, write_result
+from benchmarks.common import holds, write_json_result, write_result
 
 DEVICES = 1                  # one device: head-of-line pressure is the point
 WINDOW_MS = 1.0
@@ -134,17 +134,9 @@ def _serve_arm(trace, cancels, seed: int, **knobs) -> dict:
         core.cancel(rid, at_s=at)
     core.play(sorted(trace, key=lambda r: (r.arrival_s, r.req_id)))
     report = core.report()
-
-    # clean reference over this arm's survivors: fresh same-seed stack,
-    # no preemption, no quota, no cancels, no queue bound — the outputs
-    # must match bit for bit
-    survivors = [replace(r.request) for r in report.results]
-    _, _, ref_engine = _stack(seed)
-    reference = ref_engine.serve(survivors)
-    served = {r.request.req_id: r.output for r in report.results}
-    ref_out = {r.request.req_id: r.output for r in reference.results}
-    exact = (set(served) == set(ref_out)
-             and all(np.array_equal(served[i], ref_out[i]) for i in served))
+    # the clean reference over this arm's survivors is a fresh same-seed
+    # stack: no preemption, no quota, no cancels, no queue bound
+    reference = _stack(seed)[2].streaming()
 
     reasons: dict = {}
     for record in report.shed:
@@ -167,8 +159,8 @@ def _serve_arm(trace, cancels, seed: int, **knobs) -> dict:
         "retried_batches": sum(s.retried_batches for s in report.shard_stats),
         "retry_penalty_ms": 1e3 * sum(s.retry_penalty_s
                                       for s in report.shard_stats),
-        "conserved": float(report.conserved),
-        "exact": float(exact),
+        "conserved": holds(check_run, core),
+        "exact": holds(check_exact, core, reference=reference),
         "starved_tenants": report.starved_tenants,
         "tenants": tenants,
         "victim_slo_misses": tenants["victim"]["misses"],

@@ -12,9 +12,11 @@ window:
 - **p50 / p95 end-to-end latency** — the cost: a partial batch waits out
   its window, and later members of a bigger time-sliced batch queue
   behind more MAC work;
-- **exactness** — every swept run's outputs against the per-request
-  oracle (``max_batch=1`` offline engine), which must agree to double
-  precision.
+- **exactness** — every swept run's worst deviation from the
+  per-request oracle (each request's eager solo forward at the rung its
+  deadline resolves to), as measured by
+  :func:`~repro.serve.invariants.check_exact` while it holds every
+  output to its eager recomputation and every result to that rung.
 
 The sweep exhibits the admission-time tradeoff monotonically: widening
 the window never hurts batching efficiency and never helps p50 (it
@@ -35,8 +37,6 @@ import pathlib
 import sys
 from typing import List, Optional, Sequence
 
-import numpy as np
-
 if __package__ in (None, ""):  # run as a script
     sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent))
 
@@ -46,6 +46,7 @@ from repro.serve import (
     build_serving_stack,
     stream_scenario,
 )
+from repro.serve.invariants import check_exact, check_run
 
 from benchmarks.common import write_json_result, write_result
 
@@ -77,36 +78,24 @@ def _scenario_kwargs(num_requests: int, seed: int) -> dict:
 
 
 def serve_streaming(num_requests: int, window_s: float, seed: int = 0):
-    """Feed the bursty stream arrival-by-arrival through the online loop."""
+    """Feed the bursty stream arrival-by-arrival through the online loop;
+    returns the checked session."""
     _, workload, engine = build_serving_stack(StackConfig(
         seed=seed, streaming=True, window_s=window_s))
     completed = engine.play(stream_scenario(
         "bursty", workload, **_scenario_kwargs(num_requests, seed)))
-    report = engine.report()
-    assert len(completed) == report.num_requests
-    return report
-
-
-def serve_oracle(num_requests: int, seed: int = 0):
-    """Per-request oracle: every request served alone, no batching."""
-    _, workload, engine = build_serving_stack(StackConfig(
-        seed=seed, max_batch=1, use_cache=False))
-    trace = list(stream_scenario("bursty", workload,
-                                 **_scenario_kwargs(num_requests, seed)))
-    return engine.serve(trace)
+    assert len(completed) == engine.report().num_requests
+    check_run(engine)
+    return engine
 
 
 def run_bench(num_requests: int = 64, windows_ms: Sequence[float] = WINDOWS_MS,
               seed: int = 0) -> dict:
     """Window sweep digest (machine-readable, gated by CI)."""
-    oracle = serve_oracle(num_requests, seed=seed)
-    oracle_out = {r.request.req_id: r.output for r in oracle.results}
-
     sweep = []
     for w_ms in windows_ms:
-        report = serve_streaming(num_requests, w_ms / 1e3, seed=seed)
-        err = max((float(np.abs(r.output - oracle_out[r.request.req_id]).max())
-                   for r in report.results), default=0.0)
+        engine = serve_streaming(num_requests, w_ms / 1e3, seed=seed)
+        report = engine.report()
         sweep.append({
             "max_wait_ms": w_ms,
             "batches": report.num_batches,
@@ -116,7 +105,7 @@ def run_bench(num_requests: int = 64, windows_ms: Sequence[float] = WINDOWS_MS,
             "sim_busy_s": report.sim_busy_s,
             "p50_latency_ms": 1e3 * report.p50_latency_s,
             "p95_latency_ms": 1e3 * report.p95_latency_s,
-            "max_oracle_err": err,
+            "max_oracle_err": check_exact(engine),
         })
 
     first, last = sweep[0], sweep[-1]

@@ -144,6 +144,16 @@ def wall_ratio(slow: Callable, fast: Callable, repeats: int,
             statistics.median(ratios))
 
 
+def holds(check: Callable, *args, **kwargs) -> float:
+    """A digest flag: 1.0 when ``check(*args, **kwargs)`` passes, 0.0
+    when it raises ``AssertionError`` (the regression gate holds it at 1)."""
+    try:
+        check(*args, **kwargs)
+    except AssertionError:
+        return 0.0
+    return 1.0
+
+
 def fmt_pct(x: float) -> str:
     return f"{100 * x:.2f}%"
 

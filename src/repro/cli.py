@@ -264,6 +264,7 @@ def cmd_serve(args) -> int:
         flaky_fault_overlay,
         stream_scenario,
     )
+    from repro.serve.invariants import check_exact, check_run
 
     tenant_weights = _validate_serve_args(args)
     try:
@@ -278,7 +279,7 @@ def cmd_serve(args) -> int:
             seed=args.seed, max_batch=args.batch_size,
             window_s=args.window_ms / 1e3, use_cache=not args.no_cache,
             cache_budget_bytes=args.cache_budget_kb * 1024,
-            verify=args.verify, devices=args.devices, policy=args.policy,
+            devices=args.devices, policy=args.policy,
             time_sliced=not args.no_time_slice,
             drain_policy=args.drain_policy,
             fairness_window=args.fairness_window,
@@ -315,8 +316,20 @@ def cmd_serve(args) -> int:
             args.devices, horizon, seed=args.fault_seed))
         engine = ServeEngine(engine.model, engine.adapter, cfg,
                              cache=engine.cache)
-    if args.decode_streams > 0:
-        # mixed traffic: the first N arrivals become continuously-batched
+    if args.streaming and args.decode_streams == 0:
+        # online path: the arrival stream is fed through the event loop
+        # one request at a time (StreamingEngine.play owns the feeding
+        # discipline), forming micro-batches at admission time; lazy
+        # unless the flaky overlay already forced materialization
+        core = engine.streaming()
+        completed = core.play(trace if trace is not None
+                              else stream_scenario(args.scenario, workload,
+                                                   scenario_cfg))
+        report = core.report()
+        assert len(completed) == report.num_requests
+    else:
+        # offline: submit the whole trace, then drain.  With mixed
+        # traffic the first N arrivals become continuously-batched
         # decode streams (prompt continued token-by-token on the shard's
         # decode lane); the rest stay one-shot batch requests
         ordered = sorted(trace, key=lambda r: (r.arrival_s, r.req_id))
@@ -329,35 +342,29 @@ def cmd_serve(args) -> int:
                 core.submit(req)
         core.drain()
         report = core.report()
-    elif args.streaming:
-        # online path: the arrival stream is fed through the event loop
-        # one request at a time (StreamingEngine.play owns the feeding
-        # discipline), forming micro-batches at admission time; lazy
-        # unless the flaky overlay already forced materialization
-        core = engine.streaming()
-        completed = core.play(trace if trace is not None
-                              else stream_scenario(args.scenario, workload,
-                                                   scenario_cfg))
-        report = core.report()
-        assert len(completed) == report.num_requests
-    else:
-        report = engine.serve(trace)
+    check_run(core)
     summary = {"scenario": args.scenario, "batch_size": args.batch_size,
                "cache_enabled": not args.no_cache,
                "streaming": args.streaming, **report.summary()}
+    mismatch = None
+    if args.verify:
+        try:
+            summary["max_verify_error"] = check_exact(core)
+        except AssertionError as exc:
+            mismatch = str(exc)
     print(json.dumps(summary, indent=2))
     if args.output:
-        # written before the verify gate so a mismatch still leaves the
-        # diagnostic report behind
+        # written before the verify verdict so a mismatch still leaves
+        # the diagnostic report behind
         with open(args.output, "w") as fh:
             json.dump(summary, fh, indent=2)
         print(f"report written to {args.output}")
-    if args.verify and report.max_verify_error is not None:
-        ok = report.max_verify_error < 1e-9
+    if mismatch is not None:
+        print(f"outputs vs eager recomputation: MISMATCH: {mismatch}")
+        return 1
+    if args.verify:
         print(f"batched outputs vs per-request: max |err| = "
-              f"{report.max_verify_error:.3e} ({'OK' if ok else 'MISMATCH'})")
-        if not ok:
-            return 1
+              f"{summary['max_verify_error']:.3e} (OK)")
     return 0
 
 
@@ -578,7 +585,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--no-cache", action="store_true",
                          help="disable the mask/format artifact cache")
     p_serve.add_argument("--verify", action="store_true",
-                         help="re-run each request singly and compare outputs")
+                         help="after the run, recompute every completed "
+                              "output eagerly (batches, solo requests and "
+                              "decode streams) and fail on a mismatch")
     p_serve.add_argument("--seed", type=int, default=0)
     p_serve.add_argument("--output", help="write the JSON summary here")
     p_serve.set_defaults(fn=cmd_serve)

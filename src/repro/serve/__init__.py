@@ -86,6 +86,15 @@ Layout
   deadline-driven preemption of placed work) and :class:`CancelRecord`
   (explicit request withdrawal as a terminal state, extending
   conservation to ``completed + shed + cancelled == submitted``);
+- :mod:`~repro.serve.invariants` — what a correct run is, in one
+  place: ``check_run`` (cheap accounting identities — disjoint terminal
+  records, conservation once drained, no completion before its arrival,
+  per-shard counts matching the standing results) and ``check_exact``
+  (every completed output recomputed eagerly: ``==`` its padded batch,
+  within ``SOLO_TOLERANCE`` of a solo forward, decode streams ``==`` an
+  uncompiled re-decode, optionally ``==`` a clean serve of the
+  survivors).  The engines carry no verification mode; the tests, the
+  benches and ``rt3 serve`` call these after a run;
 - :mod:`~repro.serve.cache`     — the byte-budgeted LRU
   :class:`ArtifactCache` of pattern masks: each mask is charged its
   honest device footprint (bit-packed, one bit per position, plus its
@@ -97,7 +106,8 @@ Layout
 CLI and benchmarking
 --------------------
 ``rt3 serve --scenario bursty --streaming --window-ms 10 --verify``
-feeds a scenario arrival-by-arrival through the online loop;
+feeds a scenario arrival-by-arrival through the online loop and then
+recomputes every completed output eagerly (``check_exact``);
 ``rt3 serve --scenario bursty --devices 4 --policy switch-aware
 --drain-policy level-affinity`` serves the same trace offline
 (``--drain-policy adaptive`` lets each device pick for itself;
@@ -119,8 +129,8 @@ a one-line message naming the flag.
 ``benchmarks/bench_serve.py`` measures the batched-vs-single speedup
 and the multi-device scaling (``BENCH_serve.json``);
 ``benchmarks/bench_stream.py`` sweeps the admission window on bursty
-traffic — throughput/efficiency vs p50/p95, exactness against the
-per-request oracle (``BENCH_stream.json``);
+traffic — throughput/efficiency vs p50/p95, each run's worst deviation
+from the per-request eager forward (``BENCH_stream.json``);
 ``benchmarks/bench_kernels.py`` measures the sparse kernels, which are
 cost models, not the serving path (``BENCH_kernels.json``); ``benchmarks/bench_forward.py`` measures the
 compiled forward plane against the eager Tensor path — wall clock,

@@ -46,10 +46,7 @@ class ServeConfig:
       batch);
     - ``prewarm`` — each device starts with the pattern set of its first
       routed batch already resident (deploy-time provisioning, not
-      charged to the serving timeline);
-    - ``verify`` — re-run every batch member alone and record the worst
-      absolute deviation (padding exactness, about double the compute,
-      excluded from wall time).
+      charged to the serving timeline).
 
     Per-shard drain order: ``drain_policy`` (``fifo`` |
     ``level-affinity`` | ``adaptive``), ``fairness_window`` (the longest
@@ -70,11 +67,13 @@ class ServeConfig:
     work off its shard, ``cancel_after_s`` is an engine-wide client
     timeout, and ``tenant_weights`` splits ``max_queue`` into weighted
     per-tenant shares.
+
+    Checking a run is not a knob: :mod:`repro.serve.invariants` checks
+    any finished session after the fact.
     """
 
     max_batch: int = 8
     window_s: float = 0.05
-    verify: bool = False
     devices: int = 1
     policy: str = "round-robin"
     time_sliced: bool = True

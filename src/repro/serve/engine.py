@@ -45,7 +45,6 @@ bench compares against.
 
 from __future__ import annotations
 
-import time
 from typing import Dict, Optional, Sequence
 
 from repro.core.runtime_policy import RuntimeAdapter
@@ -72,6 +71,12 @@ class ServeEngine:
     pattern set between traces, so a follow-up run is never re-charged
     the cold-start install.  :meth:`streaming` hands out the underlying
     online engine for callers that want to feed arrivals incrementally.
+
+    The report a ``serve`` call returns is its session's own
+    :meth:`~repro.serve.streaming.StreamingEngine.report`, wall time
+    included.  A caller that checks the run afterwards
+    (:mod:`repro.serve.invariants`) drives a :meth:`streaming` session
+    itself and keeps it.
     """
 
     def __init__(self, model, adapter: RuntimeAdapter,
@@ -112,17 +117,9 @@ class ServeEngine:
             requests, lambda core, req: core.submit_decode(req, config=config))
 
     def _serve(self, requests, submit) -> ServeReport:
-        # session construction (switch-cost table, shard setup) happens
-        # outside the measured window
         core = self.streaming()
-        start_wall = time.perf_counter()
         for req in sorted(requests, key=lambda r: (r.arrival_s, r.req_id)):
             submit(core, req)
         core.drain()
-        report = core.report()
-        # the measured hot path covers admission + routing + per-batch
-        # work; verification is excluded (it doubles the compute)
-        report.wall_seconds = (time.perf_counter() - start_wall
-                               - core.verify_wall_s)
         self._device_state = core.device_state()
-        return report
+        return core.report()

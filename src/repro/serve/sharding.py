@@ -224,8 +224,7 @@ class DeviceShard:
     batch entering or leaving the queues and of every decode job
     entering or leaving the lane's pending heap.
 
-    ``inflight`` is the last executed work (:class:`InFlight`) and
-    ``completed`` counts the live results this device emitted.
+    ``inflight`` is the last executed work (:class:`InFlight`).
 
     The shard's installed-pattern state (``active_sparsity``) is updated
     by the engine as it executes, because a pattern swap happens on
@@ -271,7 +270,6 @@ class DeviceShard:
         # batching: streams join/leave at token boundaries)
         self.decode = DecodeLane(ledger)
         self.inflight: Optional[InFlight] = None
-        self.completed = 0
         self.stats = ShardStats(shard_id, drain_policy=self._base_policy())
         # persistent drain-policy state (level-affinity run tracking)
         self._current_level: Optional[str] = None
@@ -494,7 +492,6 @@ class DeviceShard:
                 and req_id in (None, r.request.req_id)]
         for result in lost:
             result.canceled = True
-        self.completed -= len(lost)
         stats = self.stats
         if run.batch is None:
             stats.decode_streams -= len(lost)
@@ -567,7 +564,6 @@ class DeviceShard:
         self.stats.decode_tokens += tokens
         self.stats.decode_streams += len(results)
         self.stats.switches += switches
-        self.completed += len(results)
         self.inflight = InFlight(completion_s, results, jobs=jobs)
 
     def record(self, batch: QueuedBatch, service_s: float, completion_s: float,
@@ -576,9 +572,7 @@ class DeviceShard:
         """Account one executed batch; ``results`` (only not-yet-done
         members emit after a failover) become the in-flight record."""
         self.clock_s = completion_s
-        served = len(batch) if results is None else len(results)
-        self.stats.requests += served
-        self.completed += served
+        self.stats.requests += len(batch) if results is None else len(results)
         if results is not None:
             self.inflight = InFlight(completion_s, results, batch=batch)
         self.stats.batches += 1

@@ -91,6 +91,11 @@ and reports its own work to the admission-control counters.
 Every knob named above is a field of the engine's
 :class:`~repro.serve.config.ServeConfig`, validated once when that
 config is built.
+
+The engine keeps every result it emits (:meth:`StreamingEngine.report`
+counts ``completed`` from them) and runs no verification of its own:
+conservation and exactness are checked after the fact, from one place,
+by :mod:`repro.serve.invariants`.
 """
 
 from __future__ import annotations
@@ -144,22 +149,24 @@ class ServeReport:
     events: List[AdaptationEvent] = field(default_factory=list)
     wall_seconds: float = 0.0
     cache_stats: Optional[CacheStats] = None
-    max_verify_error: Optional[float] = None
     shard_stats: List[ShardStats] = field(default_factory=list)
     policy: str = "round-robin"
     time_sliced: bool = True
     # fault-tolerance accounting: requests refused at admission (with
-    # reasons), requests withdrawn by cancellation, and the conservation
-    # identity — every submitted request is accounted for as completed,
-    # shed or cancelled, never silently lost
+    # reasons) and requests withdrawn by cancellation; with the results
+    # they are the terminal records the conservation identity counts
     shed: List[ShedRecord] = field(default_factory=list)
     cancelled: List[CancelRecord] = field(default_factory=list)
     submitted: int = 0
-    completed: int = 0
 
     # -- request-level aggregates --------------------------------------
     @property
     def num_requests(self) -> int:
+        return len(self.results)
+
+    @property
+    def completed(self) -> int:
+        """Requests that completed: one result record each."""
         return len(self.results)
 
     @property
@@ -300,10 +307,9 @@ class ServeReport:
     def tenant_breakdown(self) -> Dict[str, Dict[str, int]]:
         """Terminal-state counts per tenant (completed/shed/cancelled).
 
-        Built from the retained result/shed/cancel records, so under
+        Built from the result/shed/cancel records, so under
         conservation the per-tenant counts sum to that tenant's
-        submissions.  (A ``retain_results=False`` session drops result
-        records as they release, so only shed/cancelled survive there.)
+        submissions.
         """
         out: Dict[str, Dict[str, int]] = {}
 
@@ -392,8 +398,6 @@ class ServeReport:
             out["shards"] = [s.as_dict(makespan) for s in self.shard_stats]
         if self.cache_stats is not None:
             out["cache"] = self.cache_stats.as_dict()
-        if self.max_verify_error is not None:
-            out["max_verify_error"] = self.max_verify_error
         return out
 
 
@@ -412,20 +416,13 @@ class StreamingEngine:
     devices provisioned before this session (a device that served an
     earlier trace keeps its masks); unlisted shards start from the
     adapter's own installed state.
-
-    ``retain_results=False`` drops each request's result record (and its
-    output array) once it is handed out by :meth:`tick`/:meth:`drain`,
-    bounding a long-lived session's memory; :meth:`report` then carries
-    only the aggregate shard/event accounting, so per-request latency
-    percentiles must be computed by the caller from the released
-    completions.
     """
 
     def __init__(self, model, adapter: RuntimeAdapter,
                  config: ServeConfig = ServeConfig(), *,
                  cache: Optional[ArtifactCache] = None,
-                 initial_device_state: Optional[Dict[int, Optional[float]]] = None,
-                 retain_results: bool = True) -> None:
+                 initial_device_state: Optional[Dict[int, Optional[float]]] = None
+                 ) -> None:
         self.config = config
         self.model = model
         self.adapter = adapter
@@ -471,7 +468,6 @@ class StreamingEngine:
                                               adapter.active_sparsity)
             shard.expected_sparsity = shard.active_sparsity
         # -- event loop state ------------------------------------------
-        self.retain_results = retain_results
         self.now_s = 0.0
         self._heap: List[Tuple[float, int, int, object]] = []
         self._tiebreak = itertools.count()
@@ -481,8 +477,6 @@ class StreamingEngine:
         self._events: List[Tuple[int, AdaptationEvent]] = []
         self._prewarmed: set = set()
         self._scheduled_ready: Dict[int, float] = {}
-        self._worst_err = 0.0
-        self._verify_wall = 0.0
         self._wall = 0.0
         self._cache_start = (cache.stats.snapshot()
                              if cache is not None else None)
@@ -507,11 +501,6 @@ class StreamingEngine:
     def decode_options(self) -> DecodeOptions:
         """Defaults for decode requests submitted without their own config."""
         return self.config.decode
-
-    @property
-    def verify_wall_s(self) -> float:
-        """Wall seconds spent on verification (excluded from wall_seconds)."""
-        return self._verify_wall
 
     def _forward(self):
         """The compiled zero-autograd forward plan, built on first use.
@@ -692,8 +681,7 @@ class StreamingEngine:
         report.shed = list(self._shed)
         report.cancelled = list(self._cancelled)
         report.submitted = self._submitted
-        report.completed = sum(s.completed for s in self.shards)
-        report.wall_seconds = max(0.0, self._wall - self._verify_wall)
+        report.wall_seconds = self._wall
         if self.cache is not None:
             # delta over this session only: each report describes its own
             # run, not the cache's lifetime
@@ -703,8 +691,6 @@ class StreamingEngine:
                 misses=end.misses - self._cache_start.misses,
                 evictions=end.evictions - self._cache_start.evictions,
                 invalidations=end.invalidations - self._cache_start.invalidations)
-        if self.config.verify:
-            report.max_verify_error = self._worst_err
         return report
 
     # ------------------------------------------------------------------
@@ -1112,20 +1098,8 @@ class StreamingEngine:
         event, effective, switch_s, installed = \
             self._resolve_operating_point(shard, level, qb)
         self._install(effective)
-        fwd = self._forward()
-        outputs = run_padded(self.model, group, forward=fwd)
+        outputs = run_padded(self.model, group, forward=self._forward())
         done = set(qb.done_ids)
-        if self.config.verify:
-            # excluded from the timed hot path: doubles the compute
-            verify_start = time.perf_counter()
-            for req, out in zip(group, outputs):
-                if req.req_id in done:
-                    continue
-                solo = run_padded(self.model, [req], forward=fwd)[0]
-                self._worst_err = max(self._worst_err,
-                                      float(np.abs(out - solo).max()))
-            self._verify_wall += time.perf_counter() - verify_start
-
         if qb.requeues:
             # retry accounting: failing a batch over costs the system one
             # reconfiguration's worth of time per requeue — the new
@@ -1165,10 +1139,7 @@ class StreamingEngine:
 
     def _emit(self, result: RequestResult) -> None:
         """Schedule ``result``'s release at its completion instant."""
-        if self.retain_results:
-            # kept for report(); long-lived sessions opt out and consume
-            # completions from tick()/drain() instead
-            self._results.append(result)
+        self._results.append(result)
         heapq.heappush(self._pending_done,
                        (result.completion_s, next(self._tiebreak), result))
 

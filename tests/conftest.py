@@ -7,6 +7,8 @@ for mutating tests).
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -14,9 +16,11 @@ from repro.core.tasks import GlueTask, LMTask
 from repro.data.glue import GlueTaskConfig, SyntheticGlueTask
 from repro.data.wikitext import SyntheticWikiText, WikiTextConfig
 from repro.nn.distilbert import DistilBertConfig, DistilBertForSequenceTask
+from repro.nn.generation import GenerationResult
 from repro.nn.transformer import TransformerConfig, TransformerLM
 from repro.serve.batcher import AdmissionQueue
 from repro.serve.decode import DecodeJob
+from repro.serve.invariants import check_run
 from repro.serve.streaming import StreamingEngine
 
 
@@ -47,6 +51,79 @@ def admission_batches(requests, max_batch=8, window_s=0.05, key_fn=None):
             groups.append(full)
     groups.extend(queue.flush_remaining())
     return [g.requests for g in groups]
+
+
+def assert_reports_equivalent(a, b):
+    """Two reports describe the same run: batching, placement, simulated
+    timing, outputs, terminal records and per-shard accounting."""
+    assert a.num_requests == b.num_requests
+    assert a.num_batches == b.num_batches
+    by_id_a = {r.request.req_id: r for r in a.results}
+    by_id_b = {r.request.req_id: r for r in b.results}
+    assert by_id_a.keys() == by_id_b.keys()
+    for rid, ra in by_id_a.items():
+        rb = by_id_b[rid]
+        assert ra.batch_id == rb.batch_id
+        assert ra.batch_size == rb.batch_size
+        assert ra.shard_id == rb.shard_id
+        assert ra.sparsity == rb.sparsity
+        assert ra.queue_wait_s == rb.queue_wait_s
+        assert ra.service_s == rb.service_s
+        assert ra.completion_s == rb.completion_s
+        if isinstance(ra.output, GenerationResult):
+            np.testing.assert_array_equal(ra.output.tokens, rb.output.tokens)
+            assert ra.output.logprobs == rb.output.logprobs
+        else:
+            np.testing.assert_array_equal(ra.output, rb.output)
+    assert [e.chosen_sparsity for e in a.events] == \
+           [e.chosen_sparsity for e in b.events]
+    assert [e.switched for e in a.events] == [e.switched for e in b.events]
+    assert [(rec.request.req_id, rec.time_s, rec.reason) for rec in a.shed] \
+        == [(rec.request.req_id, rec.time_s, rec.reason) for rec in b.shed]
+    assert [(rec.request.req_id, rec.time_s, rec.where)
+            for rec in a.cancelled] == \
+           [(rec.request.req_id, rec.time_s, rec.where)
+            for rec in b.cancelled]
+    assert [s.as_dict() for s in a.shard_stats] == \
+           [s.as_dict() for s in b.shard_stats]
+
+
+def assert_tick_independent(build, trace, decode_ids=(), tick_every=1):
+    """Serve ``trace`` (arrival-ordered) on two fresh sessions from
+    ``build()`` and require the same run from both.
+
+    One session takes every submission and then one ``drain``.  The
+    other is fed per arrival through :meth:`StreamingEngine.play`.
+    ``play`` cannot submit decode streams and ticks at every new
+    instant, so with ``decode_ids`` or a coarser ``tick_every`` the
+    feeding is written out here in its discipline: tick only to an
+    instant whose arrivals are all submitted, every ``tick_every``
+    arrivals, then drain.  Each session gets its own copies of the
+    requests, which the loop may restamp.  Returns both reports,
+    drained first.
+    """
+    def run(ticked):
+        core = build()
+        requests = [replace(r) for r in trace]
+        if ticked and not decode_ids and tick_every == 1:
+            core.play(requests)
+            return core.report()
+        prev = None
+        for i, req in enumerate(requests):
+            if (ticked and prev is not None and i % tick_every == 0
+                    and req.arrival_s > prev):
+                core.tick(prev)
+            if req.req_id in decode_ids:
+                core.submit_decode(req)
+            else:
+                core.submit(req)
+            prev = req.arrival_s
+        core.drain()
+        return core.report()
+
+    drained, ticked = run(False), run(True)
+    assert_reports_equivalent(drained, ticked)
+    return drained, ticked
 
 
 def backlog_oracle(engine):
@@ -109,6 +186,40 @@ def backlog_oracle_check(monkeypatch):
     monkeypatch.setattr(StreamingEngine, "_on_arrival", checked)
     yield seen
     assert seen.checks > 0
+
+
+@pytest.fixture(autouse=True)
+def checked_runs(monkeypatch):
+    """Run :func:`~repro.serve.invariants.check_run` at teardown on every
+    :class:`StreamingEngine` the test built, so no serving test needs to
+    assert conservation itself.
+
+    Engines are recorded as they are constructed.  An engine whose event
+    loop raised (an exception escaped ``_advance`` — say a test expecting
+    an unsupported model to fail on its first batch) stopped in the
+    middle of an event, so its records describe no finished state: it is
+    skipped.  Every other engine is checked, drained or not.
+    """
+    engines, broken = [], set()
+    init, advance = StreamingEngine.__init__, StreamingEngine._advance
+
+    def recording_init(engine, *args, **kwargs):
+        init(engine, *args, **kwargs)
+        engines.append(engine)
+
+    def guarded_advance(engine, horizon_s):
+        try:
+            return advance(engine, horizon_s)
+        except BaseException:
+            broken.add(id(engine))
+            raise
+
+    monkeypatch.setattr(StreamingEngine, "__init__", recording_init)
+    monkeypatch.setattr(StreamingEngine, "_advance", guarded_advance)
+    yield engines
+    for engine in engines:
+        if id(engine) not in broken:
+            check_run(engine)
 
 
 @pytest.fixture()

@@ -96,6 +96,30 @@ class TestServeCommand:
         assert report["cache"]["hits"] + report["cache"]["misses"] > 0
         assert report["max_verify_error"] < 1e-9
 
+    def test_serve_verify_covers_decode_streams(self, tmp_path, monkeypatch):
+        # --verify re-decodes every completed stream eagerly: a stream
+        # whose logprobs drift fails the run
+        from repro.serve.streaming import StreamingEngine
+
+        report_path = tmp_path / "serve.json"
+        args = ["serve", "--requests", "12", "--decode-streams", "3",
+                "--decode-max-new-tokens", "3", "--verify",
+                "--output", str(report_path)]
+        assert main(args) == 0
+        report = json.loads(report_path.read_text())
+        assert report["decode_streams"] == 3
+        assert report["max_verify_error"] < 1e-12
+
+        emit = StreamingEngine._emit
+
+        def drifting(engine, result):
+            if hasattr(result.output, "logprobs"):
+                result.output.logprobs[-1] += 1e-9
+            emit(engine, result)
+
+        monkeypatch.setattr(StreamingEngine, "_emit", drifting)
+        assert main(args) == 1
+
     def test_serve_no_cache_reports_flag(self, tmp_path):
         report_path = tmp_path / "serve.json"
         assert main(["serve", "--requests", "8", "--no-cache",

@@ -20,6 +20,7 @@ from repro.serve import (
     pad_batch,
     run_padded,
 )
+from repro.serve.invariants import check_exact
 
 from tests.conftest import admission_batches
 
@@ -205,7 +206,7 @@ class TestScenarios:
             build_scenario("nope", wl)
 
 
-def build_engine(model, *, max_batch, use_cache, seed=0, verify=False):
+def build_engine(model, *, max_batch, use_cache, seed=0):
     wl = profile_from_model(model, seq_len=12)
     ladder = {s: random_pattern_set(8, s, 2, np.random.default_rng(seed))
               for s in (0.3, 0.5, 0.7, 0.9)}
@@ -213,23 +214,25 @@ def build_engine(model, *, max_batch, use_cache, seed=0, verify=False):
                              hardware_pattern_size=8)
     cache = ArtifactCache() if use_cache else None
     return ServeEngine(model, adapter,
-                       ServeConfig(max_batch=max_batch, verify=verify),
+                       ServeConfig(max_batch=max_batch),
                        cache=cache), wl
 
 
 class TestServeEngine:
     def test_steady_serving_report(self):
         model = TransformerLM(LM_CFG).eval()
-        engine, wl = build_engine(model, max_batch=8, use_cache=True, verify=True)
+        engine, wl = build_engine(model, max_batch=8, use_cache=True)
         trace = build_scenario("steady", wl, ScenarioConfig(num_requests=48, seed=3))
-        report = engine.serve(trace)
+        core = engine.streaming()
+        core.play(trace)
+        report = core.report()
         assert report.num_requests == 48
         assert sorted(r.request.req_id for r in report.results) == list(range(48))
         assert report.num_batches == 6
         assert report.mean_batch_size == 8.0
         assert report.cache_stats.hit_rate > 0.8
         assert report.deadline_hit_rate == 1.0
-        assert report.max_verify_error < 1e-9
+        check_exact(core)
         assert report.p95_latency_s >= report.p50_latency_s > 0
         assert report.throughput_rps > 0
 

@@ -1,13 +1,16 @@
 """Chaos-matrix tests for the fault-tolerant serving plane.
 
 Every test drives the real streaming engine under a deterministic
-:class:`FaultPlan` and checks the two invariants the faults bench gates:
+:class:`FaultPlan`; the two invariants the faults bench gates come from
+:mod:`repro.serve.invariants`:
 
 - **conservation** — ``completed + shed == submitted`` under every
-  fault schedule and shed policy (no request is ever silently lost);
+  fault schedule and shed policy (no request is ever silently lost),
+  checked by ``check_run`` on every engine at teardown;
 - **exactness** — every *completed* output is bit-identical to a
   fault-free serve of the surviving request set (failover re-execution,
-  stalls, slowdowns and degradation never perturb served numerics).
+  stalls, slowdowns and degradation never perturb served numerics),
+  checked by ``check_exact`` against a clean reference session.
 
 Plus the schedule vocabulary itself (``ShardFault`` validation, the
 CLI ``--faults`` spec parser, the seeded flaky overlay) and the edge
@@ -16,7 +19,6 @@ crashes retracting live decode streams, and recovery mid-trace.
 """
 
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -35,6 +37,7 @@ from repro.serve import (
     build_serving_stack,
     flaky_fault_overlay,
 )
+from repro.serve.invariants import check_exact
 
 DEVICES = 4
 WINDOW_S = 2e-3          # admission window small enough to fit the SLOs
@@ -65,8 +68,16 @@ def steady_trace(n=32, seed=0):
 
 
 def serve(trace, faults=None, seed=0, devices=DEVICES, **kw):
+    """Play ``trace`` through one session: the report and the session."""
     _, _, engine = make_stack(seed, devices=devices, faults=faults, **kw)
-    return engine.serve(trace)
+    core = engine.streaming()
+    core.play(sorted(trace, key=lambda r: (r.arrival_s, r.req_id)))
+    return core.report(), core
+
+
+def clean(seed=0, devices=DEVICES, **kw):
+    """A fresh session of the fault-free stack: the exactness reference."""
+    return make_stack(seed, devices=devices, **kw)[2].streaming()
 
 
 def in_flight_crash(trace, shard=1, duration_s=None):
@@ -83,26 +94,6 @@ def in_flight_crash(trace, shard=1, duration_s=None):
     return FaultPlan.outage(shard, close_s + 0.003,
                             duration_s if duration_s is not None
                             else 0.3 * span_s)
-
-
-def assert_exact(report, seed=0, devices=DEVICES, decode_cfg=None, **kw):
-    """Completed outputs must match a fault-free serve of the survivors."""
-    survivors = [replace(r.request) for r in report.results]
-    _, _, ref_engine = make_stack(seed, devices=devices, **kw)
-    if decode_cfg is not None:
-        reference = ref_engine.serve_decode(survivors, config=decode_cfg)
-    else:
-        reference = ref_engine.serve(survivors)
-    got = {r.request.req_id: r.output for r in report.results}
-    want = {r.request.req_id: r.output for r in reference.results}
-    assert set(got) == set(want)
-    for rid, out in got.items():
-        ref = want[rid]
-        if isinstance(out, np.ndarray):
-            assert np.array_equal(out, ref)
-        else:  # GenerationResult from the decode lanes
-            assert np.array_equal(out.tokens, ref.tokens)
-            assert out.logprobs == ref.logprobs
 
 
 # ---------------------------------------------------------------------------
@@ -227,57 +218,52 @@ class TestFlakyOverlay:
 class TestFailover:
     def test_crash_retracts_in_flight_work(self):
         trace = bursty_trace(48)
-        report = serve(trace, faults=in_flight_crash(trace))
-        assert report.conserved
+        report, core = serve(trace, faults=in_flight_crash(trace))
         assert report.completed == len(trace)  # failover loses nothing
         assert report.failures == 1
         assert report.recoveries == 1
         assert report.requeued_batches >= 1
         assert report.max_recovery_lag_s > 0
-        assert_exact(report)
+        check_exact(core, reference=clean())
 
     def test_idle_crash_only_flips_health(self):
         # between bursts (gap 0.5 s) every shard is idle: the crash must
         # fail over nothing, and the shard rejoins via the probe chain
         trace = bursty_trace(32)
         plan = FaultPlan.outage(1, 0.25, 0.1)
-        report = serve(trace, faults=plan)
-        assert report.conserved
+        report, core = serve(trace, faults=plan)
         assert report.completed == len(trace)
         assert report.failures == 1
         assert report.recoveries == 1
         assert report.requeued_batches == 0
-        assert_exact(report)
+        check_exact(core, reference=clean())
 
     def test_stall_is_timing_only(self):
         trace = bursty_trace(32)
-        baseline = serve(trace)
+        baseline, _ = serve(trace)
         plan = FaultPlan([ShardFault("stall", 0, 0.0005, 0.05)])
-        report = serve(trace, faults=plan)
-        assert report.conserved
+        report, core = serve(trace, faults=plan)
         assert report.completed == len(trace)
         assert report.stalls >= 1
         assert report.sim_makespan_s >= baseline.sim_makespan_s
-        assert_exact(report)
+        check_exact(core, reference=clean())
 
     def test_slow_window_is_timing_only(self):
         trace = bursty_trace(32)
         plan = FaultPlan.parse("slow:0@0.0+1.0x4")
-        report = serve(trace, faults=plan)
-        assert report.conserved
+        report, core = serve(trace, faults=plan)
         assert report.completed == len(trace)
-        assert_exact(report)
+        check_exact(core, reference=clean())
 
     def test_recovery_mid_burst_stream(self):
         # the shard comes back while later bursts are still arriving and
         # must finish the trace without losing or perturbing anything
         trace = bursty_trace(64)
-        report = serve(trace, faults=in_flight_crash(trace,
-                                                     duration_s=0.6))
-        assert report.conserved
+        report, core = serve(trace, faults=in_flight_crash(trace,
+                                                           duration_s=0.6))
         assert report.completed == len(trace)
         assert report.recoveries == 1
-        assert_exact(report)
+        check_exact(core, reference=clean())
 
 
 class TestTotalOutage:
@@ -285,8 +271,7 @@ class TestTotalOutage:
         trace = bursty_trace(16)
         plan = FaultPlan([ShardFault("crash", i, 0.0)
                           for i in range(DEVICES)])
-        report = serve(trace, faults=plan)
-        assert report.conserved
+        report, _ = serve(trace, faults=plan)
         assert report.completed == 0
         assert report.num_shed == len(trace)
         assert all(rec.reason == "no_device" for rec in report.shed)
@@ -295,11 +280,10 @@ class TestTotalOutage:
         trace = bursty_trace(16)
         plan = FaultPlan([ShardFault("crash", i, 0.0005, 0.05)
                           for i in range(DEVICES)])
-        report = serve(trace, faults=plan)
-        assert report.conserved
+        report, core = serve(trace, faults=plan)
         assert report.completed == len(trace)
         assert report.recoveries == DEVICES
-        assert_exact(report)
+        check_exact(core, reference=clean())
 
 
 # ---------------------------------------------------------------------------
@@ -309,25 +293,22 @@ class TestTotalOutage:
 class TestShedPolicies:
     def test_bounded_queue_sheds_overflow(self):
         trace = bursty_trace(32)
-        report = serve(trace, max_queue=1)
-        assert report.conserved
+        report, core = serve(trace, max_queue=1)
         assert report.num_shed > 0
         assert all(rec.reason == "queue_full" for rec in report.shed)
-        assert_exact(report)
+        check_exact(core, reference=clean())
 
     def test_reject_sheds_infeasible_bursts(self):
         trace = bursty_trace(48, factors=FACTORS)
-        report = serve(trace, shed_policy="reject")
-        assert report.conserved
+        report, core = serve(trace, shed_policy="reject")
         assert report.num_shed > 0
         assert all(rec.reason == "deadline" for rec in report.shed)
         assert all(rec.est_completion_s is not None for rec in report.shed)
-        assert_exact(report)
+        check_exact(core, reference=clean())
 
     def test_degrade_rescues_infeasible_bursts(self):
         trace = bursty_trace(48, factors=FACTORS)
-        report = serve(trace, shed_policy="degrade")
-        assert report.conserved
+        report, core = serve(trace, shed_policy="degrade")
         assert report.num_shed == 0
         assert report.degraded_requests > 0
         # degraded completions remember their original deadline; the
@@ -339,17 +320,17 @@ class TestShedPolicies:
                    and r.request.deadline_s != r.request.degraded_from_s
                    and r.request.deadline_s <= r.request.slo_s
                    for r in degraded)
-        assert_exact(report)
+        check_exact(core, reference=clean())
 
     def test_degrade_sheds_strictly_less_than_reject(self):
         trace = bursty_trace(48, factors=FACTORS)
         plan = in_flight_crash(trace)
-        reject = serve(trace, faults=plan, shed_policy="reject")
-        degrade = serve(trace, faults=plan, shed_policy="degrade")
-        assert reject.conserved and degrade.conserved
+        reject, reject_core = serve(trace, faults=plan, shed_policy="reject")
+        degrade, degrade_core = serve(trace, faults=plan,
+                                      shed_policy="degrade")
         assert degrade.num_shed < reject.num_shed
-        assert_exact(reject)
-        assert_exact(degrade)
+        check_exact(reject_core, reference=clean())
+        check_exact(degrade_core, reference=clean())
 
 
 # ---------------------------------------------------------------------------
@@ -377,11 +358,14 @@ class TestDecodeUnderFaults:
         _, _, engine = make_stack(seed=3, devices=2, faults=plan,
                                   decode=opts)
         trace = self.decode_trace(StackConfig().vocab_size, 8)
-        report = engine.serve_decode(trace, config=cfg)
-        assert report.conserved
+        core = engine.streaming()
+        for req in trace:
+            core.submit_decode(req, config=cfg)
+        core.drain()
+        report = core.report()
         assert report.completed == len(trace)
-        assert_exact(report, seed=3, devices=2, decode_cfg=cfg,
-                     decode=opts)
+        check_exact(core, reference=clean(seed=3, devices=2, decode=opts),
+                    decode_config=cfg)
         return report
 
     def test_crash_mid_decode_stream(self):
@@ -423,10 +407,9 @@ def _chaos_case(scenario, seed, policy):
              else steady_trace(32, seed=seed))
     horizon = max(r.arrival_s for r in trace) or 1.0
     plan = flaky_fault_overlay(DEVICES, horizon, seed=seed)
-    report = serve(trace, faults=plan, seed=seed, shed_policy=policy)
-    assert report.conserved
+    report, core = serve(trace, faults=plan, seed=seed, shed_policy=policy)
     assert report.failures >= 1
-    assert_exact(report, seed=seed)
+    check_exact(core, reference=clean(seed=seed))
 
 
 @pytest.mark.usefixtures("backlog_oracle_check")

@@ -1,6 +1,7 @@
 """Streaming serving core: admission, event loop, offline equivalence."""
 
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,16 +16,24 @@ from repro.nn.transformer import TransformerConfig, TransformerLM
 from repro.serve import (
     AdmissionQueue,
     ArtifactCache,
+    DecodeOptions,
+    FaultPlan,
     InferenceRequest,
     ScenarioConfig,
     ServeConfig,
     ServeEngine,
+    StackConfig,
     StreamingEngine,
     build_scenario,
+    build_serving_stack,
     stream_scenario,
 )
 
-from tests.conftest import admission_batches
+from tests.conftest import (
+    admission_batches,
+    assert_reports_equivalent,
+    assert_tick_independent,
+)
 
 LM_CFG = TransformerConfig(vocab_size=60, dim=32, num_heads=2, ffn_dim=64,
                            num_encoder_layers=2, num_decoder_layers=1,
@@ -251,20 +260,6 @@ class TestStreamingLoop:
         assert sizes == [3, 3, 3]  # the tie stayed one batch
         assert report.num_batches == 3
 
-    def test_retain_results_false_bounds_session_state(self):
-        model = TransformerLM(LM_CFG).eval()
-        engine, wl = build_engine(model)
-        core = engine.streaming()
-        core.retain_results = False
-        trace = build_scenario("steady", wl, ScenarioConfig(num_requests=12,
-                                                            seed=3))
-        done = core.play(trace)
-        assert len(done) == 12  # completions still handed to the caller
-        report = core.report()
-        assert report.results == []  # nothing retained inside the session
-        assert report.num_batches > 0  # aggregate accounting still there
-        assert sum(s.requests for s in report.shard_stats) == 12
-
     def test_tick_landing_on_window_deadline_admits_arrivals_first(self):
         # the heap orders same-instant arrivals before window closes, so
         # submitting a tie group and then ticking exactly to its instant
@@ -330,61 +325,28 @@ class TestScenarioStreams:
 
 
 # ---------------------------------------------------------------------------
-# streaming-vs-offline equivalence: the offline wrapper (submit the whole
-# trace, drain) and incremental online feeding must produce identical
+# streaming-vs-offline equivalence: the offline wrapper, one drain over
+# the whole trace and incremental online feeding must produce identical
 # batching, placement, simulated timing and outputs
 # ---------------------------------------------------------------------------
 
-def assert_reports_equivalent(a, b):
-    assert a.num_requests == b.num_requests
-    assert a.num_batches == b.num_batches
-    by_id_a = {r.request.req_id: r for r in a.results}
-    by_id_b = {r.request.req_id: r for r in b.results}
-    assert by_id_a.keys() == by_id_b.keys()
-    for rid, ra in by_id_a.items():
-        rb = by_id_b[rid]
-        assert ra.batch_id == rb.batch_id
-        assert ra.batch_size == rb.batch_size
-        assert ra.shard_id == rb.shard_id
-        assert ra.sparsity == rb.sparsity
-        assert ra.queue_wait_s == rb.queue_wait_s
-        assert ra.service_s == rb.service_s
-        assert ra.completion_s == rb.completion_s
-        np.testing.assert_array_equal(ra.output, rb.output)
-    assert [e.chosen_sparsity for e in a.events] == \
-           [e.chosen_sparsity for e in b.events]
-    assert [e.switched for e in a.events] == [e.switched for e in b.events]
-    assert [(s.shard_id, s.requests, s.batches, s.busy_s, s.switches)
-            for s in a.shard_stats] == \
-           [(s.shard_id, s.requests, s.batches, s.busy_s, s.switches)
-            for s in b.shard_stats]
+def assert_offline_equivalent(scenario, devices, policy, n=32, seed=7,
+                              tick_every=1):
+    """Serve a scenario trace through ``ServeEngine.serve`` and through
+    both sessions of :func:`assert_tick_independent`; all three must
+    describe the same run.  Returns the wrapper's and the ticked report."""
+    def engine():
+        return build_engine(TransformerLM(LM_CFG).eval(), devices=devices,
+                            policy=policy)[0]
 
-
-def run_offline_and_streaming(scenario, devices, policy, n=32, tick_every=1,
-                              seed=7):
-    offline_engine, wl = build_engine(TransformerLM(LM_CFG).eval(),
-                                      devices=devices, policy=policy)
+    wl = profile_from_model(TransformerLM(LM_CFG).eval(), seq_len=12)
     trace = build_scenario(scenario, wl, ScenarioConfig(num_requests=n,
                                                         seed=seed))
-    offline = offline_engine.serve(trace)
-
-    online_engine, _ = build_engine(TransformerLM(LM_CFG).eval(),
-                                    devices=devices, policy=policy)
-    core = online_engine.streaming()
-    if tick_every == 1:
-        core.play(trace)
-    else:
-        # a coarser hand-rolled schedule, still honouring play()'s
-        # lag-one-arrival contract (never tick to an instant before all
-        # its arrivals are submitted)
-        prev = None
-        for i, r in enumerate(trace):
-            if prev is not None and i % tick_every == 0 and r.arrival_s > prev:
-                core.tick(prev)
-            core.submit(r)
-            prev = r.arrival_s
-        core.drain()
-    return offline, core.report()
+    offline = engine().serve([replace(r) for r in trace])
+    drained, ticked = assert_tick_independent(
+        lambda: engine().streaming(), trace, tick_every=tick_every)
+    assert_reports_equivalent(offline, drained)
+    return offline, ticked
 
 
 FAST_MATRIX = [
@@ -405,31 +367,89 @@ FULL_MATRIX = [(s, d, p)
 class TestStreamingOfflineEquivalence:
     @pytest.mark.parametrize("scenario,devices,policy", FAST_MATRIX)
     def test_equivalence_fast_matrix(self, scenario, devices, policy):
-        offline, streaming = run_offline_and_streaming(scenario, devices,
-                                                       policy)
-        assert_reports_equivalent(offline, streaming)
+        assert_offline_equivalent(scenario, devices, policy)
 
     @pytest.mark.slow
     @pytest.mark.parametrize("scenario,devices,policy", FULL_MATRIX)
     def test_equivalence_full_matrix(self, scenario, devices, policy):
-        offline, streaming = run_offline_and_streaming(scenario, devices,
-                                                       policy)
-        assert_reports_equivalent(offline, streaming)
+        assert_offline_equivalent(scenario, devices, policy)
 
     def test_equivalence_independent_of_tick_granularity(self):
-        a, _ = run_offline_and_streaming("bursty", 4, "least-loaded",
-                                         tick_every=1)
-        _, coarse = run_offline_and_streaming("bursty", 4, "least-loaded",
-                                              tick_every=5)
-        assert_reports_equivalent(a, coarse)
+        # a coarser schedule: tick only every fifth arrival
+        assert_offline_equivalent("bursty", 4, "least-loaded", tick_every=5)
 
     def test_wrapper_metrics_match_streaming_summary(self):
-        offline, streaming = run_offline_and_streaming("steady", 1,
+        offline, streaming = assert_offline_equivalent("steady", 1,
                                                        "round-robin")
         assert offline.sim_throughput_rps == streaming.sim_throughput_rps
         assert offline.p50_latency_s == streaming.p50_latency_s
         assert offline.p95_latency_s == streaming.p95_latency_s
         assert offline.sim_makespan_s == streaming.sim_makespan_s
+
+
+# ---------------------------------------------------------------------------
+# tick independence on every feature path: faults, client timeouts,
+# preemption with tenant quotas and decode streams all ride the one heap
+# ---------------------------------------------------------------------------
+
+def bursty_arrivals(n=32, seed=0):
+    _, wl, _ = build_serving_stack(StackConfig(seed=seed))
+    trace = build_scenario("bursty", wl, ScenarioConfig(num_requests=n,
+                                                        seed=seed),
+                           burst_size=8)
+    return sorted(trace, key=lambda r: (r.arrival_s, r.req_id))
+
+
+def head_of_line_two_tenants(flood=32):
+    """A loose ``t0`` flood at t=0, then three tight-SLO ``t1`` requests
+    2 ms apart: each can only meet its SLO by preempting the flood."""
+    def request(rid, at, slo, tenant):
+        return InferenceRequest(
+            rid, np.random.default_rng(rid).integers(1, 60, size=12),
+            arrival_s=at, deadline_s=5e-3, level_name="l4", slo_s=slo,
+            tenant=tenant)
+
+    return ([request(i, 0.0, 10.0, "t0") for i in range(flood)]
+            + [request(flood + i, 2e-3 * (i + 1), 5e-3, "t1")
+               for i in range(3)])
+
+
+def feature_case(name):
+    """``(stack knobs, trace, decode ids, engaged)`` for one feature path;
+    ``engaged(report)`` says the feature really acted on the run."""
+    trace = bursty_arrivals()
+    if name == "crash":
+        # shard 1 dies 3 ms after the second burst's window closed, with
+        # that burst's batch in flight
+        close_s = max(r.arrival_s for r in trace[8:16])
+        return (dict(devices=2, window_s=2e-3,
+                     faults=FaultPlan.outage(1, close_s + 3e-3, 0.1)),
+                trace, (), lambda rep: rep.requeued_batches >= 1)
+    if name == "cancel_after":
+        return (dict(window_s=2e-3, cancel_after_s=6e-3), trace, (),
+                lambda rep: rep.num_cancelled >= 1)
+    if name == "running_preemption_two_tenants":
+        return (dict(window_s=1e-3, preempt_policy="running", max_queue=40,
+                     tenant_weights={"t0": 2.0, "t1": 1.0}),
+                head_of_line_two_tenants(), (),
+                lambda rep: rep.preemptions >= 1 and rep.num_shed >= 1)
+    assert name == "decode_streams"
+    return (dict(devices=2, decode=DecodeOptions(max_new_tokens=4)), trace,
+            {r.req_id for r in trace[:4]},
+            lambda rep: rep.decode_streams == 4)
+
+
+class TestTickIndependence:
+    @pytest.mark.parametrize("name", ["crash", "cancel_after",
+                                      "running_preemption_two_tenants",
+                                      "decode_streams"])
+    def test_feature_path(self, name):
+        knobs, trace, decode_ids, engaged = feature_case(name)
+        drained, _ = assert_tick_independent(
+            lambda: build_serving_stack(StackConfig(streaming=True,
+                                                    **knobs))[2],
+            trace, decode_ids=decode_ids)
+        assert engaged(drained)
 
 
 # ---------------------------------------------------------------------------
