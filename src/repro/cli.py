@@ -199,18 +199,23 @@ def _validate_serve_args(args):
     """Parse the tenancy flags into ``tenant_weights``; ``SystemExit`` on
     a malformed ``--tenant-weight`` spec.
 
-    Only the string parsing lives here — the weights' values are checked
-    with every other knob by ``ServeConfig``.  Returns ``None`` when
-    single-tenant.
+    Only the string parsing and the tenant names (a weight for a tenant
+    no request carries still shrinks every quota share) live here — the
+    weights' values are checked with every other knob by
+    ``ServeConfig``.  Returns ``None`` when single-tenant.
     """
     if args.tenants < 1:
         raise SystemExit(f"--tenants must be at least 1, got {args.tenants}")
+    tenants = [f"t{i}" for i in range(args.tenants)]
     weights = {}
     for spec in args.tenant_weight or []:
         name, sep, txt = spec.partition("=")
         if not sep or not name:
             raise SystemExit(
                 f"bad --tenant-weight spec {spec!r} (expected name=weight)")
+        if name not in tenants:
+            raise SystemExit(f"bad --tenant-weight spec {spec!r}: no tenant "
+                             f"{name!r} among t0..{tenants[-1]}")
         try:
             weights[name] = float(txt)
         except ValueError:
@@ -220,7 +225,7 @@ def _validate_serve_args(args):
     if args.tenants > 1 or weights:
         # every stamped tenant participates (weight 1 unless overridden),
         # so --tenants 2 alone already means equal fair shares
-        tenant_weights = {f"t{i}": 1.0 for i in range(args.tenants)}
+        tenant_weights = dict.fromkeys(tenants, 1.0)
         tenant_weights.update(weights)
         return tenant_weights
     return None
@@ -322,11 +327,9 @@ def cmd_serve(args) -> int:
         # discipline), forming micro-batches at admission time; lazy
         # unless the flaky overlay already forced materialization
         core = engine.streaming()
-        completed = core.play(trace if trace is not None
-                              else stream_scenario(args.scenario, workload,
-                                                   scenario_cfg))
-        report = core.report()
-        assert len(completed) == report.num_requests
+        released = core.play(trace if trace is not None
+                             else stream_scenario(args.scenario, workload,
+                                                  scenario_cfg))
     else:
         # offline: submit the whole trace, then drain.  With mixed
         # traffic the first N arrivals become continuously-batched
@@ -340,9 +343,9 @@ def cmd_serve(args) -> int:
                 core.submit_decode(req)
             else:
                 core.submit(req)
-        core.drain()
-        report = core.report()
-    check_run(core)
+        released = core.drain()
+    report = core.report()
+    check_run(core, released)
     summary = {"scenario": args.scenario, "batch_size": args.batch_size,
                "cache_enabled": not args.no_cache,
                "streaming": args.streaming, **report.summary()}

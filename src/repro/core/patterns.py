@@ -300,8 +300,12 @@ class MaskManager:
         """Drop this manager's cached masks (weights changed).
 
         Scoped to this manager's owner key: other managers' masks in a
-        shared cache stay valid.  Returns the number of entries removed.
+        shared cache stay valid.  The masks on the layers now derive from
+        the old weights, so no set counts as installed (``active_set`` is
+        ``None``) until the next ``apply``.  Returns the number of entries
+        removed.
         """
+        self.active_set = None
         self._combined.clear()
         if self.cache is None:
             return 0

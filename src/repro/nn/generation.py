@@ -13,9 +13,9 @@ unfinished stream by one token per ``step`` and runs their contexts,
 right-padded, through the compiled full-sequence plan
 (:class:`~repro.nn.inference.CompiledForward`) by true lengths, taking
 row ``L - 1`` of each stream's output as its next-token logits.  One
-plan call covers every stream whose context length falls in one GEMM
-regime class (on the serve shape under OpenBLAS: every length above
-1).  Streams may be submitted at any point — they join the rolling
+plan call covers every stream whose context length falls in one padding
+class (on the serve shape under OpenBLAS: every length above 1).
+Streams may be submitted at any point — they join the rolling
 batch at the next token boundary — and each stream's float64 output is
 bit-identical (``==``) to running it alone through the eager Tensor
 forward.
@@ -125,10 +125,10 @@ class DecodeSession:
     ``submit_prompt`` opens a stream (joining at the next token
     boundary), ``step`` advances every unfinished stream by exactly one
     token, ``finished``/``result`` read a stream out.  Each step groups
-    the streams by the GEMM regime class of their context length
+    the streams by the padding class of their context length
     (:meth:`~repro.nn.inference.CompiledForward.length_classes`) and
-    makes one plan call per class over the right-padded contexts, with
-    attention run per true length — so every stream's tokens and
+    makes one plan call per class over the right-padded contexts, padded
+    keys masked out of attention — so every stream's tokens and
     logprobs are bit-identical to a solo run regardless of what joins or
     leaves the batch around it.
 

@@ -36,14 +36,14 @@ module tree **once** and emits a flat program of ndarray steps that
 - memoizes causal masks per ``seqlen``; a padded batch's combined
   causal | key-padding mask is one bound ``np.logical_or`` step;
 - runs a right-padded batch *by true lengths* (``plan(tokens,
-  lengths=...)``): the row-wise steps — embedding, every Linear,
-  LayerNorm, ReLU, residual adds, head — run once over the whole
-  ``(batch, max_len)`` batch, and attention runs once per run of
-  equal-length rows on slices of the bound q/k/v buffers (Orca's
-  selective batching).  Rows stay ``==`` their solo forward as long as
-  the lengths share a GEMM regime class (:meth:`CompiledForward.
-  length_classes`), which is how decode batches streams of different
-  context lengths into one call.
+  lengths=...)``): every step runs once over the whole ``(batch,
+  max_len)`` batch, attention under a key-padding mask the plan fills
+  from the lengths, and only the softmax denominators are summed per run
+  of equal-length rows, over the true keys.  Rows stay ``==`` their solo
+  forward as long as the lengths share a padding class
+  (:meth:`CompiledForward.length_classes`, probed for both the weight
+  GEMMs and the padded attention), which is how decode batches streams
+  of different context lengths into one call.
 
 Pattern masks are folded into the dense weight snapshots: every layer,
 masked or not, is one BLAS ``matmul``.  The sparse kernels of
@@ -104,10 +104,6 @@ _PROGRAM_CACHE_CAP = 8
 # bound shape is dropped
 _BIND_CACHE_CAP = 64
 
-# attention runs bound per attention block of a binding by true lengths,
-# keyed on (row offset, count, length)
-_RUN_CACHE_CAP = 256
-
 
 class UnsupportedModel(TypeError):
     """``compile_inference`` does not know this architecture's forward."""
@@ -137,11 +133,11 @@ class ScratchPool:
 
         Every caller naming the same slot gets the same memory, so it
         suits only steps that never run at the same time — the bindings
-        of one plan and their attention runs, which fully write a buffer
-        before reading it.  A slot too small for ``shape`` is replaced by
-        a zero-filled one (at least twice as large); views handed out
-        earlier keep the old memory.  So slot memory only ever holds
-        zeros or values some step computed.
+        of one plan, which fully write a buffer before reading it.  A
+        slot too small for ``shape`` is replaced by a zero-filled one (at
+        least twice as large); views handed out earlier keep the old
+        memory.  So slot memory only ever holds zeros or values some step
+        computed.
         """
         dtype = self.dtype if dtype is None else np.dtype(dtype)
         size = math.prod(shape)
@@ -157,25 +153,25 @@ class _Arena:
     """One program bound to one input key ``(tokens shape, mask shape,
     by length)``.
 
-    ``inputs`` are the token (and key-padding mask) buffers a call
-    copies its arguments into.  The layer binders then ``take``/``give``
-    buffers — a buffer given back is reused by a later layer of the same
-    binding, and the n-th new buffer is a view over the pool's shared
-    slot ``("bind", n)`` — and ``add`` their ``(ufunc, args)`` steps.
-    ``head`` is the final ``(f, args, bias, shape)`` call, run after the
-    steps so the returned array is freshly allocated, never slot memory.
-    Every binding of a plan, whatever its program or shape, runs over
-    one set of slot memory: only one call of a plan runs at a time, and
-    every bound step writes a buffer before reading it.
+    ``inputs`` are the token (and key-padding mask) buffers the program
+    reads.  The layer binders then ``take``/``give`` buffers — a buffer
+    given back is reused by a later layer of the same binding, and the
+    n-th new buffer is a view over the pool's shared slot ``("bind",
+    n)`` — and ``add`` their ``(ufunc, args)`` steps.  ``head`` is the
+    final ``(f, args, bias, shape)`` call, run after the steps so the
+    returned array is freshly allocated, never slot memory.  Every
+    binding of a plan, whatever its program or shape, runs over one set
+    of slot memory: only one call of a plan runs at a time, and every
+    bound step writes a buffer before reading it.
 
-    ``segments`` is ``None`` for a plain binding.  For a binding by true
-    lengths it holds the current call's runs of equal-length rows as
-    ``(offset, count, length)`` triples, set before every replay and
-    read by the binding's attention blocks (:class:`_Attend`).
+    ``segments`` is ``None`` for a plain binding, whose call copies its
+    mask in.  A call by true lengths copies them into ``lengths``, which
+    the first step turns into the mask, and sets ``segments`` to its runs
+    of equal-length rows, ``(rows slice, length)`` pairs.
     """
 
-    __slots__ = ("pool", "inputs", "steps", "head", "segments", "_free",
-                 "_slots")
+    __slots__ = ("pool", "inputs", "lengths", "steps", "head", "segments",
+                 "_free", "_slots")
 
     def __init__(self, pool: ScratchPool, tokens_shape: Tuple[int, ...],
                  mask_shape: Optional[Tuple[int, ...]],
@@ -189,6 +185,12 @@ class _Arena:
         self.inputs = (self.take(tokens_shape, np.intp),
                        None if mask_shape is None
                        else self.take(mask_shape, np.bool_))
+        self.lengths: Optional[np.ndarray] = None
+        if by_length:
+            # key j of row i is padding iff j >= lengths[i]
+            self.lengths = self.take(tokens_shape[:1], np.intp)
+            self.add(np.greater_equal, np.arange(tokens_shape[1]),
+                     self.lengths.reshape(-1, 1, 1, 1), self.inputs[1])
 
     def take(self, shape: Tuple[int, ...],
              dtype: Optional[np.dtype] = None) -> np.ndarray:
@@ -243,109 +245,50 @@ def _run_head(head: tuple) -> np.ndarray:
     return out if shape is None else out.reshape(shape)
 
 
-def _attend_steps(add: Callable, take: Callable, q: np.ndarray,
-                  k: np.ndarray, v: np.ndarray, merged: np.ndarray,
-                  heads: int, head_dim: int, scale: float,
-                  mask: Optional[np.ndarray]) -> tuple:
-    """Scaled dot-product attention of ``(batch, len, dim)`` projections
-    into ``merged``; the softmax runs in place on the score buffer (same
-    elementwise arithmetic as the eager shift/exp/normalize).  ``add``
-    appends a step, ``take`` hands out a scratch buffer; returns the
-    scratch buffers taken."""
+def _bind_attend(b: _Arena, q: np.ndarray, k: np.ndarray, v: np.ndarray,
+                 heads: int, head_dim: int, scale: float,
+                 mask: Optional[np.ndarray]) -> np.ndarray:
+    """Scaled dot-product attention of bound ``(batch, len, dim)``
+    projections; returns the merged-heads context buffer.  The softmax
+    runs in place on the score buffer (same elementwise arithmetic as the
+    eager shift/exp/normalize).  A binding by true lengths sums each
+    softmax denominator over its row's true length only
+    (:func:`_sum_by_length`); every other step runs over the whole padded
+    batch, padded keys masked out."""
     batch, len_q, dim = q.shape
     len_k = k.shape[1]
     qh = q.reshape(batch, len_q, heads, head_dim).transpose(0, 2, 1, 3)
     kh = k.reshape(batch, len_k, heads, head_dim).transpose(0, 2, 1, 3)
     vh = v.reshape(batch, len_k, heads, head_dim).transpose(0, 2, 1, 3)
-    scores = take((batch, heads, len_q, len_k))
-    red = take((batch, heads, len_q, 1))
-    context = take((batch, heads, len_q, head_dim))
-    add(np.matmul, qh, kh.transpose(0, 1, 3, 2), scores)
-    add(np.multiply, scores, scale, scores)
-    if mask is not None:
-        add(np.copyto, scores, NEG_INF, "same_kind", mask)
-    add(np.maximum.reduce, scores, -1, None, red, True)
-    add(np.subtract, scores, red, scores)
-    add(np.exp, scores, scores)
-    add(np.add.reduce, scores, -1, None, red, True)
-    add(np.true_divide, scores, red, scores)
-    add(np.matmul, scores, vh, context)
-    add(np.copyto, merged.reshape(batch, len_q, heads, head_dim),
-        context.transpose(0, 2, 1, 3))
-    return scores, red, context
-
-
-class _Attend:
-    """One attention block of a binding by true lengths.
-
-    The q/k/v projections and the merged-heads output are bound over the
-    whole right-padded ``(batch, max_len, dim)`` batch; attention runs
-    once per run of equal-length rows, on slices of those buffers, with
-    the shapes of a solo forward of that length — so every real row is
-    bit-identical to its solo forward.  A run's steps are bound on first
-    use and cached per ``(offset, count, length)``; their scratch
-    buffers are views over the pool's shared ``run`` slots, since runs
-    execute one at a time.
-    ``mask`` is the 2-D causal mask of ``max_len`` (its top-left corner
-    is the causal mask of every shorter length) or ``None``.
-    """
-
-    __slots__ = ("arena", "q", "k", "v", "merged", "heads", "head_dim",
-                 "scale", "mask", "runs")
-
-    def __init__(self, arena: _Arena, q: np.ndarray, k: np.ndarray,
-                 v: np.ndarray, merged: np.ndarray, heads: int,
-                 head_dim: int, scale: float,
-                 mask: Optional[np.ndarray]) -> None:
-        self.arena = arena
-        self.q, self.k, self.v, self.merged = q, k, v, merged
-        self.heads, self.head_dim, self.scale = heads, head_dim, scale
-        self.mask = mask
-        self.runs: Dict[tuple, list] = {}
-
-    def __call__(self) -> None:
-        runs = self.runs
-        for segment in self.arena.segments:
-            steps = runs.get(segment)
-            if steps is None:
-                steps = self._bind(segment)
-            _run(steps)
-
-    def _bind(self, segment: tuple) -> list:
-        off, count, length = segment
-        rows = slice(off, off + count)
-        steps: list = []
-        pool = self.arena.pool
-        slots = itertools.count()
-        _attend_steps(lambda f, *args: steps.append((f, args)),
-                      lambda shape: pool.shared(("run", next(slots)), shape),
-                      self.q[rows, :length], self.k[rows, :length],
-                      self.v[rows, :length], self.merged[rows, :length],
-                      self.heads, self.head_dim, self.scale,
-                      None if self.mask is None
-                      else self.mask[:length, :length])
-        if len(self.runs) >= _RUN_CACHE_CAP:
-            self.runs.clear()
-        self.runs[segment] = steps
-        return steps
-
-
-def _bind_attend(b: _Arena, q: np.ndarray, k: np.ndarray, v: np.ndarray,
-                 heads: int, head_dim: int, scale: float,
-                 mask: Optional[np.ndarray]) -> np.ndarray:
-    """Attention over bound projections; returns the merged-heads
-    context buffer.  A plain binding appends the steps; a binding by
-    true lengths appends one :class:`_Attend` block."""
     merged = b.take(q.shape)
+    scores = b.take((batch, heads, len_q, len_k))
+    red = b.take((batch, heads, len_q, 1))
+    context = b.take((batch, heads, len_q, head_dim))
+    b.add(np.matmul, qh, kh.transpose(0, 1, 3, 2), scores)
+    b.add(np.multiply, scores, scale, scores)
+    if mask is not None:
+        b.add(np.copyto, scores, NEG_INF, "same_kind", mask)
+    b.add(np.maximum.reduce, scores, -1, None, red, True)
+    b.add(np.subtract, scores, red, scores)
+    b.add(np.exp, scores, scores)
     if b.segments is None:
-        b.give(*_attend_steps(b.add, b.take, q, k, v, merged, heads,
-                              head_dim, scale, mask))
+        b.add(np.add.reduce, scores, -1, None, red, True)
     else:
-        # no run writes a padded row: those keep whatever the slot held,
-        # zeros or a computed value, so the row-wise steps after
-        # attention only ever see finite values there
-        b.add(_Attend(b, q, k, v, merged, heads, head_dim, scale, mask))
+        b.add(_sum_by_length, scores, red, b)
+    b.add(np.true_divide, scores, red, scores)
+    b.add(np.matmul, scores, vh, context)
+    b.add(np.copyto, merged.reshape(batch, len_q, heads, head_dim),
+          context.transpose(0, 2, 1, 3))
+    b.give(scores, red, context)
     return merged
+
+
+def _sum_by_length(scores: np.ndarray, red: np.ndarray, b: _Arena) -> None:
+    """Softmax denominators by true lengths, one reduce per run of rows.
+    Padded keys hold exact zeros here, but a pairwise sum over more than
+    8 elements groups a zero-padded row unlike a solo one."""
+    for rows, length in b.segments:
+        np.add.reduce(scores[rows, :, :, :length], -1, None, red[rows], True)
 
 
 class CompiledForward:
@@ -380,14 +323,13 @@ class CompiledForward:
     ``_BIND_CACHE_CAP`` shapes bound.
 
     ``plan(tokens, lengths=...)`` runs a right-padded batch by true
-    lengths: row ``i`` holds ``lengths[i]`` real tokens, attention runs
-    per run of equal consecutive lengths, and each row's first
-    ``lengths[i]`` outputs equal a solo forward of that row whenever the
-    lengths share a class of :meth:`length_classes` (later rows are
-    padding: finite, meaningless).  Such a call binds per ``(batch,
-    max_len)`` shape like any other; each attention block caches its
-    per-run steps beside the binding, so a new mix of lengths costs a
-    few dictionary lookups, not a bind.
+    lengths: row ``i`` holds ``lengths[i]`` real tokens, attention masks
+    the keys past them and sums each softmax denominator over them only,
+    and each row's first ``lengths[i]`` outputs equal a solo forward of
+    that row whenever the lengths share a class of
+    :meth:`length_classes` (later rows are padding: computed, finite,
+    meaningless).  Such a call binds per ``(batch, max_len)`` shape like
+    any other, so a new mix of lengths at a bound shape costs no bind.
     """
 
     def __init__(self, model: Module, dtype: str = "float64") -> None:
@@ -831,15 +773,19 @@ class CompiledForward:
         """The padding classes of a forward by true lengths.
 
         ``tops[L]`` is the longest length ``L`` may be right-padded to,
-        within one call, with every weight GEMM row staying ``==``: two
-        lengths with the same top may share a call.  Probed lazily, once
-        per process per plan geometry (:func:`_regime_classes`).
+        within one call, with every weight GEMM row and every attention
+        row staying ``==``: two lengths with the same top may share a
+        call.  Probed lazily, once per process per plan geometry
+        (:func:`_regime_classes`).
         """
         if self._length_tops is None:
             shapes = tuple(sorted({(lin.in_features, lin.out_features)
                                    for lin in self._linears}))
+            attention = tuple(sorted({(m.num_heads, m.head_dim)
+                                      for m in self.model.modules()
+                                      if isinstance(m, MultiHeadAttention)}))
             self._length_tops = _regime_classes(
-                shapes, self.model.cfg.max_len, self.dtype)
+                shapes, attention, self.model.cfg.max_len, self.dtype)
         return self._length_tops
 
     def __call__(self, tokens, attn_mask: Optional[np.ndarray] = None,
@@ -860,24 +806,25 @@ class CompiledForward:
                                  "forward by true lengths needs no padding "
                                  "mask")
             segments = _length_runs(lengths, *tokens.shape)
-            key = (tokens.shape, None, True)
+            key = (tokens.shape, (tokens.shape[0], 1, 1, tokens.shape[1]),
+                   True)
         arena = self._program.bound.get(key)
         if arena is None:
             arena = self._bind(key)
-        if lengths is not None:
-            arena.segments = segments
         tok, mask = arena.inputs
         np.copyto(tok, tokens)
-        if mask is not None:
+        if lengths is not None:
+            arena.segments = segments
+            arena.lengths[:] = lengths
+        elif mask is not None:
             np.copyto(mask, attn_mask)
         _run(arena.steps)
         return _run_head(arena.head)
 
 
 def _length_runs(lengths: Sequence[int], batch: int, max_len: int) -> tuple:
-    """Runs of equal consecutive ``lengths`` as ``(offset, count,
-    length)`` triples, one length per row, each in ``1..max_len``."""
-    lengths = [int(n) for n in lengths]
+    """Runs of equal consecutive ``lengths`` as ``(rows slice, length)``
+    pairs, one length per row, each in ``1..max_len``."""
     if len(lengths) != batch:
         raise ValueError(f"lengths has {len(lengths)} entries for a batch "
                          f"of {batch}")
@@ -887,30 +834,32 @@ def _length_runs(lengths: Sequence[int], batch: int, max_len: int) -> tuple:
         if not 1 <= length <= max_len:
             raise ValueError(f"length {length} outside 1..{max_len}")
         count = sum(1 for _ in rows)
-        runs.append((start, count, length))
+        runs.append((slice(start, start + count), length))
         start += count
     return tuple(runs)
 
 
-# GEMM regime classes probed in this process, keyed on plan geometry
+# padding classes probed in this process, keyed on plan geometry
 _REGIME_CLASSES: Dict[tuple, Tuple[int, ...]] = {}
 
 
-def _regime_classes(shapes: tuple, max_len: int,
+def _regime_classes(shapes: tuple, attention: tuple, max_len: int,
                     dtype: np.dtype) -> Tuple[int, ...]:
-    """Class tops of lengths ``1..max_len`` for weight GEMMs ``shapes``.
+    """Class tops of lengths ``1..max_len`` for weight GEMMs ``shapes``
+    and attention blocks ``attention`` (``(heads, head_dim)`` pairs).
 
     ``np.matmul`` runs one GEMM per batch item, so a row's bits depend on
     its item's row count M only through the BLAS kernel chosen for M.
     For each ``(in, out)`` shape the probe runs the plan's call form — a
     contiguous ``(1, M, in)`` input against the transposed view of a
-    C-contiguous ``(out, in)`` weight — and, walking M down from
-    ``max_len``, keeps M in the current class while every row equals the
-    first M rows of the class top's output; otherwise M opens a class.
-    Length 1 (a GEMV, never ``==`` a GEMM row) is always its own class.
-    Returns ``tops`` with ``tops[M]`` the top of M's class.
+    C-contiguous ``(out, in)`` weight.  Walking M down from ``max_len``,
+    M stays in the current class while every row equals the first M rows
+    of the class top's output and attention padded from M to any longer
+    length of the class stays exact (:func:`_padded_attention_exact`);
+    otherwise M opens a class.  Length 1 (a GEMV, never ``==`` a GEMM
+    row) is always its own class.  Returns ``tops[M]``, M's class top.
     """
-    key = (shapes, max_len, dtype.str)
+    key = (shapes, attention, max_len, dtype.str)
     tops = _REGIME_CLASSES.get(key)
     if tops is not None:
         return tops
@@ -921,15 +870,56 @@ def _regime_classes(shapes: tuple, max_len: int,
         w_t = rng.standard_normal((n, k)).astype(dtype).T
         probes.append([np.matmul(np.ascontiguousarray(x[:, :m]), w_t)[0]
                        for m in range(max_len + 1)])
+    exact = [_padded_attention_exact(heads, head_dim, max_len, dtype)
+             for heads, head_dim in attention]
     found = [0] * (max_len + 1)
     top = max_len
     for m in range(max_len, 0, -1):
-        if m == 1 or not all(np.array_equal(rows[m], rows[top][:m])
-                             for rows in probes):
+        if (m == 1
+                or not all(np.array_equal(rows[m], rows[top][:m])
+                           for rows in probes)
+                or not all(ok[m, m + 1:top + 1].all() for ok in exact)):
             top = m
         found[m] = top
     tops = _REGIME_CLASSES[key] = tuple(found)
     return tops
+
+
+def _padded_attention_exact(heads: int, head_dim: int, max_len: int,
+                            dtype: np.dtype) -> np.ndarray:
+    """``exact[l, P]``: the first ``l`` rows of attention over ``l`` true
+    keys padded to ``P`` are ``==`` attention over ``l`` keys alone, under
+    the key-padding mask (encoder, cross-attention) and the causal |
+    key-padding mask (decoder).  Both sides run the plan's own steps
+    (:func:`_bind_attend`): a binding by true lengths with one row per
+    length ``1..P``, and a plain binding per solo length."""
+    rng = np.random.default_rng(1)
+    qkv = [rng.standard_normal((1, max_len, heads * head_dim)).astype(dtype)
+           for _ in range(3)]
+    pool = ScratchPool(dtype)
+
+    def attend(lengths: List[int], padded: int, causal: bool) -> np.ndarray:
+        batch = len(lengths)
+        b = _Arena(pool, (batch, padded), None, False)
+        mask = causal_mask(padded) if causal else None
+        if batch > 1:  # by true lengths, under the mask the plan fills
+            b.segments = _length_runs(lengths, batch, padded)
+            keypad = np.arange(padded) >= np.reshape(lengths, (-1, 1, 1, 1))
+            mask = keypad if mask is None else mask | keypad
+        merged = _bind_attend(b, *[np.repeat(x[:, :padded], batch, axis=0)
+                                   for x in qkv],
+                              heads, head_dim, 1.0 / math.sqrt(head_dim), mask)
+        _run(b.steps)
+        return merged.copy()
+
+    exact = np.ones((max_len + 1, max_len + 1), dtype=bool)
+    for causal in (False, True):
+        solo = [attend([n], n, causal)[0] for n in range(1, max_len + 1)]
+        for padded in range(2, max_len + 1):
+            out = attend(list(range(1, padded + 1)), padded, causal)
+            for n, alone in enumerate(solo[:padded], 1):
+                exact[n, padded] &= np.array_equal(out[n - 1, :n], alone)
+    return exact
 
 
 def compile_decode(model: Module, dtype: str = "float64",

@@ -1,8 +1,8 @@
 """LRU mask cache for run-time reconfiguration, with a byte budget.
 
-Serving traffic re-installs pattern masks far more often than it changes
-them: a steady workload swaps pattern sets rarely, yet deriving every
-layer's pattern mask is an ``einsum`` over all tiles.  This module caches
+Serving traffic switches back to pattern sets it installed before far
+more often than it meets new ones, and deriving every layer's pattern
+mask is an ``einsum`` over all tiles.  This module caches
 the derived masks keyed by ``(layer, pattern_set, owner)`` so a
 reconfiguration swap back to a previously seen operating point costs a
 dictionary lookup instead of a recomputation — the software analogue of

@@ -9,9 +9,9 @@ a rolling batch that streams join (when their arrival passes) and leave
 (on eos or token budget) at boundaries, grouped by the same operating
 point compatibility key the admission queue uses, with each group
 advanced by a shared :class:`~repro.nn.generation.DecodeSession`: its
-contexts run right-padded through one plan call per GEMM regime class
-of their lengths (one call per boundary on the serve shape), with
-attention run per true length, so every stream stays bit-identical to
+contexts run right-padded through one plan call per padding class of
+their lengths (one call per boundary on the serve shape), with padded
+keys masked out of attention, so every stream stays bit-identical to
 a solo decode.
 
 :class:`DecodeOptions` groups the decode-lane knobs; it is the ``decode``

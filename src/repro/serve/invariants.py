@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import replace
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -57,11 +57,14 @@ def _same_output(got, want) -> bool:
     return np.array_equal(got, want)
 
 
-def check_run(engine: StreamingEngine) -> None:
+def check_run(engine: StreamingEngine,
+              released: Optional[Sequence[RequestResult]] = None) -> None:
     """Check the accounting identities of ``engine``'s run so far.
 
     - no request id appears twice among the result, shed and cancel
       records;
+    - given ``released`` (all the loop handed back), each result was
+      released exactly once;
     - once the loop drained (no pending event, nothing parked) the
       report is conserved, and before that no more requests are
       terminal than were submitted;
@@ -77,6 +80,11 @@ def check_run(engine: StreamingEngine) -> None:
     _expect(len(ids) == len(set(ids)),
             f"a request has two terminal records: "
             f"{sorted(i for i in set(ids) if ids.count(i) > 1)}")
+    if released is not None:
+        _expect(sorted(r.request.req_id for r in released)
+                == sorted(ids[:report.completed]),
+                f"the loop released {len(released)} completions for "
+                f"{report.completed} results")
     if engine.next_event_s() is None and not engine.parked:
         _expect(report.conserved,
                 f"{report.completed} completed + {report.num_shed} shed + "

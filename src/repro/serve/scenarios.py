@@ -11,9 +11,9 @@ distribution.  The deployment stories, from the paper's run-time
 reconfiguration argument:
 
 - ``steady``  — a translation-style service: regular arrivals, uniform
-  sequence lengths, one V/F level, a comfortable deadline.  The cache
-  workhorse: one operating point, so every mask re-install after warm-up
-  should hit.
+  sequence lengths, one V/F level, a comfortable deadline.  One
+  operating point: after the first batch installs its masks, no batch
+  switches.
 - ``bursty``  — an interactive event feed: quiet gaps punctuated by
   request bursts with *tight* deadlines, alternating between two V/F
   levels — forcing the adapter to climb the sparsity ladder per burst.

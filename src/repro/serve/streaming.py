@@ -436,6 +436,8 @@ class StreamingEngine:
         # mask signature (O(1) token check), so a switch back to a
         # ladder rung already served is a program lookup
         self._plan = None
+        # the managed layers' masks as _install last left them
+        self._resident: Optional[List[Optional[np.ndarray]]] = None
         self.ladder: Dict[float, object] = dict(adapter.candidates)
         self.fallback_sparsity: float = adapter.candidates[-1][0]
         self._switch_cost_s: Dict[float, float] = {
@@ -1079,17 +1081,24 @@ class StreamingEngine:
         return event, effective, switch_s, installed
 
     def _install(self, sparsity: float) -> None:
-        """Install ``sparsity``'s pattern set before every batch or step.
+        """Make ``sparsity``'s pattern set the masks resident on the model.
 
-        The device is a stateless execution context: it re-installs its
-        masks each time, which the artifact cache turns into one lookup
-        and one reference swap per layer (no unpack, no recompile).  The
-        shared adapter's view follows the masks resident on the model, so
-        code mixing the loop with direct ``adapter.adapt`` calls never
+        A no-op when the manager installed that set last and since then
+        no other path set a layer mask and ``invalidate_cache`` did not
+        run; anything else goes through ``MaskManager.apply`` and its
+        artifact cache.  The shared
+        adapter's view follows the masks resident on the model, so code
+        mixing the loop with direct ``adapter.adapt`` calls never
         re-charges a switch for an already-installed set.
         """
-        if self.adapter.manager is not None:
-            self.adapter.manager.apply(self.ladder[sparsity])
+        manager = self.adapter.manager
+        if manager is not None:
+            pset = self.ladder[sparsity]
+            masks = [lin.mask for lin in manager.layers.values()]
+            if (manager.active_set is not pset or self._resident is None
+                    or any(m is not r for m, r in zip(masks, self._resident))):
+                manager.apply(pset)
+                self._resident = [lin.mask for lin in manager.layers.values()]
         self.adapter.active_sparsity = sparsity
 
     def _execute(self, shard: DeviceShard, qb: QueuedBatch) -> None:
@@ -1152,8 +1161,8 @@ class StreamingEngine:
         Pending streams whose arrival has passed join first (continuous
         batching: membership changes only at boundaries), then each
         operating-point group runs one decode step — inside the session,
-        one plan call per GEMM regime class of the context lengths over
-        right-padded contexts, attention per true length, so every
+        one plan call per padding class of the context lengths over
+        right-padded contexts, padded keys masked, so every
         stream's bits match a solo run.  Switch costs are resolved
         per group against this device's installed state, exactly like a
         batch execution, and each group's step is an
@@ -1181,10 +1190,10 @@ class StreamingEngine:
             qb = QueuedBatch(seq, reqs, key[0], begin, 0.0, sparsity=key[1])
             event, effective, switch_s, installed = \
                 self._resolve_operating_point(shard, level, qb)
-            # an identical re-install keeps every cache_token stable, so
-            # the step replays the bound program; a real switch changes
-            # the tokens and the plan moves to that rung's program — the
-            # correctness the mask-switch decode tests pin
+            # a resident set is not installed again, so the step replays
+            # the bound program; a real switch changes the tokens and the
+            # plan moves to that rung's program — the correctness the
+            # mask-switch decode tests pin
             self._install(effective)
             session.plan = self._forward()
             emitted = session.step()

@@ -120,6 +120,18 @@ class TestServeCommand:
         monkeypatch.setattr(StreamingEngine, "_emit", drifting)
         assert main(args) == 1
 
+    @pytest.mark.parametrize("tenants,spec", [("1", "t1=2"),
+                                              ("2", "zz=2"),
+                                              ("2", "t2=1")])
+    def test_serve_rejects_a_weight_for_an_unknown_tenant(self, tenants,
+                                                          spec):
+        # a weight no request carries would still shrink every real
+        # tenant's quota share, so it fails before anything is built
+        with pytest.raises(SystemExit,
+                           match=f"--tenant-weight spec '{spec}': no tenant"):
+            main(["serve", "--requests", "8", "--tenants", tenants,
+                  "--tenant-weight", spec])
+
     def test_serve_no_cache_reports_flag(self, tmp_path):
         report_path = tmp_path / "serve.json"
         assert main(["serve", "--requests", "8", "--no-cache",

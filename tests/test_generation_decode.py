@@ -303,6 +303,45 @@ class TestBatchingByLength:
             session.run()
         assert_matches_eager(model, session, sids, prompts, cfgs)
 
+    def test_long_ragged_schedule_stays_finite(self):
+        """One or two streams join at each of 400 token boundaries under
+        raising floating-point error states: every padded row the plan
+        computes stays finite, and the streams stay == their eager runs
+        (every eighth is checked, to keep the eager oracle cheap)."""
+        model = make_model("lm")
+        rng = np.random.default_rng(5)
+        cfg = GenerationConfig(max_new_tokens=8)
+        session = DecodeSession(model, cfg)
+        sids, prompts = [], []
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            for _ in range(400):
+                for _ in range(rng.integers(1, 3)):
+                    prompts.append(rng.integers(0, 60,
+                                                size=rng.integers(4, 7)))
+                    sids.append(session.submit_prompt(prompts[-1]))
+                session.step()
+            session.run()
+        assert_matches_eager(model, session, sids[::8], prompts[::8],
+                             [cfg] * len(sids[::8]))
+
+    def test_ragged_decode_on_head_dim_32(self):
+        """Two heads of 32: attention padded to a longer row sums its
+        rows in another order than a solo row for some lengths, which
+        the length classes must split.  A ragged schedule across the
+        whole length range stays == eager."""
+        model = TransformerLM(TransformerConfig(
+            vocab_size=60, dim=64, num_heads=2, ffn_dim=128,
+            num_encoder_layers=2, num_decoder_layers=1, max_len=24,
+            dropout=0.0, seed=5)).eval()
+        rng = np.random.default_rng(11)
+        prompts = [rng.integers(0, 60, size=n) for n in range(2, 21)]
+        cfgs = [GenerationConfig(max_new_tokens=4 + i % 3) for i in
+                range(len(prompts))]
+        session = DecodeSession(model)
+        sids = [session.submit_prompt(p, c) for p, c in zip(prompts, cfgs)]
+        session.run()
+        assert_matches_eager(model, session, sids, prompts, cfgs)
+
     def test_one_plan_call_per_boundary(self):
         """A boundary whose live lengths share one regime class makes
         exactly one plan call over the right-padded contexts."""
@@ -477,9 +516,9 @@ class TestDecodeEdgeCases:
         assert got.logprobs == logprobs
 
     def test_identical_reinstall_keeps_binding(self):
-        """Re-applying the already-installed set (the serving loop
-        re-installs before every step) neither recompiles nor rebinds:
-        the next step replays the bound program."""
+        """Re-applying the already-installed set (as a direct caller
+        may) neither recompiles nor rebinds: the next step replays the
+        bound program."""
         model = make_model("lm")
         manager = MaskManager(model)
         pset = random_pattern_set(8, 0.5, 3, np.random.default_rng(0))

@@ -230,7 +230,13 @@ class TestServeEngine:
         assert sorted(r.request.req_id for r in report.results) == list(range(48))
         assert report.num_batches == 6
         assert report.mean_batch_size == 8.0
-        assert report.cache_stats.hit_rate > 0.8
+        # masks are installed only on a real switch: each (layer, set)
+        # pair the run installed derives its mask once, and the one rung
+        # this steady run serves is never looked up again
+        pairs = (len(core.adapter.manager.layers)
+                 * len({r.sparsity for r in report.results}))
+        assert report.cache_stats.misses == pairs
+        assert report.cache_stats.hits == 0
         assert report.deadline_hit_rate == 1.0
         check_exact(core)
         assert report.p95_latency_s >= report.p50_latency_s > 0

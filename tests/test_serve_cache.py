@@ -11,7 +11,13 @@ from repro.core.patterns import (
     random_pattern_set,
 )
 from repro.nn.transformer import TransformerConfig, TransformerLM
-from repro.serve import ScenarioConfig, StackConfig, build_scenario, build_serving_stack
+from repro.serve import (
+    InferenceRequest,
+    ScenarioConfig,
+    StackConfig,
+    build_scenario,
+    build_serving_stack,
+)
 from repro.serve.cache import ArtifactCache, CacheStats
 
 TINY = TransformerConfig(vocab_size=40, dim=16, num_heads=2, ffn_dim=32,
@@ -36,6 +42,13 @@ def artifact(nbytes):
 
 def lookup(cache, layer, nbytes=10, owner=""):
     return cache.get_mask(layer, "d", lambda: artifact(nbytes), owner=owner)
+
+
+def serve_one(engine, rid):
+    """One request at the ``l6`` level, served to completion."""
+    engine.submit(InferenceRequest(rid, [1, 2, 3 + rid], arrival_s=float(rid),
+                                   deadline_s=10.0, level_name="l6"))
+    engine.drain()
 
 
 def resident(cache):
@@ -336,8 +349,8 @@ class TestIdenticalMaskReinstall:
         assert layer.cache_token != token
 
     def test_engine_reinstall_path_hits(self, rng):
-        # end to end: the serving loop re-applies masks every batch;
-        # with the content fast path the executor-style token never moves
+        # repeated applies of one set (direct callers of the manager)
+        # never move the executor-style token
         model = TransformerLM(TINY)
         manager = MaskManager(model)
         pset = random_pattern_set(4, 0.5, 2, rng)
@@ -378,3 +391,45 @@ class TestServeAccounting:
                  * len(engine.adapter.manager.layers))
         assert engine.cache.stats.misses == pairs
         assert report.cache_stats.misses == pairs
+
+    def test_masks_installed_only_on_a_real_switch(self):
+        """A batch at the resident rung installs nothing; once another
+        path sets a layer mask, the next batch installs the rung's set
+        again (from the cache) and its output stays exact."""
+        from repro.serve.invariants import check_exact
+
+        _, _, engine = build_serving_stack(StackConfig(streaming=True))
+        manager, stats = engine.adapter.manager, engine.cache.stats
+
+        serve_one(engine, 0)
+        lookups = (stats.hits, stats.misses)
+        serve_one(engine, 1)
+        assert (stats.hits, stats.misses) == lookups
+        next(iter(manager.layers.values())).set_mask(None)
+        serve_one(engine, 2)
+        assert stats.hits == lookups[0] + len(manager.layers)
+        assert len({r.sparsity for r in engine.report().results}) == 1
+        check_exact(engine)
+
+    def test_invalidate_cache_reinstalls_the_resident_set(self):
+        """After a weight update and ``invalidate_cache``, the next batch
+        at the resident rung installs masks derived from the new weights."""
+        _, _, engine = build_serving_stack(StackConfig(streaming=True))
+        manager = engine.adapter.manager
+
+        serve_one(engine, 0)
+        pset = manager.active_set
+        old = [lin.mask for lin in manager.layers.values()]
+        rng = np.random.default_rng(7)
+        for lin in manager.layers.values():
+            lin.weight.data[...] = rng.standard_normal(lin.weight.data.shape)
+            lin.weight.bump_version()
+        manager.invalidate_cache()
+        serve_one(engine, 1)
+        assert manager.active_set is pset
+        for (name, lin), before in zip(manager.layers.items(), old):
+            bp = manager.backbone_masks[name]
+            fresh, _ = pattern_mask_for_matrix(lin.weight.data * bp, pset)
+            np.testing.assert_array_equal(lin.mask, bp * fresh)
+        assert any(not np.array_equal(lin.mask, before)
+                   for lin, before in zip(manager.layers.values(), old))

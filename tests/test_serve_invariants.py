@@ -74,6 +74,20 @@ def test_check_run_names_the_broken_identity(breaker, message):
     check_run(engine)
 
 
+def test_check_run_holds_released_completions_to_the_results():
+    _, _, engine = build_serving_stack(StackConfig(streaming=True))
+    released = engine.play([InferenceRequest(rid, [1, 2, 3 + rid],
+                                             arrival_s=1e-3 * rid)
+                            for rid in range(6)])
+    check_run(engine, released)
+    with pytest.raises(AssertionError,
+                       match="released 5 completions for 6 results"):
+        check_run(engine, released[1:])
+    with pytest.raises(AssertionError,
+                       match="released 7 completions for 6 results"):
+        check_run(engine, released + released[:1])
+
+
 def test_check_run_allows_work_still_in_flight():
     _, _, engine = build_serving_stack(StackConfig(streaming=True))
     engine.submit(InferenceRequest(0, [1, 2, 3], arrival_s=0.0))

@@ -581,7 +581,7 @@ class TestCLIValidation:
 
     def test_tenant_weight_nan(self):
         with pytest.raises(SystemExit, match="tenant-weight"):
-            cli_main(SERVE + ["--tenant-weight", "hot=nan"])
+            cli_main(SERVE + ["--tenant-weight", "t0=nan"])
 
     @pytest.mark.parametrize("flag,value", [
         ("--batch-size", "0"),
