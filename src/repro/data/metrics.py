@@ -2,12 +2,19 @@
 
 Accuracy for SST-2/QNLI/RTE/WNLI/MNLI, Matthews correlation for CoLA,
 F1 for QQP/MRPC, Spearman correlation for STS-B.
+
+``scipy.stats`` is imported inside :func:`spearman_corr`, its only user,
+not here: the package imports this module from every entry point
+(``repro.serve``, the ``rt3`` CLI), and a module-level import would make
+every serving process load scipy, which then dominates its start-up time
+and memory (``docs/benchmarks.md``, "Process footprint"), for a metric
+only STS-B evaluation calls.  Spearman stays on scipy's arithmetic, so
+STS-B scores are unchanged.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy import stats
 
 
 def accuracy_score(y_true: np.ndarray, y_pred: np.ndarray) -> float:
@@ -45,6 +52,8 @@ def spearman_corr(y_true: np.ndarray, y_pred: np.ndarray) -> float:
     y_true, y_pred = np.asarray(y_true, dtype=float), np.asarray(y_pred, dtype=float)
     if y_true.size < 2 or np.std(y_true) == 0 or np.std(y_pred) == 0:
         return 0.0
+    from scipy import stats
+
     rho = stats.spearmanr(y_true, y_pred).statistic
     return 0.0 if np.isnan(rho) else float(rho)
 

@@ -263,7 +263,6 @@ def _bind_attend(b: _Arena, q: np.ndarray, k: np.ndarray, v: np.ndarray,
     merged = b.take(q.shape)
     scores = b.take((batch, heads, len_q, len_k))
     red = b.take((batch, heads, len_q, 1))
-    context = b.take((batch, heads, len_q, head_dim))
     b.add(np.matmul, qh, kh.transpose(0, 1, 3, 2), scores)
     b.add(np.multiply, scores, scale, scores)
     if mask is not None:
@@ -276,10 +275,9 @@ def _bind_attend(b: _Arena, q: np.ndarray, k: np.ndarray, v: np.ndarray,
     else:
         b.add(_sum_by_length, scores, red, b)
     b.add(np.true_divide, scores, red, scores)
-    b.add(np.matmul, scores, vh, context)
-    b.add(np.copyto, merged.reshape(batch, len_q, heads, head_dim),
-          context.transpose(0, 2, 1, 3))
-    b.give(scores, red, context)
+    b.add(np.matmul, scores, vh,
+          merged.reshape(batch, len_q, heads, head_dim).transpose(0, 2, 1, 3))
+    b.give(scores, red)
     return merged
 
 
