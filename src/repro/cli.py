@@ -197,13 +197,16 @@ def cmd_ablation(args) -> int:
 
 def _validate_serve_args(args):
     """Parse the tenancy flags into ``tenant_weights``; ``SystemExit`` on
-    a malformed ``--tenant-weight`` spec.
+    a malformed ``--tenant-weight`` spec or a negative ``--decode-streams``.
 
     Only the string parsing and the tenant names (a weight for a tenant
     no request carries still shrinks every quota share) live here — the
     weights' values are checked with every other knob by
     ``ServeConfig``.  Returns ``None`` when single-tenant.
     """
+    if args.decode_streams < 0:
+        raise SystemExit(
+            f"--decode-streams must be at least 0, got {args.decode_streams}")
     if args.tenants < 1:
         raise SystemExit(f"--tenants must be at least 1, got {args.tenants}")
     tenants = [f"t{i}" for i in range(args.tenants)]
@@ -388,6 +391,21 @@ def _run_decode_schedule(model, prompts, cfg, *, compiled):
     return [session.result(sid) for sid in sids], steps
 
 
+def _parse_prompt(args) -> List[int]:
+    """The ``--prompt`` token ids; ``SystemExit`` naming the flag on an id
+    that is not an integer or lies outside ``--vocab-size``."""
+    try:
+        tokens = [int(tok) for tok in args.prompt.split(",")]
+    except ValueError:
+        raise SystemExit(f"--prompt: expected comma-separated token ids, "
+                         f"got {args.prompt!r}") from None
+    bad = [tok for tok in tokens if not 0 <= tok < args.vocab_size]
+    if bad:
+        raise SystemExit(f"--prompt: token ids {bad} out of range for "
+                         f"--vocab-size {args.vocab_size}")
+    return tokens
+
+
 def cmd_generate(args) -> int:
     import time
 
@@ -396,6 +414,10 @@ def cmd_generate(args) -> int:
     from repro.nn.generation import GenerationConfig
     from repro.serve import StackConfig, build_serving_stack
 
+    if args.num_streams < 1:
+        raise SystemExit(
+            f"--num-streams must be at least 1, got {args.num_streams}")
+    prompt = _parse_prompt(args) if args.prompt else None
     try:
         cfg = GenerationConfig(
             max_new_tokens=args.max_new_tokens, top_k=args.top_k,
@@ -407,8 +429,8 @@ def cmd_generate(args) -> int:
         dim=args.dim, vocab_size=args.vocab_size, max_len=args.max_len,
         pattern_size=args.pattern_size, seed=args.seed))
     rng = np.random.default_rng(args.seed)
-    if args.prompt:
-        prompts = [[int(tok) for tok in args.prompt.split(",")]]
+    if prompt is not None:
+        prompts = [prompt]
     else:
         prompts = [rng.integers(0, args.vocab_size,
                                 size=int(rng.integers(2, args.max_len))).tolist()

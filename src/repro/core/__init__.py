@@ -27,8 +27,6 @@ from repro.core.patterns import (
     pattern_mask_for_matrix,
     random_pattern_set,
     MaskManager,
-    coo_nbytes,
-    block_sparse_nbytes,
 )
 from repro.core.search_space import SearchSpaceConfig, PatternSearchSpace
 from repro.core.controller import ControllerConfig, RNNController, Episode
@@ -51,8 +49,6 @@ __all__ = [
     "pattern_mask_for_matrix",
     "random_pattern_set",
     "MaskManager",
-    "coo_nbytes",
-    "block_sparse_nbytes",
     "SearchSpaceConfig",
     "PatternSearchSpace",
     "ControllerConfig",

@@ -25,16 +25,3 @@ def pareto_front(points: Sequence[Point]) -> List[Point]:
         if p not in front:
             front.append(p)
     return sorted(front)
-
-
-def front_covers(loose: Sequence[Point], tight: Sequence[Point], tol: float = 1e-9) -> bool:
-    """Does the ``loose`` front weakly dominate every point of ``tight``?
-
-    The paper observes that the loose-constraint Pareto frontier covers the
-    tight one (Fig. 3a); this predicate checks that claim numerically.
-    """
-    loose_front = pareto_front(loose)
-    for p in pareto_front(tight):
-        if not any(q[0] + tol >= p[0] and q[1] + tol >= p[1] for q in loose_front):
-            return False
-    return True

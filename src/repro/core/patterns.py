@@ -12,9 +12,9 @@ largest l2-norm for each block").
 (positions pruned by BP stay pruned) and swaps pattern sets in O(model)
 without touching weights — the software half of run-time reconfiguration.
 
-Storage accounting helpers quantify the paper's memory argument: COO
-(irregular) storage needs per-nonzero coordinates, while block/pattern
-storage needs only per-block pattern ids plus the shared pattern masks.
+The paper's memory argument (COO needs per-nonzero coordinates, block and
+pattern storage only per-group indices or per-tile pattern ids) is
+accounted on the real containers of :mod:`repro.sparse.formats`.
 """
 
 from __future__ import annotations
@@ -51,19 +51,10 @@ class PackedMask:
     def nbytes(self) -> int:
         return int(self.bits.nbytes)
 
-    def count(self) -> int:
-        """Number of kept (one) positions."""
-        n = int(np.prod(self.shape)) if self.shape else 0
-        return int(np.unpackbits(self.bits, count=n).sum())
-
     def unpack(self) -> np.ndarray:
         n = int(np.prod(self.shape)) if self.shape else 0
         flat = np.unpackbits(self.bits, count=n)
         return flat.reshape(self.shape).astype(np.float64)
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, PackedMask) and self.shape == other.shape
-                and np.array_equal(self.bits, other.bits))
 
     def __repr__(self) -> str:
         return f"PackedMask(shape={self.shape}, nbytes={self.nbytes})"
@@ -223,31 +214,6 @@ def pattern_mask_for_matrix(weight: np.ndarray, pattern_set: PatternSet
     return full[: orig_shape[0], : orig_shape[1]].copy(), ids
 
 
-def coo_nbytes(mask: np.ndarray, value_bytes: int = 4, index_bytes: int = 4) -> float:
-    """Storage of the kept weights in COO format (row, col, data vectors)."""
-    nnz = int(np.count_nonzero(mask))
-    return nnz * (value_bytes + 2 * index_bytes)
-
-
-def block_sparse_nbytes(mask: np.ndarray, num_blocks: int, direction: str = "column",
-                        value_bytes: int = 4, index_bytes: int = 2) -> float:
-    """Storage after BP: kept values plus one index per kept group per block.
-
-    This is the paper's memory argument for BP over COO: indices per kept
-    row/column instead of per kept element.
-    """
-    nnz = int(np.count_nonzero(mask))
-    axis_extent = mask.shape[0] if direction == "column" else mask.shape[1]
-    per_block_groups = mask.shape[1] if direction == "column" else mask.shape[0]
-    edges = np.linspace(0, axis_extent, num_blocks + 1).astype(int)
-    index_count = 0
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        block = mask[lo:hi, :] if direction == "column" else mask[:, lo:hi]
-        kept_groups = np.count_nonzero(block.any(axis=0 if direction == "column" else 1))
-        index_count += kept_groups
-    return nnz * value_bytes + index_count * index_bytes
-
-
 # distinguishes the cache entries of coexisting MaskManagers
 _manager_counter = itertools.count()
 
@@ -261,8 +227,7 @@ class MaskManager:
     Mirrors the deployment story: after Level 1, the backbone mask is
     frozen; at run time only the pattern set changes.  ``apply`` installs
     ``bp_mask * pattern_mask`` on every managed layer; ``clear_patterns``
-    restores the backbone-only masks; ``swap_nbytes`` reports the traffic a
-    switch would move on-device.
+    restores the backbone-only masks.
     """
 
     def __init__(self, model: Module, backbone_masks: Optional[Dict[str, np.ndarray]] = None,
@@ -357,12 +322,6 @@ class MaskManager:
     def clear_patterns(self) -> None:
         self.apply(None)
 
-    def clear_all(self) -> None:
-        """Remove every mask (back to the dense model)."""
-        self.active_set = None
-        for layer in self.layers.values():
-            layer.set_mask(None)
-
     # ------------------------------------------------------------------
     def combined_sparsity(self) -> float:
         """Overall sparsity across managed layers under the current masks."""
@@ -376,16 +335,6 @@ class MaskManager:
         total = sum(m.size for m in self.backbone_masks.values())
         kept = sum(int(m.sum()) for m in self.backbone_masks.values())
         return 1.0 - kept / total
-
-    def swap_nbytes(self, pattern_set: PatternSet) -> float:
-        """Bytes a runtime switch to ``pattern_set`` moves (masks + ids)."""
-        psize = pattern_set.pattern_size
-        blocks = 0
-        for layer in self.layers.values():
-            r = -(-layer.weight.shape[0] // psize)
-            c = -(-layer.weight.shape[1] // psize)
-            blocks += r * c
-        return pattern_set.nbytes + 2.0 * blocks
 
     def snapshot_masks(self) -> Dict[str, np.ndarray]:
         return {name: (layer.mask.copy() if layer.mask is not None

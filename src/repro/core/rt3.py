@@ -105,10 +105,6 @@ class RT3Result:
         pts = [s.point for s in self.history if s.terms.deadline_met]
         return pareto_front(pts) if pts else []
 
-    def accuracy_by_level_desc(self) -> List[Tuple[str, float]]:
-        names = sorted(self.final_accuracies, reverse=True)
-        return [(n, self.final_accuracies[n]) for n in names]
-
 
 class RT3:
     """Orchestrates Level 1 + Level 2 on a task/workload/platform triple."""

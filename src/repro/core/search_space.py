@@ -201,13 +201,6 @@ class PatternSearchSpace:
     def get_set(self, level_name: str, choice: int) -> PatternSet:
         return self.candidates[level_name][choice]
 
-    def random_choice(self, rng: Optional[np.random.Generator] = None
-                      ) -> Dict[str, PatternSet]:
-        """Uniform random pick per level — the rPP ablation baseline."""
-        rng = rng or self._rng
-        return {name: sets[int(rng.integers(len(sets)))]
-                for name, sets in self.candidates.items()}
-
     def heuristic_choice(self) -> Dict[str, PatternSet]:
         """The paper's heuristic baseline: per level, the pattern set whose
         sparsity *just* satisfies the timing constraint (the first/loosest

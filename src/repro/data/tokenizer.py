@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from dataclasses import dataclass
 from typing import Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
@@ -42,15 +41,6 @@ def build_vocab(tokens: Iterable[str], max_size: Optional[int] = None,
             raise ValueError("max_size must exceed the 4 special tokens")
         kept = kept[:budget]
     return Vocabulary(kept)
-
-
-@dataclass
-class CorpusStats:
-    """Summary of an encoded corpus."""
-
-    num_tokens: int
-    vocab_size: int
-    unk_fraction: float
 
 
 class TextCorpus:
@@ -82,16 +72,6 @@ class TextCorpus:
         vocab = build_vocab(words, max_size=max_vocab, min_freq=min_freq)
         ids = np.asarray(vocab.encode(words), dtype=np.int64)
         return cls(ids, vocab, splits=splits)
-
-    @classmethod
-    def from_file(cls, path: str, **kwargs) -> "TextCorpus":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_text(fh.read(), **kwargs)
-
-    # ------------------------------------------------------------------
-    def stats(self) -> CorpusStats:
-        unk = float((self.tokens == self.vocab.unk_id).mean())
-        return CorpusStats(len(self.tokens), len(self.vocab), unk)
 
     def batches(self, split: str, seq_len: int, batch_size: int
                 ) -> Iterator[Tuple[np.ndarray, np.ndarray]]:

@@ -80,10 +80,6 @@ class SyntheticWikiText:
             state = int(succ[state, nxt])
         return tokens
 
-    def bayes_accuracy(self) -> float:
-        """Upper bound on next-word accuracy (always guess dominant successor)."""
-        return self.cfg.dominant_prob
-
     def batches(self, split: str, seq_len: int, batch_size: int
                 ) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
         tokens = {"train": self.train_tokens, "valid": self.valid_tokens,

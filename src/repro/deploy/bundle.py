@@ -117,16 +117,6 @@ class DeploymentBundle:
         manager.apply(self.binding_for(target).pattern_set)
         return manager
 
-    def switch_bytes(self, level_name: str) -> float:
-        """Bytes a runtime swap to this level would move (masks + ids)."""
-        binding = self.binding_for(level_name)
-        total_blocks = sum(
-            -(-m.shape[0] // binding.pattern_set.pattern_size)
-            * -(-m.shape[1] // binding.pattern_set.pattern_size)
-            for m in self.backbone_masks.values()
-        )
-        return binding.pattern_set.nbytes + 2.0 * total_blocks
-
 
 def export_bundle(rt3, result, extra_metadata: Optional[dict] = None) -> DeploymentBundle:
     """Build a bundle from a finished :class:`repro.core.rt3.RT3` search.

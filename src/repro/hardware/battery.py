@@ -33,8 +33,5 @@ class Battery:
         self.remaining_j -= energy_j
         return True
 
-    def recharge(self) -> None:
-        self.remaining_j = self.budget_j
-
     def __repr__(self) -> str:
         return f"Battery({self.remaining_j:.1f}/{self.budget_j:.1f} J)"

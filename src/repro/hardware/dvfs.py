@@ -70,14 +70,6 @@ class DVFSTable:
         """The paper evaluates on {l3, l4, l6}; this builds such subsets."""
         return DVFSTable([self._by_name[n] for n in names])
 
-    @property
-    def max_level(self) -> VFLevel:
-        return self.levels[-1]
-
-    @property
-    def min_level(self) -> VFLevel:
-        return self.levels[0]
-
 
 class BatteryGovernor:
     """Map remaining battery fraction to a V/F level.

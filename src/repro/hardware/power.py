@@ -39,7 +39,3 @@ class PowerModel:
         if seconds < 0:
             raise ValueError("duration cannot be negative")
         return self.power_w(level) * seconds
-
-    def energy_per_cycle_j(self, level: VFLevel) -> float:
-        """Energy per clock cycle — the quantity DVFS actually reduces."""
-        return self.power_w(level) / level.freq_hz

@@ -54,10 +54,6 @@ class Module:
             self._modules[key] = value
         object.__setattr__(self, key, value)
 
-    def register_parameter(self, name: str, param: Parameter) -> None:
-        self._parameters[name] = param
-        object.__setattr__(self, name, param)
-
     # ------------------------------------------------------------------
     # traversal
     # ------------------------------------------------------------------

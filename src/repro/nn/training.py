@@ -27,16 +27,6 @@ class TrainingHistory:
     eval_score: List[float] = field(default_factory=list)
     lr: List[float] = field(default_factory=list)
 
-    @property
-    def best_epoch(self) -> int:
-        if not self.eval_score:
-            raise ValueError("no evaluations recorded")
-        return int(np.argmax(self.eval_score))
-
-    @property
-    def best_score(self) -> float:
-        return self.eval_score[self.best_epoch]
-
 
 @dataclass
 class FitConfig:

@@ -291,16 +291,6 @@ class AdmissionQueue:
         """Requests currently held in open groups, in admission order."""
         return [r for g in self._open.values() for r in g.requests]
 
-    @property
-    def open_groups(self) -> int:
-        return len(self._open)
-
-    def next_deadline_s(self) -> Optional[float]:
-        """Earliest window close among open groups (None when empty)."""
-        if not self._open:
-            return None
-        return min(g.deadline_s for g in self._open.values())
-
     def open_group(self, key: Hashable) -> Optional[_OpenGroup]:
         """The open group a ``key``-compatible request would join now.
 

@@ -13,11 +13,9 @@ strategies concrete and testable:
   paper argues for: block ≈ pattern ≪ irregular, and whose outputs match
   the dense reference exactly.  The structured kernels are vectorized:
   ``pattern_matmul`` runs one gather + one batched ``einsum`` per
-  *pattern* (≥10x over the scalar per-tile loop, kept as
-  :func:`pattern_matmul_loop` for the microbench), ``block_matmul`` one
-  batched GEMM per block group;
-- :mod:`repro.sparse.executor` — the model cost audit: every masked layer
-  through one format's kernel, checked against the dense product.
+  *pattern* (gated at ≥5x, measured ~20x, over the scalar per-tile
+  loop, kept as :func:`pattern_matmul_loop` for the microbench),
+  ``block_matmul`` one batched GEMM per block group.
 
 The kernels are cost models, not the serving path.  Serving folds the
 masks into dense weights, and on every serving layer shape (at most 64
@@ -43,7 +41,6 @@ from repro.sparse.kernels import (
     pattern_matmul,
     pattern_matmul_loop,
 )
-from repro.sparse.executor import SparseExecutor, ModelAudit, LayerAudit, compare_formats
 
 __all__ = [
     "COOMatrix",
@@ -60,8 +57,4 @@ __all__ = [
     "block_matmul",
     "pattern_matmul",
     "pattern_matmul_loop",
-    "SparseExecutor",
-    "ModelAudit",
-    "LayerAudit",
-    "compare_formats",
 ]

@@ -145,10 +145,6 @@ class Tensor:
         """Return the underlying array (shared, not copied)."""
         return self.data
 
-    def detach(self) -> "Tensor":
-        """Return a tensor sharing data but cut from the graph."""
-        return Tensor(self.data, requires_grad=False)
-
     def copy(self) -> "Tensor":
         return Tensor(self.data.copy(), requires_grad=False)
 

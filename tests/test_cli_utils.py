@@ -132,6 +132,16 @@ class TestServeCommand:
             main(["serve", "--requests", "8", "--tenants", tenants,
                   "--tenant-weight", spec])
 
+    @pytest.mark.parametrize("mode", [[], ["--streaming"]],
+                             ids=["offline", "streaming"])
+    def test_serve_rejects_negative_decode_streams(self, mode):
+        # offline, a negative count sliced the trace from the end; with
+        # --streaming it reached a trace that was never built
+        with pytest.raises(SystemExit, match="^--decode-streams must be at "
+                                             "least 0, got -1$"):
+            main(["serve", "--requests", "8", "--decode-streams", "-1",
+                  *mode])
+
     def test_serve_no_cache_reports_flag(self, tmp_path):
         report_path = tmp_path / "serve.json"
         assert main(["serve", "--requests", "8", "--no-cache",
@@ -139,6 +149,30 @@ class TestServeCommand:
         report = json.loads(report_path.read_text())
         assert report["cache_enabled"] is False
         assert "cache" not in report
+
+
+class TestGenerateCommand:
+    @pytest.mark.parametrize("flags,message", [
+        (["--num-streams", "0"], "^--num-streams must be at least 1, got 0$"),
+        (["--prompt", "999,1000"],
+         r"^--prompt: token ids \[999, 1000\] out of range for "
+         r"--vocab-size 60$"),
+        (["--prompt=-1,2"], r"^--prompt: token ids \[-1\] out of range"),
+        (["--prompt", "a,b"],
+         "^--prompt: expected comma-separated token ids, got 'a,b'$"),
+    ], ids=["no-streams", "prompt-beyond-vocab", "prompt-negative",
+            "prompt-not-ids"])
+    def test_generate_rejects_bad_input_naming_the_flag(self, flags,
+                                                        message):
+        with pytest.raises(SystemExit, match=message):
+            main(["generate", *flags])
+
+    def test_generate_runs_a_given_prompt(self, capsys):
+        assert main(["generate", "--prompt", "3,7,59",
+                     "--max-new-tokens", "2", "--check"]) == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["streams"] == 1 and summary["check_exact"] is True
+        assert summary["outputs"][0]["prompt_len"] == 3
 
 
 @pytest.mark.slow

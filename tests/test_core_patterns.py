@@ -8,11 +8,10 @@ from repro.core.patterns import (
     MaskManager,
     Pattern,
     PatternSet,
-    block_sparse_nbytes,
-    coo_nbytes,
     pattern_mask_for_matrix,
     random_pattern_set,
 )
+from repro.sparse import from_dense_block, from_dense_coo
 
 
 def checkerboard(n):
@@ -127,7 +126,7 @@ class TestStorageAccounting:
         mask = np.zeros((10, 10))
         mask[:5] = 1.0
         # 50 nonzeros * (4 value + 8 index bytes)
-        assert coo_nbytes(mask) == 50 * 12
+        assert from_dense_coo(mask).nbytes() == 50 * 12
 
     def test_block_storage_beats_coo(self):
         """The paper's memory argument: BP indices are per kept group."""
@@ -135,12 +134,12 @@ class TestStorageAccounting:
         w = rng.normal(size=(100, 80))
         mask = np.ones_like(w)
         mask[:, ::2] = 0.0  # half the columns pruned (all blocks agree)
-        assert block_sparse_nbytes(mask, 4) < coo_nbytes(mask)
+        assert from_dense_block(mask, 4).nbytes() < from_dense_coo(mask).nbytes()
 
     def test_block_index_count(self):
         mask = np.ones((8, 4))
         # 1 block, 4 kept columns -> 32 values * 4B + 4 idx * 2B
-        assert block_sparse_nbytes(mask, 1) == 32 * 4 + 4 * 2
+        assert from_dense_block(mask, 1).nbytes() == 32 * 4 + 4 * 2
 
 
 class TestMaskManager:
@@ -172,20 +171,6 @@ class TestMaskManager:
         mgr.apply(ps)
         mgr.clear_patterns()
         assert mgr.combined_sparsity() == pytest.approx(mgr.backbone_sparsity())
-
-    def test_clear_all_removes_masks(self, managed):
-        _, mgr = managed
-        mgr.clear_all()
-        for layer in mgr.layers.values():
-            assert layer.mask is None
-
-    def test_swap_nbytes_small(self, managed):
-        """The deployable switch moves kilobytes, not megabytes."""
-        _, mgr = managed
-        ps = random_pattern_set(8, 0.5, 4, np.random.default_rng(2))
-        nbytes = mgr.swap_nbytes(ps)
-        model_bytes = sum(l.weight.size for l in mgr.layers.values()) * 4
-        assert nbytes < 0.05 * model_bytes
 
     def test_snapshot_masks(self, managed):
         _, mgr = managed

@@ -113,10 +113,6 @@ class TestChoices:
         ps = space.get_set("l6", 0)
         assert ps.sparsity == space.sparsity_candidates["l6"][0]
 
-    def test_random_choice_covers_levels(self, space):
-        choice = space.random_choice(np.random.default_rng(0))
-        assert set(choice) == {"l3", "l4", "l6"}
-
     def test_heuristic_choice_is_loosest(self, space):
         choice = space.heuristic_choice()
         for name in space.level_names:

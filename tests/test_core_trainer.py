@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.block_pruning import BlockPruningConfig, apply_block_pruning
-from repro.core.pareto import dominates, front_covers, pareto_front
+from repro.core.pareto import dominates, pareto_front
 from repro.core.patterns import MaskManager, random_pattern_set
 from repro.core.trainer import JointTrainer, TrainConfig, evaluate_with_masks, train_individual, train_plain
 
@@ -160,12 +160,6 @@ class TestPareto:
 
     def test_front_dedupes(self):
         assert pareto_front([(1.0, 1.0), (1.0, 1.0)]) == [(1.0, 1.0)]
-
-    def test_front_covers(self):
-        loose = [(1.0, 3.0), (2.0, 2.0), (3.0, 1.0)]
-        tight = [(1.0, 2.5), (2.0, 1.5)]
-        assert front_covers(loose, tight)
-        assert not front_covers(tight, loose)
 
     def test_empty_front(self):
         assert pareto_front([]) == []

@@ -83,10 +83,6 @@ class TestSyntheticWikiText:
         acc = correct / (len(toks) - 1)
         assert acc > 0.6  # far above chance (1/30)
 
-    def test_bayes_accuracy(self):
-        c = SyntheticWikiText(WikiTextConfig(vocab_size=30, num_tokens=200, dominant_prob=0.7))
-        assert c.bayes_accuracy() == pytest.approx(0.7)
-
     def test_batches_shapes_and_shift(self):
         c = SyntheticWikiText(WikiTextConfig(vocab_size=30, num_tokens=600))
         x, y = next(c.batches("train", seq_len=10, batch_size=4))

@@ -105,11 +105,6 @@ class TestInstall:
         manager = bundle.install(fresh, level_name="l3")
         assert manager.active_set is bundle.binding_for("l3").pattern_set
 
-    def test_switch_bytes_small(self, bundle):
-        model_bytes = sum(v.nbytes for v in bundle.backbone_state.values())
-        for b in bundle.bindings:
-            assert bundle.switch_bytes(b.level_name) < 0.05 * model_bytes
-
 
 class TestExportFromSearch:
     def test_export_and_reinstall(self, tmp_path, lm_task):

@@ -73,13 +73,6 @@ class TestSearchToDeployment:
         # descending levels need ascending sparsity
         assert sparsities_seen[0] < sparsities_seen[-1]
 
-    def test_bundle_switch_bytes_match_manager(self, searched):
-        rt3, result = searched
-        bundle = export_bundle(rt3, result)
-        for name in ("l3", "l4", "l6"):
-            manager_bytes = rt3.manager.swap_nbytes(result.best.pattern_sets[name])
-            assert bundle.switch_bytes(name) == pytest.approx(manager_bytes)
-
 
 class TestSearchToEnergyAccounting:
     def test_reported_runs_match_independent_simulation(self, searched):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.nn.layers import Linear, Sequential
-from repro.nn.module import Module, ModuleList, Parameter
+from repro.nn.module import Module, ModuleList
 from repro.tensor import functional as F
 from repro.tensor.tensor import Tensor
 
@@ -42,11 +42,6 @@ class TestRegistration:
         ml = ModuleList()
         ml.append(Linear(2, 2))
         assert len(ml.parameters()) == 2
-
-    def test_register_parameter(self):
-        m = Module()
-        m.register_parameter("w", Parameter(np.zeros(3)))
-        assert [n for n, _ in m.named_parameters()] == ["w"]
 
     def test_named_modules_walks_tree(self):
         net = Net()

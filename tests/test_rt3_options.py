@@ -45,12 +45,6 @@ class TestSeedHeuristicToggle:
 
 
 class TestResultObject:
-    def test_accuracy_by_level_desc(self, trained):
-        rt3 = RT3(trained, paper_scale_transformer(), cfg())
-        res = rt3.search()
-        ordered = res.accuracy_by_level_desc()
-        assert [n for n, _ in ordered] == ["l6", "l4", "l3"]
-
     def test_pareto_points_empty_when_all_infeasible(self, trained):
         # an absurd deadline nothing can meet
         tight = cfg(deadline_s=0.104)

@@ -229,7 +229,6 @@ class TestPackedMask:
         mask = (rng.random((13, 7)) > 0.5).astype(np.float64)
         packed = PackedMask(mask)
         np.testing.assert_array_equal(packed.unpack(), mask)
-        assert packed.count() == int(mask.sum())
 
     def test_round_trip_pattern_mask(self, model, rng):
         pset = random_pattern_set(4, 0.5, 2, rng)
@@ -242,13 +241,6 @@ class TestPackedMask:
         packed = PackedMask(mask)
         assert packed.nbytes == 64 * 64 // 8  # one bit per position
         assert packed.nbytes * 64 == mask.nbytes  # vs float64 storage
-
-    def test_equality_is_content_based(self, rng):
-        mask = (rng.random((8, 8)) > 0.5).astype(np.float64)
-        assert PackedMask(mask) == PackedMask(mask.copy())
-        flipped = mask.copy()
-        flipped[0, 0] = 1.0 - flipped[0, 0]
-        assert PackedMask(mask) != PackedMask(flipped)
 
 
 class TestArtifactNbytes:
@@ -350,7 +342,7 @@ class TestIdenticalMaskReinstall:
 
     def test_engine_reinstall_path_hits(self, rng):
         # repeated applies of one set (direct callers of the manager)
-        # never move the executor-style token
+        # never move a layer's cache token
         model = TransformerLM(TINY)
         manager = MaskManager(model)
         pset = random_pattern_set(4, 0.5, 2, rng)

@@ -539,9 +539,10 @@ class TestAdmissionQueueOps:
 
     def test_remove_last_member_drops_group(self):
         q = AdmissionQueue(max_batch=8, window_s=1.0)
-        q.add(request(0, 0.0, 1.0), 0.0)
+        r = request(0, 0.0, 1.0)
+        q.add(r, 0.0)
         assert q.remove(0) is not None
-        assert q.open_groups == 0 and not q.waiting()
+        assert q.open_group(q.key_fn(r)) is None and not q.waiting()
 
     def test_waiting_preserves_admission_order(self):
         q = AdmissionQueue(max_batch=8, window_s=1.0)

@@ -3,8 +3,16 @@
 import numpy as np
 import pytest
 
-from repro.core.block_pruning import BlockPruningConfig, block_prune_matrix
+from repro.core.block_pruning import (
+    BlockPruningConfig,
+    apply_block_pruning,
+    block_prune_matrix,
+)
 from repro.core.patterns import pattern_mask_for_matrix, random_pattern_set
+from repro.hardware.latency import LatencyModel, SparsityKind
+from repro.hardware.workload import profile_from_model
+from repro.nn.layers import prunable_linears
+from repro.nn.transformer import TransformerLM
 from repro.sparse import (
     BlockCompressedMatrix,
     COOMatrix,
@@ -18,6 +26,7 @@ from repro.sparse import (
     pattern_matmul,
     pattern_matmul_loop,
 )
+from tests.conftest import TINY_TRANSFORMER
 
 
 def bp_masked_matrix(shape=(16, 12), rate=0.5, num_blocks=4, seed=0):
@@ -299,3 +308,28 @@ class TestCostModel:
         c = OpCounter(macs=10, index_ops=4, overhead_ops=1)
         assert c.total == 15
         assert c.weighted_total(index_penalty=3.0) == 10 + 12 + 1
+
+
+class TestPredictorCrossValidation:
+    def test_kernel_macs_track_latency_model(self):
+        """The analytic predictor and the executable kernels must agree on
+        the *relative* cost of sparsities (correlation of block-kernel MACs
+        vs predicted cycles across BP rates)."""
+        lm = LatencyModel()
+        mac_counts, predicted = [], []
+        for rate in (0.2, 0.4, 0.6, 0.8):
+            model = TransformerLM(TINY_TRANSFORMER)
+            apply_block_pruning(model, BlockPruningConfig(num_blocks=2, rate=rate))
+            macs = kept = weights = 0
+            for layer in prunable_linears(model, min_features=8).values():
+                w = layer.weight.data * layer.mask
+                got, counter = block_matmul(from_dense_block(w, 2), np.ones((w.shape[1], 1)))
+                assert np.allclose(got, w @ np.ones((w.shape[1], 1)))
+                macs += counter.macs
+                kept += np.count_nonzero(w)
+                weights += w.size
+            mac_counts.append(macs)
+            wl = profile_from_model(model, seq_len=1)
+            predicted.append(lm.cycles(wl, 1.0 - kept / weights, SparsityKind.BLOCK))
+        corr = np.corrcoef(mac_counts, predicted)[0, 1]
+        assert corr > 0.99

@@ -102,13 +102,6 @@ class TestAutogradMechanics:
         F.sum(y).backward()
         assert np.allclose(x.grad, [1.0])
 
-    def test_detach_cuts_graph(self):
-        x = Tensor([2.0], requires_grad=True)
-        d = F.mul(x, 3.0).detach()
-        assert not d.requires_grad
-        y = F.mul(d, 2.0)
-        assert not y.requires_grad
-
     def test_no_grad_context(self):
         x = Tensor([1.0], requires_grad=True)
         with no_grad():

@@ -54,13 +54,12 @@ class TestTextCorpus:
 
     def test_stats(self):
         corpus = TextCorpus.from_text(SAMPLE, max_vocab=10)
-        stats = corpus.stats()
-        assert stats.vocab_size == 10
-        assert 0.0 < stats.unk_fraction < 1.0
+        assert len(corpus.vocab) == 10
+        assert 0.0 < (corpus.tokens == corpus.vocab.unk_id).mean() < 1.0
 
     def test_no_unk_with_full_vocab(self):
         corpus = TextCorpus.from_text(SAMPLE)
-        assert corpus.stats().unk_fraction == 0.0
+        assert not (corpus.tokens == corpus.vocab.unk_id).any()
 
     def test_batches_interface_matches_synthetic(self):
         corpus = TextCorpus.from_text(SAMPLE)
@@ -75,12 +74,6 @@ class TestTextCorpus:
     def test_bad_splits_rejected(self):
         with pytest.raises(ValueError):
             TextCorpus(np.arange(100), Vocabulary(), splits=(0.9, 0.8))
-
-    def test_from_file(self, tmp_path):
-        path = tmp_path / "corpus.txt"
-        path.write_text(SAMPLE)
-        corpus = TextCorpus.from_file(str(path))
-        assert len(corpus.tokens) > 100
 
     def test_lm_task_runs_on_text_corpus(self):
         """The whole point: LMTask accepts raw-text corpora unchanged."""
